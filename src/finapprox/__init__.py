@@ -65,8 +65,10 @@ from .problemfile import (
 )
 from .resolvent import (
     IdentityReport,
+    RegularizedFactor,
     RegularizedSolution,
     SingularSystem,
+    factor_regularized,
     identity_residuals,
     regularized_operator,
     solve_regularized,
@@ -95,6 +97,7 @@ __all__ = [
     "ProblemInstance",
     "Projector",
     "ProjectorReport",
+    "RegularizedFactor",
     "RegularizedSolution",
     "RepresentabilityReport",
     "Scenario",
@@ -114,6 +117,7 @@ __all__ = [
     "diagonal_steps",
     "extract_witness",
     "factor_invertibility",
+    "factor_regularized",
     "family_projector",
     "galerkin_sweep",
     "gram",

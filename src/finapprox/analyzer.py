@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
@@ -21,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .hilbert import ProblemInstance, Projector, ValidationError
-from .resolvent import RegularizedSolution, SingularSystem, solve_regularized
+from .resolvent import RegularizedSolution, SingularSystem, factor_regularized
 
 __all__ = [
     "AlphaSchedule",
@@ -102,11 +101,10 @@ class SweepReport:
         return nonsingular[-1].indicator if nonsingular else None
 
 
-def _record(alpha: float, problem: ProblemInstance) -> SweepRecord:
-    solution = solve_regularized(alpha, problem)
+def _record(solution: Union[RegularizedSolution, SingularSystem]) -> SweepRecord:
     if isinstance(solution, SingularSystem):
         return SweepRecord(
-            alpha=float(alpha),
+            alpha=solution.alpha,
             singular=True,
             norm_indicator=math.nan,
             norm_residual=math.nan,
@@ -114,7 +112,7 @@ def _record(alpha: float, problem: ProblemInstance) -> SweepRecord:
             indicator=None,
         )
     return SweepRecord(
-        alpha=float(alpha),
+        alpha=solution.alpha,
         singular=False,
         norm_indicator=float(np.linalg.norm(solution.indicator)),
         norm_residual=float(np.linalg.norm(solution.residual)),
@@ -130,17 +128,15 @@ def alpha_sweep(
 ) -> SweepReport:
     """Run the regularized solve at every alpha of the schedule.
 
-    Steps are independent; ``jobs > 1`` runs them on a thread pool. Records
-    are assembled in schedule order either way, so output is deterministic.
+    The problem is factored once (:func:`factor_regularized`) and every alpha
+    is solved from that factor. ``jobs`` is accepted for compatibility and
+    ignored: once the factor exists an alpha costs a few milliseconds, too
+    little for a thread pool to pay off.
     """
     if schedule is None:
         schedule = AlphaSchedule()
-    alphas = schedule.values()
-    if jobs is None or jobs <= 1 or len(alphas) <= 1:
-        records = [_record(a, problem) for a in alphas]
-    else:
-        with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
-            records = list(pool.map(lambda a: _record(a, problem), alphas))
+    factor = factor_regularized(problem)
+    records = [_record(factor.solve(a)) for a in schedule.values()]
     return SweepReport(problem=problem, schedule=schedule, records=tuple(records))
 
 
@@ -240,9 +236,10 @@ def witness_correlation(
     if schedule is None:
         schedule = AlphaSchedule()
     v = np.asarray(witness, dtype=float)
+    factor = factor_regularized(problem)
     out: list[tuple[float, float]] = []
     for alpha in schedule.values():
-        solution = solve_regularized(alpha, problem)
+        solution = factor.solve(alpha)
         if isinstance(solution, SingularSystem):
             continue
         out.append((float(alpha), float(solution.residual @ v)))
@@ -272,7 +269,7 @@ class OracleDecision:
 
 
 def _lstsq_residual(
-    a: np.ndarray, b: np.ndarray, scale: Optional[float] = None
+    a: np.ndarray, b: np.ndarray, scale: Optional[float] = None, smax: Optional[float] = None
 ) -> tuple[np.ndarray, float]:
     """Minimum-norm least squares with a rank cutoff relative to ``scale``.
 
@@ -280,14 +277,16 @@ def _lstsq_residual(
     noise; judged against their own largest singular value they look full
     rank, and inverting them produces enormous spurious solutions. Passing
     the parent operator's scale keeps the cutoff anchored where the noise
-    floor actually is.
+    floor actually is. ``smax``, the largest singular value of ``a``, is
+    computed when the caller does not already know it.
     """
     if a.shape[1] == 0:
         return np.zeros(0), float(np.linalg.norm(b))
     rcond = None
     if scale is not None and scale > 0 and min(a.shape) > 0:
-        smax = float(np.linalg.svd(a, compute_uv=False)[0])
-        floor = max(a.shape) * np.finfo(float).eps * scale
+        if smax is None:
+            smax = float(np.linalg.svd(a, compute_uv=False)[0])
+        floor = _noise_floor(a, scale)
         if smax <= floor:
             x = np.zeros(a.shape[1])
             return x, float(np.linalg.norm(b))
@@ -296,17 +295,24 @@ def _lstsq_residual(
     return x, float(np.linalg.norm(a @ x - b))
 
 
-def _nullspace_rcond(a: np.ndarray, scale: float) -> Optional[float]:
-    """Cutoff for null_space so noise-level rows count as zero rows."""
-    if scale <= 0 or min(a.shape) == 0:
-        return None
-    smax = float(np.linalg.svd(a, compute_uv=False)[0])
-    if smax == 0.0:
-        return None
-    floor = max(a.shape) * np.finfo(float).eps * scale
-    # scipy keeps singular values strictly above rcond * smax, so a cutoff of
-    # one declares the whole matrix zero when even its largest value is noise
-    return 1.0 if smax <= floor else floor / smax
+def _noise_floor(a: np.ndarray, scale: float) -> float:
+    """Singular values of ``a`` at or below this are rounding noise of an operator of norm ``scale``."""
+    return max(a.shape) * np.finfo(float).eps * scale
+
+
+def _constraint_split(
+    a: np.ndarray, b: np.ndarray, scale: float
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """Particular solution, residual and nullspace of the constraint rows ``a x = b``.
+
+    One full SVD serves all three. Singular values at or below the noise
+    floor of the parent operator (``max(shape) * eps * scale``) count as
+    zero, so noise-level rows add neither rank nor spurious solutions.
+    """
+    u, s, vt = scipy.linalg.svd(a, full_matrices=True)
+    rank = int(np.sum(s > _noise_floor(a, scale)))
+    x = vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank])
+    return x, float(np.linalg.norm(a @ x - b)), vt[rank:].T
 
 
 def range_oracle(problem: ProblemInstance, oracle_tol: Optional[float] = None) -> OracleDecision:
@@ -335,7 +341,9 @@ def range_oracle(problem: ProblemInstance, oracle_tol: Optional[float] = None) -
     exact_part = p @ h
     complement_part = h - exact_part
     _w0, exact_residual = _lstsq_residual(p @ l, exact_part, scale=operator_scale)
-    _w1, complement_residual = _lstsq_residual(l, complement_part, scale=operator_scale)
+    _w1, complement_residual = _lstsq_residual(
+        l, complement_part, scale=operator_scale, smax=operator_scale
+    )
     decomposed = exact_residual <= threshold and complement_residual <= threshold
 
     # Constrained route: reduce the constraint to independent rows, find a
@@ -351,8 +359,7 @@ def range_oracle(problem: ProblemInstance, oracle_tol: Optional[float] = None) -
         feasibility_residual = 0.0
         nullspace = np.eye(problem.control_dim)
     else:
-        u_particular, feasibility_residual = _lstsq_residual(a, b, scale=operator_scale)
-        nullspace = scipy.linalg.null_space(a, rcond=_nullspace_rcond(a, operator_scale))
+        u_particular, feasibility_residual, nullspace = _constraint_split(a, b, operator_scale)
     feasible = feasibility_residual <= threshold
 
     if not feasible:

@@ -377,14 +377,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(p_analyze)
     p_analyze.add_argument("--tol-decision", type=float, default=None, dest="tol_decision",
                            help="override the relative decision threshold")
-    p_analyze.add_argument("--jobs", type=int, default=1, help="parallel alpha solves")
+    p_analyze.add_argument("--jobs", type=int, default=1, help="accepted, no effect")
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_sweep = sub.add_parser("sweep", help="regularized solves along the alpha schedule")
     add_source(p_sweep)
     add_schedule(p_sweep)
     add_output(p_sweep)
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel alpha solves")
+    p_sweep.add_argument("--jobs", type=int, default=1, help="accepted, no effect")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_oracle = sub.add_parser("oracle", help="range-criterion verdicts from the operator")
@@ -398,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(p_galerkin)
     p_galerkin.add_argument("--family", choices=("sine", "coordinate"), default=None,
                             help="family for problem-file inputs")
-    p_galerkin.add_argument("--jobs", type=int, default=1, help="parallel steps")
+    p_galerkin.add_argument("--jobs", type=int, default=1, help="accepted, no effect")
     p_galerkin.set_defaults(func=_cmd_galerkin)
 
     p_validate = sub.add_parser("validate", help="structural checks and defect norms")

@@ -8,9 +8,8 @@ schedule. Each step still matches its own finite constraint exactly.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .hilbert import (
     orthonormal_columns,
     _readonly,
 )
-from .resolvent import SingularSystem, solve_regularized
+from .resolvent import RegularizedSolution, SingularSystem, factor_regularized
 
 __all__ = [
     "SubspaceFamily",
@@ -249,6 +248,11 @@ def galerkin_sweep(
     the level-n component of the equation is matched exactly at every step.
     ``target`` defaults to the problem's own constraint when that is a
     projector; when present, the residual is additionally measured under it.
+
+    Only the constraint changes between levels, so the Gram operator is
+    factored once, at the first step, and each later level reuses that
+    factorization (:meth:`RegularizedFactor.constrained`). ``jobs`` is
+    accepted for compatibility and ignored.
     """
     if family.dim != problem.ambient_dim:
         raise ValidationError(
@@ -259,38 +263,44 @@ def galerkin_sweep(
     step_list = [(int(n), float(alpha)) for n, alpha in steps]
     effective_tols = tols if tols is not None else problem.tols
 
-    def run(entry: tuple[int, tuple[int, float]]) -> GalerkinRecord:
-        index, (n, alpha) = entry
+    records = []
+    factor = None
+    for index, (n, alpha) in enumerate(step_list, start=1):
         projector = family_projector(family, n, tols=effective_tols)
-        posed = problem.constrained(projector)
-        solution = solve_regularized(alpha, posed)
-        if isinstance(solution, SingularSystem):
-            return GalerkinRecord(
-                step=index,
-                n=n,
-                alpha=alpha,
-                singular=True,
-                norm_residual=float("nan"),
-                norm_constraint_residual=float("nan"),
-                norm_constraint_residual_target=None,
-            )
-        target_norm = (
-            float(np.linalg.norm(target.matrix @ solution.residual)) if target is not None else None
-        )
+        if factor is None:
+            factor = factor_regularized(problem.constrained(projector))
+        else:
+            factor = factor.constrained(projector)
+        records.append(_galerkin_record(index, n, alpha, factor.solve(alpha), target))
+    return GalerkinReport(records=tuple(records), rhs_norm=float(np.linalg.norm(problem.rhs)))
+
+
+def _galerkin_record(
+    index: int,
+    n: int,
+    alpha: float,
+    solution: Union[RegularizedSolution, SingularSystem],
+    target: Optional[Projector],
+) -> GalerkinRecord:
+    if isinstance(solution, SingularSystem):
         return GalerkinRecord(
             step=index,
             n=n,
             alpha=alpha,
-            singular=False,
-            norm_residual=float(np.linalg.norm(solution.residual)),
-            norm_constraint_residual=float(np.linalg.norm(solution.constraint_residual)),
-            norm_constraint_residual_target=target_norm,
+            singular=True,
+            norm_residual=float("nan"),
+            norm_constraint_residual=float("nan"),
+            norm_constraint_residual_target=None,
         )
-
-    entries = list(enumerate(step_list, start=1))
-    if jobs is None or jobs <= 1 or len(entries) <= 1:
-        records = [run(e) for e in entries]
-    else:
-        with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
-            records = list(pool.map(run, entries))
-    return GalerkinReport(records=tuple(records), rhs_norm=float(np.linalg.norm(problem.rhs)))
+    target_norm = (
+        float(np.linalg.norm(target.matrix @ solution.residual)) if target is not None else None
+    )
+    return GalerkinRecord(
+        step=index,
+        n=n,
+        alpha=alpha,
+        singular=False,
+        norm_residual=float(np.linalg.norm(solution.residual)),
+        norm_constraint_residual=float(np.linalg.norm(solution.constraint_residual)),
+        norm_constraint_residual_target=target_norm,
+    )

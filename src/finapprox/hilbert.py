@@ -8,6 +8,7 @@ factorability diagnostics, and validated problem instances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
@@ -386,18 +387,22 @@ class ProblemInstance:
         """Same equation under a different projector constraint.
 
         Used by the Galerkin sweep to re-pose the problem at each subspace
-        level without revalidating the operator data.
+        level without revalidating the operator data; the idempotency defect
+        is computed from the projector's basis.
         """
         if projector.dim != self.ambient_dim:
             raise ValidationError(
                 f"replacement projector acts on dimension {projector.dim}, expected {self.ambient_dim}"
             )
+        # P^2 - P = Q E Q^T with E = Q^T Q - I, so ||P^2 - P||_F^2 is
+        # tr(E (I + E) E (I + E)): O(n k^2) from the basis, not O(n^3).
+        q = projector.basis
+        e = q.T @ q - np.eye(projector.rank)
+        m = e + e @ e
         record = replace(
             self.validation,
             constraint_symmetry_defect=0.0,
-            constraint_idempotency_defect=float(
-                np.linalg.norm(projector.matrix @ projector.matrix - projector.matrix)
-            ),
+            constraint_idempotency_defect=math.sqrt(max(float(np.sum(m * m.T)), 0.0)),
             constraint_is_projector=True,
             constraint_supplied_raw=False,
         )

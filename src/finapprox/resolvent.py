@@ -7,25 +7,29 @@ the regularized system at parameter alpha > 0 is
 
 Its solution carries the canonical control (operator^T costate), the vector
 that control reaches (G costate), and the indicator alpha * costate whose
-small-alpha limit decides solvability. Singular systems are reported as
-values, not raised.
+small-alpha limit decides solvability. Only alpha changes along a sweep, so
+:func:`factor_regularized` factors the problem once and every alpha is then a
+small capacitance solve. Singular systems are reported as values, not raised.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 import scipy.linalg
 
-from .hilbert import ProblemInstance, ValidationError
+from .hilbert import ProblemInstance, Projector, ValidationError
 
 __all__ = [
     "RegularizedSolution",
     "SingularSystem",
     "IdentityReport",
+    "RegularizedFactor",
     "regularized_operator",
+    "factor_regularized",
     "solve_regularized",
     "identity_residuals",
 ]
@@ -64,9 +68,17 @@ class SingularSystem:
     ``kernel_vector`` is a unit vector annihilated by the system matrix. When
     the right-hand side has a component in the numerical kernel, that
     component (normalized) is reported, since it certifies the right-hand
-    side unreachable; otherwise the smallest right singular vector is used.
-    ``smallest_eigenvalue`` is the smallest eigenvalue for symmetric systems
-    and the smallest singular value for raw non-symmetric constraints.
+    side unreachable; otherwise the kernel direction of smallest eigenvalue
+    (or singular value) is used.
+
+    For a :class:`~finapprox.hilbert.Projector` constraint with basis Q,
+    ``smallest_eigenvalue`` is the smallest eigenvalue of G_QQ = Q^T G Q.
+    Because G is positive semidefinite, the system is singular at every
+    alpha exactly when that value is at most ``singular_tol`` times the
+    largest eigenvalue of G, so such reports do not depend on alpha. For raw
+    constraint matrices it is the smallest eigenvalue of the assembled
+    system when that passes the projector checks, and its smallest singular
+    value otherwise.
     """
 
     alpha: float
@@ -92,47 +104,166 @@ class IdentityReport:
     constraint_defect: float
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ValidationError(f"alpha must be positive and finite, got {alpha!r}")
+
+
 def regularized_operator(alpha: float, problem: ProblemInstance) -> np.ndarray:
     """Assemble alpha * (I - P) + G.
 
     Exactly symmetric whenever the constraint is a true projector, because
     both stored factors are exactly symmetric.
     """
-    if not (np.isfinite(alpha) and alpha > 0):
-        raise ValidationError(f"alpha must be positive and finite, got {alpha!r}")
+    _check_alpha(alpha)
     identity = np.eye(problem.ambient_dim)
     return alpha * (identity - problem.constraint_matrix) + problem.gram
+
+
+@dataclass(frozen=True)
+class RegularizedFactor:
+    """Factorization of the regularized system shared by every alpha.
+
+    For a :class:`Projector` constraint with orthonormal basis Q of rank k,
+    one eigendecomposition G = U diag(lam) U^T serves the whole schedule.
+    With A = G + alpha I and B = U^T Q, the Woodbury identity gives
+
+        T_alpha^{-1} = A^{-1} + A^{-1} Q C_alpha^{-1} Q^T A^{-1},
+        C_alpha = B^T diag(lam / (alpha (lam + alpha))) B,
+
+    so each alpha costs one k x k Cholesky factorization and O(n^2 + n k^2)
+    work. Because G is positive semidefinite, T_alpha is singular for every
+    alpha > 0 exactly when G_QQ = Q^T G Q is, and then its kernel is
+    Q ker G_QQ; that test runs once, here, instead of once per alpha.
+
+    Raw constraint matrices keep the generic path: ``eigenvalues`` is None
+    and :meth:`solve` factors the assembled matrix at each alpha.
+
+    Attributes
+    ----------
+    problem : the problem this factor solves.
+    eigenvalues : eigenvalues of G in ascending order, clamped at zero.
+    eigenvectors : the matching orthonormal eigenvectors U.
+    basis_coords : B = U^T Q, the constraint basis in G's eigenbasis.
+    smallest_eigenvalue : smallest eigenvalue of G_QQ (infinite for the zero
+        projector, whose system is never singular).
+    kernel_vector : unit kernel vector of T_alpha when the system is singular
+        at every alpha, otherwise None.
+    """
+
+    problem: ProblemInstance
+    eigenvalues: Optional[np.ndarray] = None
+    eigenvectors: Optional[np.ndarray] = None
+    basis_coords: Optional[np.ndarray] = None
+    smallest_eigenvalue: float = math.inf
+    kernel_vector: Optional[np.ndarray] = None
+
+    def constrained(self, projector: Projector) -> "RegularizedFactor":
+        """Factor of the same equation under another projector constraint.
+
+        Reuses the eigendecomposition of G, so a new level costs O(n^2 k)
+        instead of a new O(n^3) factorization.
+        """
+        posed = self.problem.constrained(projector)
+        if self.eigenvalues is None:
+            return factor_regularized(posed)
+        return _spectral_factor(posed, self.eigenvalues, self.eigenvectors)
+
+    def solve(self, alpha: float) -> Union[RegularizedSolution, SingularSystem]:
+        """Regularized solve at ``alpha``, with one step of iterative refinement."""
+        _check_alpha(alpha)
+        if self.eigenvalues is None:
+            return _solve_generic(alpha, self.problem)
+        if self.kernel_vector is not None:
+            return SingularSystem(
+                alpha=float(alpha),
+                kernel_vector=self.kernel_vector,
+                smallest_eigenvalue=self.smallest_eigenvalue,
+            )
+        lam, u, b = self.eigenvalues, self.eigenvectors, self.basis_coords
+        shifted = lam + alpha
+        capacitance = None
+        if b.shape[1]:
+            capacitance = scipy.linalg.cho_factor((b.T * (lam / (alpha * shifted))) @ b)
+
+        def apply_inverse(r: np.ndarray) -> np.ndarray:
+            y = (u.T @ r) / shifted
+            if capacitance is not None:
+                y += (b @ scipy.linalg.cho_solve(capacitance, b.T @ y)) / shifted
+            return u @ y
+
+        problem = self.problem
+        q = problem.constraint.basis
+        h = problem.rhs
+        z = apply_inverse(h)
+        # One refinement step against the matrix-free T_alpha tightens the
+        # residual of ill-conditioned solves at small alpha.
+        applied = problem.gram @ z + alpha * (z - q @ (q.T @ z))
+        z = z + apply_inverse(h - applied)
+        return _solution(alpha, z, problem)
+
+
+def factor_regularized(problem: ProblemInstance) -> RegularizedFactor:
+    """Factor the regularized system of ``problem`` once for every alpha.
+
+    Projector constraints get the spectral factor described in
+    :class:`RegularizedFactor`: one ``eigh`` of the Gram operator per
+    problem. Raw constraint matrices get a factor that solves each alpha by
+    the generic dense route.
+    """
+    if not isinstance(problem.constraint, Projector):
+        return RegularizedFactor(problem=problem)
+    lam, u = np.linalg.eigh(problem.gram)
+    # G is validated positive semidefinite; negative eigenvalues are rounding
+    return _spectral_factor(problem, np.maximum(lam, 0.0), u)
+
+
+def _spectral_factor(problem: ProblemInstance, lam: np.ndarray, u: np.ndarray) -> RegularizedFactor:
+    q = problem.constraint.basis
+    b = u.T @ q
+    smallest = math.inf
+    kernel = None
+    if q.shape[1]:
+        mu, v = np.linalg.eigh((b.T * lam) @ b)
+        smallest = float(mu[0])
+        cutoff = problem.tols.singular_tol * float(lam[-1])
+        if smallest <= cutoff:
+            null_basis = q @ v[:, mu <= cutoff]
+            kernel = _kernel_vector(null_basis, q @ v[:, 0], problem.rhs)
+    return RegularizedFactor(
+        problem=problem,
+        eigenvalues=lam,
+        eigenvectors=u,
+        basis_coords=b,
+        smallest_eigenvalue=smallest,
+        kernel_vector=kernel,
+    )
+
+
+def _kernel_vector(null_basis: np.ndarray, fallback: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The normalized kernel component of ``h`` when it has one, else ``fallback``."""
+    kernel_component = null_basis @ (null_basis.T @ h)
+    component_norm = float(np.linalg.norm(kernel_component))
+    h_scale = max(float(np.linalg.norm(h)), 1.0)
+    if component_norm > 1e-12 * h_scale:
+        return kernel_component / component_norm
+    return fallback
 
 
 def solve_regularized(
     alpha: float, problem: ProblemInstance
 ) -> Union[RegularizedSolution, SingularSystem]:
-    """Solve the regularized system at ``alpha``.
+    """Solve the regularized system at ``alpha``; see :class:`RegularizedFactor`.
 
-    Returns a :class:`SingularSystem` instead of raising when the smallest
-    singular value falls below ``singular_tol`` times the largest. Otherwise
-    solves with a symmetric-indefinite factorization when the constraint is a
-    projector (the matrix is then symmetric positive semidefinite plus the
-    regularization term) and a general LU factorization for raw constraints,
-    followed by one step of iterative refinement.
+    Sweeps over several alphas should call :func:`factor_regularized` once
+    and solve from the factor instead.
     """
-    t = regularized_operator(alpha, problem)
-    h = problem.rhs
-    s = np.linalg.svd(t, compute_uv=False)
-    s_max = float(s[0]) if s.size else 0.0
-    s_min = float(s[-1]) if s.size else 0.0
-    if s_min <= problem.tols.singular_tol * s_max or s_max == 0.0:
-        return _singular_report(alpha, t, h, problem)
+    return factor_regularized(problem).solve(alpha)
 
-    assume = "sym" if problem.constraint_is_projector else "gen"
-    z = scipy.linalg.solve(t, h, assume_a=assume)
-    # One refinement step tightens the residual of ill-conditioned solves at
-    # small alpha; the factorization cost is negligible at these sizes.
-    correction = scipy.linalg.solve(t, h - t @ z, assume_a=assume)
-    z = z + correction
 
+def _solution(alpha: float, z: np.ndarray, problem: ProblemInstance) -> RegularizedSolution:
     image = problem.gram @ z
-    residual = image - h
+    residual = image - problem.rhs
     control = problem.operator.T @ z if problem.operator is not None else None
     return RegularizedSolution(
         alpha=float(alpha),
@@ -145,6 +276,27 @@ def solve_regularized(
     )
 
 
+def _solve_generic(
+    alpha: float, problem: ProblemInstance
+) -> Union[RegularizedSolution, SingularSystem]:
+    """Dense route for raw constraints: SVD guard, one LU factorization, one refinement.
+
+    Returns a :class:`SingularSystem` when the smallest singular value falls
+    below ``singular_tol`` times the largest.
+    """
+    t = regularized_operator(alpha, problem)
+    h = problem.rhs
+    s = np.linalg.svd(t, compute_uv=False)
+    s_max = float(s[0]) if s.size else 0.0
+    s_min = float(s[-1]) if s.size else 0.0
+    if s_min <= problem.tols.singular_tol * s_max or s_max == 0.0:
+        return _singular_report(alpha, t, h, problem)
+    lu = scipy.linalg.lu_factor(t)
+    z = scipy.linalg.lu_solve(lu, h)
+    z = z + scipy.linalg.lu_solve(lu, h - t @ z)
+    return _solution(alpha, z, problem)
+
+
 def _singular_report(
     alpha: float, t: np.ndarray, h: np.ndarray, problem: ProblemInstance
 ) -> SingularSystem:
@@ -155,13 +307,7 @@ def _singular_report(
     else:
         null_mask = s <= problem.tols.singular_tol * s_max
         null_basis = vt[null_mask].T
-    kernel_component = null_basis @ (null_basis.T @ h)
-    component_norm = float(np.linalg.norm(kernel_component))
-    h_scale = max(float(np.linalg.norm(h)), 1.0)
-    if component_norm > 1e-12 * h_scale:
-        kernel = kernel_component / component_norm
-    else:
-        kernel = vt[-1]
+    kernel = _kernel_vector(null_basis, vt[-1], h)
     if problem.constraint_is_projector:
         smallest = float(np.linalg.eigvalsh(t)[0])
     else:
