@@ -124,14 +124,11 @@ def _record(solution: Union[RegularizedSolution, SingularSystem]) -> SweepRecord
 def alpha_sweep(
     problem: ProblemInstance,
     schedule: Optional[AlphaSchedule] = None,
-    jobs: int = 1,
 ) -> SweepReport:
     """Run the regularized solve at every alpha of the schedule.
 
     The problem is factored once (:func:`factor_regularized`) and every alpha
-    is solved from that factor. ``jobs`` is accepted for compatibility and
-    ignored: once the factor exists an alpha costs a few milliseconds, too
-    little for a thread pool to pay off.
+    is solved from that factor.
     """
     if schedule is None:
         schedule = AlphaSchedule()
@@ -196,7 +193,7 @@ def decide(report: SweepReport, decision_tol: Optional[float] = None) -> Decisio
         step = float(np.linalg.norm(last.indicator - previous.indicator))
         diagnostics["tail_difference"] = step
         if step <= threshold and last.norm_indicator > threshold:
-            witness = report.problem.complement_matrix @ last.indicator
+            witness = last.indicator - report.problem.project(last.indicator)
             witness_norm = float(np.linalg.norm(witness))
             diagnostics["witness_norm"] = witness_norm
             if witness_norm > threshold:
@@ -254,8 +251,11 @@ class OracleDecision:
     P h in Range(P L) and (I - P) h in Range(L) by least-squares residuals.
     The constrained route minimizes ||L u - h|| subject to P L u = P h by
     nullspace elimination; ``distance`` is the achieved minimum (infinity
-    when the constraint set is empty). The two criteria are genuinely
-    different tests and can disagree; ``agree`` just records whether they did.
+    when the constraint set is empty). Both routes read one least-squares
+    residual of the constraint rows: it is ``exact_part_residual``, and
+    ``feasible`` says it is below the threshold. The two criteria are
+    genuinely different tests and can disagree; ``agree`` just records
+    whether they did.
     """
 
     decomposed_solvable: bool
@@ -331,36 +331,35 @@ def range_oracle(problem: ProblemInstance, oracle_tol: Optional[float] = None) -
         raise ValidationError(f"oracle_tol must be positive, got {tol!r}")
 
     l = problem.operator
-    p = problem.constraint_matrix
     h = problem.rhs
     h_norm = float(np.linalg.norm(h))
     threshold = tol * h_norm
 
     operator_scale = float(np.linalg.svd(l, compute_uv=False)[0]) if min(l.shape) else 0.0
 
-    exact_part = p @ h
-    complement_part = h - exact_part
-    _w0, exact_residual = _lstsq_residual(p @ l, exact_part, scale=operator_scale)
-    _w1, complement_residual = _lstsq_residual(
-        l, complement_part, scale=operator_scale, smax=operator_scale
-    )
-    decomposed = exact_residual <= threshold and complement_residual <= threshold
-
-    # Constrained route: reduce the constraint to independent rows, find a
-    # particular feasible control, then minimize over the constraint nullspace.
+    # Constraint rows: Q^T for a projector (||P v|| = ||Q^T v||), P itself
+    # for a raw matrix. Their least-squares residual is the exact-part test
+    # P h in Range(P L), and it decides whether the constraint set is empty.
+    # The same split yields a particular feasible control and the constraint
+    # nullspace, over which the constrained route then minimizes.
     if isinstance(problem.constraint, Projector):
         rows = problem.constraint.basis.T
     else:
-        rows = p
+        rows = problem.constraint
     a = rows @ l
     b = rows @ h
     if a.shape[0] == 0:
         u_particular = np.zeros(problem.control_dim)
-        feasibility_residual = 0.0
+        exact_residual = 0.0
         nullspace = np.eye(problem.control_dim)
     else:
-        u_particular, feasibility_residual, nullspace = _constraint_split(a, b, operator_scale)
-    feasible = feasibility_residual <= threshold
+        u_particular, exact_residual, nullspace = _constraint_split(a, b, operator_scale)
+    feasible = exact_residual <= threshold
+
+    _w, complement_residual = _lstsq_residual(
+        l, h - problem.project(h), scale=operator_scale, smax=operator_scale
+    )
+    decomposed = feasible and complement_residual <= threshold
 
     if not feasible:
         distance = math.inf

@@ -158,21 +158,29 @@ def _source_comments(source: dict[str, str]) -> list[str]:
     return [f"# {key}={value}" for key, value in source.items()]
 
 
+def _emit(args, command: str, source: dict[str, str], payload: dict, lines: list[str]) -> None:
+    """Write a report in the v1 envelope: JSON ``payload`` or CSV ``lines``.
+
+    JSON gains the ``version``, ``command`` and ``source`` keys; CSV is
+    prefixed with the header, ``# command=`` and one comment per source tag.
+    """
+    if args.format == "json":
+        envelope = {"version": "finapprox v1", "command": command, "source": source, **payload}
+        _write(json.dumps(envelope, indent=2, sort_keys=True) + "\n", args.output)
+    else:
+        lines = [HEADER, f"# command={command}", *_source_comments(source), *lines]
+        _write("\n".join(lines) + "\n", args.output)
+
+
+def _schedule_json(args) -> dict:
+    return {"alpha0": args.alpha0, "ratio": args.ratio, "count": args.count}
+
+
 def _cmd_sweep(args) -> int:
     problem, _family, source = _load(args)
-    report = alpha_sweep(problem, _schedule(args), jobs=args.jobs)
-    if args.format == "json":
-        payload = {
-            "version": "finapprox v1",
-            "command": "sweep",
-            "source": source,
-            "schedule": {"alpha0": args.alpha0, "ratio": args.ratio, "count": args.count},
-            "records": _sweep_json(report),
-        }
-        _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
-    else:
-        lines = [HEADER, "# command=sweep", *_source_comments(source), *_sweep_rows(report)]
-        _write("\n".join(lines) + "\n", args.output)
+    report = alpha_sweep(problem, _schedule(args))
+    payload = {"schedule": _schedule_json(args), "records": _sweep_json(report)}
+    _emit(args, "sweep", source, payload, _sweep_rows(report))
     if not report.nonsingular_records():
         return EXIT_SINGULAR
     return EXIT_OK
@@ -180,39 +188,32 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_analyze(args) -> int:
     problem, _family, source = _load(args)
-    report = alpha_sweep(problem, _schedule(args), jobs=args.jobs)
+    report = alpha_sweep(problem, _schedule(args))
     decision = decide(report, decision_tol=args.tol_decision)
     oracle = range_oracle(problem) if problem.operator is not None else None
     agreement: Optional[bool] = None
     if oracle is not None and decision.verdict in (Verdict.SOLVABLE, Verdict.NOT_SOLVABLE):
         agreement = oracle.constrained_solvable == (decision.verdict is Verdict.SOLVABLE)
 
-    if args.format == "json":
-        payload = {
-            "version": "finapprox v1",
-            "command": "analyze",
-            "source": source,
-            "schedule": {"alpha0": args.alpha0, "ratio": args.ratio, "count": args.count},
-            "records": _sweep_json(report),
-            "verdict": decision.verdict.value,
-            "witness": None if decision.witness is None else [float(x) for x in decision.witness],
-            "oracle": None if oracle is None else _oracle_json(oracle),
-            "agreement": agreement,
-        }
-        _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
-    else:
-        lines = [HEADER, "# command=analyze", *_source_comments(source)]
-        lines.append(f"# verdict={decision.verdict.value}")
-        if decision.witness is not None:
-            lines.append(f"# witness={_vector_csv(decision.witness)}")
-        if oracle is not None:
-            lines.append(f"# oracle_constrained_solvable={_fmt(oracle.constrained_solvable)}")
-            lines.append(f"# oracle_decomposed_solvable={_fmt(oracle.decomposed_solvable)}")
-            lines.append(f"# oracle_distance={_fmt(oracle.distance)}")
-        if agreement is not None:
-            lines.append(f"# agreement={_fmt(agreement)}")
-        lines.extend(_sweep_rows(report))
-        _write("\n".join(lines) + "\n", args.output)
+    payload = {
+        "schedule": _schedule_json(args),
+        "records": _sweep_json(report),
+        "verdict": decision.verdict.value,
+        "witness": None if decision.witness is None else [float(x) for x in decision.witness],
+        "oracle": None if oracle is None else _oracle_json(oracle),
+        "agreement": agreement,
+    }
+    lines = [f"# verdict={decision.verdict.value}"]
+    if decision.witness is not None:
+        lines.append(f"# witness={_vector_csv(decision.witness)}")
+    if oracle is not None:
+        lines.append(f"# oracle_constrained_solvable={_fmt(oracle.constrained_solvable)}")
+        lines.append(f"# oracle_decomposed_solvable={_fmt(oracle.decomposed_solvable)}")
+        lines.append(f"# oracle_distance={_fmt(oracle.distance)}")
+    if agreement is not None:
+        lines.append(f"# agreement={_fmt(agreement)}")
+    lines.extend(_sweep_rows(report))
+    _emit(args, "analyze", source, payload, lines)
     if decision.verdict is Verdict.SINGULAR:
         return EXIT_SINGULAR
     return EXIT_OK
@@ -220,20 +221,11 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_oracle(args) -> int:
     problem, _family, source = _load(args)
-    oracle = range_oracle(problem)
-    if args.format == "json":
-        payload = {
-            "version": "finapprox v1",
-            "command": "oracle",
-            "source": source,
-            "oracle": _oracle_json(oracle),
-        }
-        _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
-    else:
-        lines = [HEADER, "# command=oracle", *_source_comments(source), "key,value"]
-        for key, value in _oracle_json(oracle).items():
-            lines.append(f"{key},{_fmt(value) if value is not None else 'inf'}")
-        _write("\n".join(lines) + "\n", args.output)
+    fields = _oracle_json(range_oracle(problem))
+    lines = ["key,value"]
+    for key, value in fields.items():
+        lines.append(f"{key},{_fmt(value) if value is not None else 'inf'}")
+    _emit(args, "oracle", source, {"oracle": fields}, lines)
     return EXIT_OK
 
 
@@ -256,38 +248,33 @@ def _cmd_galerkin(args) -> int:
     problem, family, source = _load(args)
     chosen = _pick_family(args, problem, family)
     steps = diagonal_steps(count=args.count, max_n=chosen.max_n, alpha0=args.alpha0, ratio=args.ratio)
-    report = galerkin_sweep(problem, chosen, steps, jobs=args.jobs)
-    if args.format == "json":
-        payload = {
-            "version": "finapprox v1",
-            "command": "galerkin",
-            "source": source,
-            "family": chosen.description,
-            "records": [
-                {
-                    "step": r.step,
-                    "n": r.n,
-                    "alpha": r.alpha,
-                    "residual": None if r.singular else r.norm_residual,
-                    "constraint_residual_n": None if r.singular else r.norm_constraint_residual,
-                    "constraint_residual_target": r.norm_constraint_residual_target,
-                    "singular": r.singular,
-                }
-                for r in report.records
-            ],
-        }
-        _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
-    else:
-        lines = [HEADER, "# command=galerkin", *_source_comments(source)]
-        lines.append(f"# family={chosen.description}")
-        lines.append("step,n,alpha,residual,constraint_residual_n,constraint_residual_target,singular")
-        for r in report.records:
-            target = "" if r.norm_constraint_residual_target is None else _fmt(r.norm_constraint_residual_target)
-            lines.append(
-                f"{r.step},{r.n},{_fmt(r.alpha)},{_fmt(r.norm_residual)},"
-                f"{_fmt(r.norm_constraint_residual)},{target},{_fmt(r.singular)}"
-            )
-        _write("\n".join(lines) + "\n", args.output)
+    report = galerkin_sweep(problem, chosen, steps)
+    payload = {
+        "family": chosen.description,
+        "records": [
+            {
+                "step": r.step,
+                "n": r.n,
+                "alpha": r.alpha,
+                "residual": None if r.singular else r.norm_residual,
+                "constraint_residual_n": None if r.singular else r.norm_constraint_residual,
+                "constraint_residual_target": r.norm_constraint_residual_target,
+                "singular": r.singular,
+            }
+            for r in report.records
+        ],
+    }
+    lines = [
+        f"# family={chosen.description}",
+        "step,n,alpha,residual,constraint_residual_n,constraint_residual_target,singular",
+    ]
+    for r in report.records:
+        target = "" if r.norm_constraint_residual_target is None else _fmt(r.norm_constraint_residual_target)
+        lines.append(
+            f"{r.step},{r.n},{_fmt(r.alpha)},{_fmt(r.norm_residual)},"
+            f"{_fmt(r.norm_constraint_residual)},{target},{_fmt(r.singular)}"
+        )
+    _emit(args, "galerkin", source, payload, lines)
     if all(r.singular for r in report.records):
         return EXIT_SINGULAR
     return EXIT_OK
@@ -377,14 +364,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(p_analyze)
     p_analyze.add_argument("--tol-decision", type=float, default=None, dest="tol_decision",
                            help="override the relative decision threshold")
-    p_analyze.add_argument("--jobs", type=int, default=1, help="accepted, no effect")
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_sweep = sub.add_parser("sweep", help="regularized solves along the alpha schedule")
     add_source(p_sweep)
     add_schedule(p_sweep)
     add_output(p_sweep)
-    p_sweep.add_argument("--jobs", type=int, default=1, help="accepted, no effect")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_oracle = sub.add_parser("oracle", help="range-criterion verdicts from the operator")
@@ -398,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(p_galerkin)
     p_galerkin.add_argument("--family", choices=("sine", "coordinate"), default=None,
                             help="family for problem-file inputs")
-    p_galerkin.add_argument("--jobs", type=int, default=1, help="accepted, no effect")
     p_galerkin.set_defaults(func=_cmd_galerkin)
 
     p_validate = sub.add_parser("validate", help="structural checks and defect norms")

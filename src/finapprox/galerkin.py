@@ -149,17 +149,14 @@ def family_projector(
             f"family level must be an integer in [0, {family.max_n}], got {n!r}"
         )
     if n == 0:
-        basis = np.zeros((family.dim, 0))
-        return Projector(basis=_readonly(basis), matrix=_readonly(np.zeros((family.dim, family.dim))), rank=0)
+        return Projector(basis=_readonly(np.zeros((family.dim, 0))))
     columns = family.level(int(n))
     basis, dropped = orthonormal_columns(columns, tols.rank_tol)
     if dropped:
         raise ValidationError(
             f"family level {n} has linearly dependent basis vectors (columns {dropped} dropped)"
         )
-    matrix = basis @ basis.T
-    matrix = (matrix + matrix.T) / 2.0
-    return Projector(basis=_readonly(basis), matrix=_readonly(matrix), rank=basis.shape[1])
+    return Projector(basis=_readonly(basis))
 
 
 def strong_convergence_probe(
@@ -184,11 +181,11 @@ def strong_convergence_probe(
         if x.shape != (family.dim,):
             raise ValidationError(f"probe {i} has shape {x.shape}, expected ({family.dim},)")
     table = np.empty((family.max_n, len(probe_list)))
-    targeted = [target.matrix @ x for x in probe_list]
+    targeted = [target.apply(x) for x in probe_list]
     for n in range(1, family.max_n + 1):
         p_n = family_projector(family, n, tols=tols)
         for i, x in enumerate(probe_list):
-            table[n - 1, i] = np.linalg.norm(p_n.matrix @ x - targeted[i])
+            table[n - 1, i] = np.linalg.norm(p_n.apply(x) - targeted[i])
     return table
 
 
@@ -240,7 +237,6 @@ def galerkin_sweep(
     steps: Sequence[tuple[int, float]],
     target: Optional[Projector] = None,
     tols: Optional[Tolerances] = None,
-    jobs: int = 1,
 ) -> GalerkinReport:
     """Run the regularized solve with the constraint replaced level by level.
 
@@ -251,8 +247,7 @@ def galerkin_sweep(
 
     Only the constraint changes between levels, so the Gram operator is
     factored once, at the first step, and each later level reuses that
-    factorization (:meth:`RegularizedFactor.constrained`). ``jobs`` is
-    accepted for compatibility and ignored.
+    factorization (:meth:`RegularizedFactor.constrained`).
     """
     if family.dim != problem.ambient_dim:
         raise ValidationError(
@@ -293,7 +288,7 @@ def _galerkin_record(
             norm_constraint_residual_target=None,
         )
     target_norm = (
-        float(np.linalg.norm(target.matrix @ solution.residual)) if target is not None else None
+        float(np.linalg.norm(target.apply(solution.residual))) if target is not None else None
     )
     return GalerkinRecord(
         step=index,

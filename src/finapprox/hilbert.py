@@ -2,7 +2,7 @@
 
 Vectors are 1-D float64 arrays, operators are 2-D float64 arrays. The types
 here bundle them with the structure the rest of the library relies on:
-orthogonal projectors stored basis-first, Gram operators with their
+orthogonal projectors stored as orthonormal bases, Gram operators with their
 factorability diagnostics, and validated problem instances.
 """
 
@@ -117,27 +117,49 @@ def as_operator(a, shape: Optional[tuple] = None, name: str = "operator") -> np.
 
 @dataclass(frozen=True)
 class Projector:
-    """Orthogonal projector stored as an orthonormal basis plus its matrix.
+    """Orthogonal projector stored as its orthonormal basis Q alone.
 
-    ``matrix`` equals ``basis @ basis.T`` symmetrized, so it is exactly
-    symmetric and idempotent to rounding. ``rank`` is the number of basis
-    columns.
+    The projector is P = Q Q^T and is applied as Q (Q^T x). ``rank`` and
+    ``dim`` are read from the basis shape; ``matrix`` builds the dense n x n
+    form on request, for the few callers that need it.
     """
 
     basis: np.ndarray
-    matrix: np.ndarray
-    rank: int
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
 
+    @property
+    def rank(self) -> int:
+        return self.basis.shape[1]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense Q Q^T, symmetrized so it is exactly symmetric."""
+        m = self.basis @ self.basis.T
+        return (m + m.T) / 2.0
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Project ``x`` onto the range."""
-        return self.matrix @ x
+        return self.basis @ (self.basis.T @ x)
 
-    def complement_matrix(self) -> np.ndarray:
-        return np.eye(self.dim) - self.matrix
+
+def _numerical_rank(values: np.ndarray, rel_tol: float) -> int:
+    """Count of ``values`` above ``rel_tol`` times the largest; 0 when none is positive."""
+    top = float(np.max(values)) if values.size else 0.0
+    return int(np.sum(values > rel_tol * top)) if top > 0 else 0
+
+
+def _idempotency_defect(basis: np.ndarray) -> float:
+    """||P^2 - P||_F of P = Q Q^T, computed from the basis Q in O(n k^2).
+
+    P^2 - P = Q E Q^T with E = Q^T Q - I, so the squared norm is
+    tr(E (I + E) E (I + E)); no n x n matrix is formed.
+    """
+    e = basis.T @ basis - np.eye(basis.shape[1])
+    m = e + e @ e
+    return math.sqrt(max(float(np.sum(m * m.T)), 0.0))
 
 
 def orthonormal_columns(columns: np.ndarray, rank_tol: float) -> tuple[np.ndarray, list[int]]:
@@ -224,9 +246,7 @@ def make_projector(
         ortho_defect = float(np.linalg.norm(basis.T @ basis - np.eye(rank)))
         if ortho_defect > tols.tol_ortho:
             raise ValidationError(f"orthonormalization defect {ortho_defect:.3e} exceeds tol_ortho")
-    matrix = basis @ basis.T
-    matrix = (matrix + matrix.T) / 2.0
-    return Projector(basis=_readonly(basis), matrix=_readonly(matrix), rank=rank)
+    return Projector(basis=_readonly(basis))
 
 
 @dataclass(frozen=True)
@@ -254,11 +274,7 @@ def projector_defects(matrix, tol: Optional[float] = None, tols: Tolerances = DE
     idem = float(np.linalg.norm(p @ p - p))
     sym = float(np.linalg.norm(p - p.T))
     scale = max(1.0, float(np.linalg.norm(p)))
-    singular_values = np.linalg.svd(p, compute_uv=False)
-    if singular_values.size and singular_values[0] > 0:
-        rank = int(np.sum(singular_values > tols.rank_tol * singular_values[0]))
-    else:
-        rank = 0
+    rank = _numerical_rank(np.linalg.svd(p, compute_uv=False), tols.rank_tol)
     ok = idem <= tol * scale and sym <= tol * scale
     return ProjectorReport(idempotency_defect=idem, symmetry_defect=sym, rank=rank, is_orthogonal_projector=ok)
 
@@ -310,8 +326,7 @@ def gram_representable(
     eigenvalues = eigenvalues[order]
     eigenvectors = eigenvectors[:, order]
     min_eig = float(eigenvalues[-1]) if eigenvalues.size else 0.0
-    top = float(eigenvalues[0]) if eigenvalues.size else 0.0
-    rank = int(np.sum(eigenvalues > tols.rank_tol * max(top, 0.0))) if top > 0 else 0
+    rank = _numerical_rank(eigenvalues, tols.rank_tol)
 
     ok = (
         sym_defect <= tols.tol_sym * scale
@@ -354,9 +369,10 @@ class ProblemInstance:
     ``operator`` maps controls (dimension ``control_dim``) into the ambient
     space (dimension ``ambient_dim``) and may be absent when only the Gram
     operator is known. ``constraint`` is the component of the equation that
-    must be matched exactly: an orthogonal :class:`Projector`, or a raw
-    square matrix admitted for counterexample studies and flagged as such in
-    ``validation``.
+    must be matched exactly: an orthogonal :class:`Projector`, kept as its
+    orthonormal basis, or a raw square matrix admitted for counterexample
+    studies and flagged as such in ``validation``. :meth:`project` applies
+    either form to a vector without building an n x n matrix for a projector.
     """
 
     operator: Optional[np.ndarray]
@@ -370,6 +386,7 @@ class ProblemInstance:
 
     @property
     def constraint_matrix(self) -> np.ndarray:
+        """Dense matrix of the constraint map; built on request for a projector."""
         if isinstance(self.constraint, Projector):
             return self.constraint.matrix
         return self.constraint
@@ -378,31 +395,26 @@ class ProblemInstance:
     def constraint_is_projector(self) -> bool:
         return self.validation.constraint_is_projector
 
-    @property
-    def complement_matrix(self) -> np.ndarray:
-        """Matrix of I minus the constraint map."""
-        return np.eye(self.ambient_dim) - self.constraint_matrix
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """Apply the constraint map to ``x``: Q (Q^T x) for a projector, P x for a raw matrix."""
+        if isinstance(self.constraint, Projector):
+            return self.constraint.apply(x)
+        return self.constraint @ x
 
     def constrained(self, projector: Projector) -> "ProblemInstance":
         """Same equation under a different projector constraint.
 
         Used by the Galerkin sweep to re-pose the problem at each subspace
-        level without revalidating the operator data; the idempotency defect
-        is computed from the projector's basis.
+        level without revalidating the operator data.
         """
         if projector.dim != self.ambient_dim:
             raise ValidationError(
                 f"replacement projector acts on dimension {projector.dim}, expected {self.ambient_dim}"
             )
-        # P^2 - P = Q E Q^T with E = Q^T Q - I, so ||P^2 - P||_F^2 is
-        # tr(E (I + E) E (I + E)): O(n k^2) from the basis, not O(n^3).
-        q = projector.basis
-        e = q.T @ q - np.eye(projector.rank)
-        m = e + e @ e
         record = replace(
             self.validation,
             constraint_symmetry_defect=0.0,
-            constraint_idempotency_defect=math.sqrt(max(float(np.sum(m * m.T)), 0.0)),
+            constraint_idempotency_defect=_idempotency_defect(projector.basis),
             constraint_is_projector=True,
             constraint_supplied_raw=False,
         )
@@ -426,10 +438,12 @@ def make_problem(
     that control dimension; a non-representable instance is still built, the
     flag is how downstream consumers learn that no operator exists.
 
-    A raw (non-:class:`Projector`) constraint matrix is admitted but flagged:
-    ``validation.constraint_supplied_raw`` is set, and
+    A :class:`Projector` constraint is checked from its basis alone: its
+    symmetry defect is 0 by construction and its idempotency defect costs
+    O(n k^2). A raw (non-:class:`Projector`) constraint matrix is admitted
+    but flagged: ``validation.constraint_supplied_raw`` is set, and
     ``validation.constraint_is_projector`` records whether it happens to pass
-    the projector checks anyway.
+    the projector checks (:func:`projector_defects`) anyway.
     """
     if operator is None and gram_matrix is None:
         raise ValidationError("a problem needs an operator, a gram matrix, or both")
@@ -484,11 +498,9 @@ def make_problem(
 
     if l is not None:
         representable = True
-        if min(l.shape):
-            sv = np.linalg.svd(l, compute_uv=False)
-            representable_rank = int(np.sum(sv > tols.rank_tol * sv[0])) if sv[0] > 0 else 0
-        else:
-            representable_rank = 0
+        representable_rank = (
+            _numerical_rank(np.linalg.svd(l, compute_uv=False), tols.rank_tol) if min(l.shape) else 0
+        )
     else:
         report = gram_representable(g, control_dim, tols=tols)
         representable = report.representable
@@ -500,13 +512,16 @@ def make_problem(
                 f"constraint projector acts on dimension {constraint.dim}, expected {ambient_dim}"
             )
         p = constraint
-        c_report = projector_defects(p.matrix, tols=tols)
+        symmetry_defect = 0.0
+        idempotency_defect = _idempotency_defect(constraint.basis)
         constraint_is_projector = True
         constraint_supplied_raw = False
     else:
         raw = as_operator(constraint, shape=(ambient_dim, ambient_dim), name="constraint matrix")
         p = _readonly(raw)
         c_report = projector_defects(raw, tols=tols)
+        symmetry_defect = c_report.symmetry_defect
+        idempotency_defect = c_report.idempotency_defect
         constraint_is_projector = c_report.is_orthogonal_projector
         constraint_supplied_raw = True
 
@@ -516,8 +531,8 @@ def make_problem(
         gram_symmetry_defect=gram_sym_defect,
         gram_min_eigenvalue=min_eig,
         gram_factor_defect=gram_factor_defect,
-        constraint_symmetry_defect=c_report.symmetry_defect,
-        constraint_idempotency_defect=c_report.idempotency_defect,
+        constraint_symmetry_defect=symmetry_defect,
+        constraint_idempotency_defect=idempotency_defect,
         constraint_is_projector=constraint_is_projector,
         constraint_supplied_raw=constraint_supplied_raw,
         representable=representable,

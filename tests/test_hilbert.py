@@ -72,13 +72,31 @@ def test_make_projector_properties():
         assert proj.rank == rank
         assert proj.dim == dim
         p = proj.matrix
-        assert_allclose(p, p.T, atol=0)  # stored exactly symmetric
+        assert_allclose(p, p.T, atol=0)  # built exactly symmetric
         assert_allclose(p @ p, p, atol=1e-12)
         # complement is the projector onto the orthogonal complement
-        c = proj.complement_matrix()
+        c = np.eye(dim) - p
         assert_allclose(c + p, np.eye(dim), atol=0)
         x = rng.standard_normal(dim)
-        assert_allclose(p @ x, proj.apply(x), atol=0)
+        q = proj.basis
+        assert_allclose(q @ (q.T @ x), proj.apply(x), atol=0)  # the stored form
+        assert_allclose(p @ x, proj.apply(x), atol=1e-12)
+
+
+def test_projector_idempotency_defect_from_basis():
+    """A basis off orthonormality by a known factor records the dense ||P^2 - P||_F."""
+    rng = np.random.default_rng(41)
+    for dim, rank in ((5, 1), (8, 3), (12, 12)):
+        q, _ = np.linalg.qr(rng.standard_normal((dim, rank)))
+        proj = Projector(basis=q * (1.0 + 1e-6))
+        assert proj.rank == rank and proj.dim == dim
+        p = proj.matrix
+        dense = np.linalg.norm(p @ p - p)
+        problem = make_problem(operator=np.eye(dim), constraint=proj, rhs=np.ones(dim))
+        assert_allclose(problem.validation.constraint_idempotency_defect, dense, rtol=1e-6)
+        assert problem.validation.constraint_symmetry_defect == 0.0
+        reposed = problem.constrained(proj)
+        assert reposed.validation == problem.validation
 
 
 def test_make_projector_idempotent_on_orthonormal_input():
@@ -219,7 +237,7 @@ def test_make_problem_raw_constraint_flagged():
     assert problem.validation.constraint_supplied_raw
     assert not problem.validation.constraint_is_projector
     assert_allclose(problem.constraint_matrix, raw, atol=0)
-    assert_allclose(problem.complement_matrix, np.eye(2) - raw, atol=0)
+    assert_allclose(np.eye(2) - problem.constraint_matrix, np.eye(2) - raw, atol=0)
 
 
 def test_make_problem_rejects_nonfinite():
