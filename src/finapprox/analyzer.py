@@ -335,7 +335,8 @@ def range_oracle(problem: ProblemInstance, oracle_tol: Optional[float] = None) -
     h_norm = float(np.linalg.norm(h))
     threshold = tol * h_norm
 
-    operator_scale = float(np.linalg.svd(l, compute_uv=False)[0]) if min(l.shape) else 0.0
+    # ||L||_2, kept from make_problem's rank check of the operator.
+    operator_scale = problem.validation.operator_norm
 
     # Constraint rows: Q^T for a projector (||P v|| = ||Q^T v||), P itself
     # for a raw matrix. Their least-squares residual is the exact-part test

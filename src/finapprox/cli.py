@@ -154,10 +154,6 @@ def _oracle_json(oracle: OracleDecision) -> dict:
     }
 
 
-def _source_comments(source: dict[str, str]) -> list[str]:
-    return [f"# {key}={value}" for key, value in source.items()]
-
-
 def _emit(args, command: str, source: dict[str, str], payload: dict, lines: list[str]) -> None:
     """Write a report in the v1 envelope: JSON ``payload`` or CSV ``lines``.
 
@@ -168,8 +164,14 @@ def _emit(args, command: str, source: dict[str, str], payload: dict, lines: list
         envelope = {"version": "finapprox v1", "command": command, "source": source, **payload}
         _write(json.dumps(envelope, indent=2, sort_keys=True) + "\n", args.output)
     else:
-        lines = [HEADER, f"# command={command}", *_source_comments(source), *lines]
+        comments = [f"# {key}={value}" for key, value in source.items()]
+        lines = [HEADER, f"# command={command}", *comments, *lines]
         _write("\n".join(lines) + "\n", args.output)
+
+
+def _key_value_rows(fields: dict, missing: str) -> list[str]:
+    """CSV ``key,value`` rows; ``missing`` stands for a None value."""
+    return ["key,value", *(f"{k},{_fmt(v) if v is not None else missing}" for k, v in fields.items())]
 
 
 def _schedule_json(args) -> dict:
@@ -222,10 +224,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_oracle(args) -> int:
     problem, _family, source = _load(args)
     fields = _oracle_json(range_oracle(problem))
-    lines = ["key,value"]
-    for key, value in fields.items():
-        lines.append(f"{key},{_fmt(value) if value is not None else 'inf'}")
-    _emit(args, "oracle", source, {"oracle": fields}, lines)
+    _emit(args, "oracle", source, {"oracle": fields}, _key_value_rows(fields, missing="inf"))
     return EXIT_OK
 
 
@@ -283,24 +282,21 @@ def _cmd_galerkin(args) -> int:
 def _cmd_validate(args) -> int:
     problem, _family, source = _load(args)
     record = problem.validation
-    lines = [HEADER, "# command=validate", *_source_comments(source), "key,value"]
-    pairs = [
-        ("ambient_dim", problem.ambient_dim),
-        ("control_dim", problem.control_dim),
-        ("operator_present", problem.operator is not None),
-        ("gram_symmetry_defect", record.gram_symmetry_defect),
-        ("gram_min_eigenvalue", record.gram_min_eigenvalue),
-        ("gram_factor_defect", record.gram_factor_defect if record.gram_factor_defect is not None else ""),
-        ("constraint_symmetry_defect", record.constraint_symmetry_defect),
-        ("constraint_idempotency_defect", record.constraint_idempotency_defect),
-        ("constraint_is_projector", record.constraint_is_projector),
-        ("constraint_supplied_raw", record.constraint_supplied_raw),
-        ("representable", record.representable),
-        ("representable_rank", record.representable_rank),
-    ]
-    for key, value in pairs:
-        lines.append(f"{key},{_fmt(value) if value != '' else ''}")
-    _write("\n".join(lines) + "\n", args.output)
+    fields = {
+        "ambient_dim": problem.ambient_dim,
+        "control_dim": problem.control_dim,
+        "operator_present": problem.operator is not None,
+        "gram_symmetry_defect": record.gram_symmetry_defect,
+        "gram_min_eigenvalue": record.gram_min_eigenvalue,
+        "gram_factor_defect": record.gram_factor_defect,
+        "constraint_symmetry_defect": record.constraint_symmetry_defect,
+        "constraint_idempotency_defect": record.constraint_idempotency_defect,
+        "constraint_is_projector": record.constraint_is_projector,
+        "constraint_supplied_raw": record.constraint_supplied_raw,
+        "representable": record.representable,
+        "representable_rank": record.representable_rank,
+    }
+    _emit(args, "validate", source, fields, _key_value_rows(fields, missing=""))
     return EXIT_OK
 
 

@@ -122,8 +122,7 @@ def sine_family(grid_size: int) -> SubspaceFamily:
     def level(n: int) -> np.ndarray:
         columns = np.empty((m, n + 1))
         columns[:, 0] = scale
-        for k in range(1, n + 1):
-            columns[:, k] = np.sin(2.0 * np.pi * k * x) * scale
+        columns[:, 1:] = np.sin(np.outer(x, 2.0 * np.pi * np.arange(1, n + 1))) * scale
         return columns
 
     return SubspaceFamily(
@@ -171,6 +170,9 @@ def strong_convergence_probe(
     lies inside the target's range, each column is non-increasing, and strong
     convergence of the family to the target shows up as columns decreasing
     toward zero.
+
+    Levels are prefix-nested, so the max-level basis is built once and level n
+    is its first k_n columns; P_n x is updated from the new columns only.
     """
     if target.dim != family.dim:
         raise ValidationError(
@@ -180,12 +182,20 @@ def strong_convergence_probe(
     for i, x in enumerate(probe_list):
         if x.shape != (family.dim,):
             raise ValidationError(f"probe {i} has shape {x.shape}, expected ({family.dim},)")
-    table = np.empty((family.max_n, len(probe_list)))
-    targeted = [target.apply(x) for x in probe_list]
+    x = np.column_stack(probe_list) if probe_list else np.zeros((family.dim, 0))
+    basis = family_projector(family, family.max_n, tols=tols).basis
+    coefficients = basis.T @ x
+    targeted = target.apply(x)
+    projected = np.zeros_like(x)
+    table = np.empty((family.max_n, x.shape[1]))
+    done = 0
     for n in range(1, family.max_n + 1):
-        p_n = family_projector(family, n, tols=tols)
-        for i, x in enumerate(probe_list):
-            table[n - 1, i] = np.linalg.norm(p_n.apply(x) - targeted[i])
+        k = family.level(n).shape[1]
+        if not done <= k <= basis.shape[1]:
+            raise ValidationError(f"family level {n} is not a column prefix of level {family.max_n}")
+        projected += basis[:, done:k] @ coefficients[done:k]
+        done = k
+        table[n - 1] = np.linalg.norm(projected - targeted, axis=0)
     return table
 
 

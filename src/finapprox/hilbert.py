@@ -162,36 +162,80 @@ def _idempotency_defect(basis: np.ndarray) -> float:
     return math.sqrt(max(float(np.sum(m * m.T)), 0.0))
 
 
-def orthonormal_columns(columns: np.ndarray, rank_tol: float) -> tuple[np.ndarray, list[int]]:
-    """Orthonormalize the columns of a matrix by modified Gram-Schmidt.
+_CGS_BLOCK = 64
+# A projection that keeps at least this share of a column's norm leaves it
+# orthogonal to the basis to rounding ("twice is enough", Kahan-Parlett).
+_REORTH_RATIO = 1.0 / math.sqrt(2.0)
 
-    A second re-orthogonalization pass keeps the result orthonormal to
-    rounding even for nearly dependent inputs. Columns whose remainder after
-    projection falls below ``rank_tol`` times the largest input column norm
-    are dropped.
+
+def _cgs2_in_block(w: np.ndarray, threshold: float) -> tuple[list[int], np.ndarray]:
+    """Orthonormalize the columns of ``w`` in place by CGS2.
+
+    Each column is projected twice against the block's columns kept so far,
+    with one gemv pair per pass, and kept when its remainder exceeds
+    ``threshold``. Kept columns are packed to the front of ``w``. Returns the
+    kept indices and the norms of their remainders.
+    """
+    kept: list[int] = []
+    norms: list[float] = []
+    for j in range(w.shape[1]):
+        v = w[:, j]
+        if kept:
+            q = w[:, : len(kept)]
+            for _ in range(2):
+                v -= q @ (q.T @ v)
+        norm = float(np.linalg.norm(v))
+        if norm > threshold and norm > 0.0:
+            w[:, len(kept)] = v / norm
+            kept.append(j)
+            norms.append(norm)
+    return kept, np.array(norms)
+
+
+def orthonormal_columns(columns: np.ndarray, rank_tol: float) -> tuple[np.ndarray, list[int]]:
+    """Orthonormalize the columns of a matrix by blocked classical Gram-Schmidt
+    with reorthogonalization (BCGS2).
+
+    Columns are taken in blocks of 64. A block is projected against the basis
+    ``Q`` kept so far with one gemm pair, ``W -= Q (Q^T W)``, then
+    orthonormalized column by column by CGS2 inside the block. When a kept
+    column's remainder is below 1/sqrt(2) of its input norm, that one pass may
+    have left rounding-level components along ``Q`` that normalization
+    magnifies, so the block is projected against ``Q`` and orthonormalized
+    inside the block once more. Doing this after the in-block step keeps the
+    result orthonormal to rounding even when nearly dependent columns share a
+    block.
+
+    A column is dropped when its remainder after the first pass is at or below
+    ``rank_tol`` times the largest input column norm. Because each block only
+    sees the columns before it, the basis of a column prefix is the prefix of
+    the basis, up to rounding.
 
     Returns the orthonormal matrix and the indices of dropped columns.
     """
     dim, count = columns.shape
     if count == 0:
         return np.zeros((dim, 0)), []
-    scale = float(np.max(np.linalg.norm(columns, axis=0)))
-    threshold = rank_tol * scale
-    kept: list[np.ndarray] = []
+    input_norms = np.linalg.norm(columns, axis=0)
+    threshold = rank_tol * float(np.max(input_norms))
+    basis = np.empty((dim, count), order="F")
+    rank = 0
     dropped: list[int] = []
-    for j in range(count):
-        v = columns[:, j].astype(float, copy=True)
-        for _ in range(2):
-            for q in kept:
-                v -= (q @ v) * q
-        norm = float(np.linalg.norm(v))
-        if norm > threshold and norm > 0.0:
-            kept.append(v / norm)
-        else:
-            dropped.append(j)
-    if kept:
-        return np.column_stack(kept), dropped
-    return np.zeros((dim, 0)), dropped
+    for start in range(0, count, _CGS_BLOCK):
+        w = np.array(columns[:, start : start + _CGS_BLOCK], dtype=float, order="F")
+        q = basis[:, :rank]
+        if rank:
+            w -= q @ (q.T @ w)
+        kept, remainders = _cgs2_in_block(w, threshold)
+        if rank and np.any(remainders < _REORTH_RATIO * input_norms[start + np.array(kept, dtype=int)]):
+            v = w[:, : len(kept)]
+            v -= q @ (q.T @ v)
+            kept = [kept[i] for i in _cgs2_in_block(v, 0.0)[0]]
+        survivors = set(kept)
+        dropped.extend(start + j for j in range(w.shape[1]) if j not in survivors)
+        basis[:, rank : rank + len(kept)] = w[:, : len(kept)]
+        rank += len(kept)
+    return np.ascontiguousarray(basis[:, :rank]), dropped
 
 
 def make_projector(
@@ -349,7 +393,12 @@ def gram_representable(
 
 @dataclass(frozen=True)
 class ValidationRecord:
-    """Defect norms and flags recorded while assembling a problem instance."""
+    """Defect norms and flags recorded while assembling a problem instance.
+
+    ``operator_norm`` is the operator's largest singular value, kept from the
+    rank check so the range oracle need not factor the operator again; it is
+    ``None`` for Gram-only instances.
+    """
 
     gram_symmetry_defect: float
     gram_min_eigenvalue: float
@@ -360,6 +409,7 @@ class ValidationRecord:
     constraint_supplied_raw: bool
     representable: bool
     representable_rank: int
+    operator_norm: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -496,11 +546,12 @@ def make_problem(
             f"gram matrix is not positive semidefinite (smallest eigenvalue {min_eig:.3e})"
         )
 
+    operator_norm: Optional[float] = None
     if l is not None:
         representable = True
-        representable_rank = (
-            _numerical_rank(np.linalg.svd(l, compute_uv=False), tols.rank_tol) if min(l.shape) else 0
-        )
+        singular_values = np.linalg.svd(l, compute_uv=False) if min(l.shape) else np.zeros(0)
+        representable_rank = _numerical_rank(singular_values, tols.rank_tol)
+        operator_norm = float(singular_values[0]) if singular_values.size else 0.0
     else:
         report = gram_representable(g, control_dim, tols=tols)
         representable = report.representable
@@ -537,6 +588,7 @@ def make_problem(
         constraint_supplied_raw=constraint_supplied_raw,
         representable=representable,
         representable_rank=representable_rank,
+        operator_norm=operator_norm,
     )
     return ProblemInstance(
         operator=_readonly(l) if l is not None else None,

@@ -191,6 +191,32 @@ def test_oracle_requires_operator():
         range_oracle(problem)
 
 
+def test_oracle_reuses_validated_operator_norm(monkeypatch):
+    """make_problem keeps ||L||_2 from its rank check; the oracle reads it instead of an svd(L)."""
+    rng = np.random.default_rng(20261019)
+    l = rng.standard_normal((7, 5))
+    proj = make_projector(list(rng.standard_normal((2, 7))))
+    problem = make_problem(operator=l, constraint=proj, rhs=rng.standard_normal(7))
+    assert problem.validation.operator_norm == float(np.linalg.svd(l, compute_uv=False)[0])
+    assert problem.constrained(proj).validation.operator_norm == problem.validation.operator_norm
+    gram_only = build_scenario("rank_deficient_gamma").problem
+    assert gram_only.validation.operator_norm is None
+
+    expected = range_oracle(problem)
+    shapes = []
+    real_svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    oracle = range_oracle(problem)
+    assert l.shape not in shapes
+    assert oracle.distance == expected.distance
+    assert oracle.exact_part_residual == expected.exact_part_residual
+
+
 def test_oracle_matches_kkt_route():
     """The nullspace oracle and a KKT solve reach the same minimum."""
     rng = np.random.default_rng(20260501)

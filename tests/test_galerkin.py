@@ -61,6 +61,19 @@ def test_sine_family_levels():
         sine_family(4).level(2)
 
 
+def test_sine_family_matches_per_mode_loop():
+    """The vectorized level equals sampling one mode at a time, bit for bit."""
+    for m in (4, 63, 256):
+        family = sine_family(m)
+        x = midpoint_grid(m)
+        scale = 1.0 / np.sqrt(float(m))
+        reference = np.empty((m, family.max_n + 1))
+        reference[:, 0] = scale
+        for k in range(1, family.max_n + 1):
+            reference[:, k] = np.sin(2.0 * np.pi * k * x) * scale
+        assert np.array_equal(family.level(family.max_n), reference)
+
+
 def test_coordinate_family_levels():
     family = coordinate_family(5)
     assert family.max_n == 5
@@ -104,6 +117,43 @@ def test_strong_convergence_probe_monotone():
         assert np.all(column[1:] <= column[:-1] + 1e-12)
     # final level reproduces the target exactly, so the defect hits rounding
     assert np.max(table[-1]) <= 1e-12
+
+
+def test_family_levels_are_basis_prefixes():
+    """Level n's basis is the first k_n columns of the max-level basis, across block edges."""
+    for family in (sine_family(256), coordinate_family(150)):
+        full = family_projector(family, family.max_n).basis
+        for n in (1, 2, 62, 63, 64, 65, 100, family.max_n - 1):
+            basis = family_projector(family, n).basis
+            assert_allclose(basis, full[:, : basis.shape[1]], rtol=0, atol=1e-13)
+
+
+def test_strong_convergence_probe_matches_per_level_reference():
+    family = sine_family(64)
+    rng = np.random.default_rng(20261018)
+    probes = [rng.standard_normal(64) for _ in range(5)]
+    random_target = make_projector(list(rng.standard_normal((20, 64))))
+    for target in (family_projector(family, family.max_n), random_target):
+        table = strong_convergence_probe(family, target, probes)
+        reference = np.array(
+            [
+                [np.linalg.norm(family_projector(family, n).apply(x) - target.apply(x)) for x in probes]
+                for n in range(1, family.max_n + 1)
+            ]
+        )
+        assert_allclose(table, reference, rtol=0, atol=1e-12)
+
+
+def test_strong_convergence_probe_rejects_non_prefix_levels():
+    shrinking = SubspaceFamily(
+        generator=lambda n: np.eye(4)[:, : 4 - n],
+        description="levels that lose columns",
+        max_n=3,
+        dim=4,
+    )
+    target = family_projector(coordinate_family(4), 2)
+    with pytest.raises(ValidationError, match="prefix"):
+        strong_convergence_probe(shrinking, target, [np.ones(4)])
 
 
 def test_strong_convergence_probe_validates_shapes():

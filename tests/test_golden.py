@@ -35,6 +35,9 @@ def _cases() -> list[tuple[str, list[str]]]:
                 argv = [command, "--scenario", scenario, *extra, "--format", fmt]
                 cases.append((f"{scenario}.{command}.{fmt}", argv))
         cases.append((f"{scenario}.validate.csv", ["validate", "--scenario", scenario]))
+        cases.append(
+            (f"{scenario}.validate.json", ["validate", "--scenario", scenario, "--format", "json"])
+        )
     return cases
 
 

@@ -63,6 +63,68 @@ def test_orthonormal_columns_zero_column():
     assert q.shape == (3, 0)
 
 
+def _reference_mgs(columns, rank_tol):
+    """Column-by-column modified Gram-Schmidt with a second pass, the reference."""
+    dim, count = columns.shape
+    threshold = rank_tol * float(np.max(np.linalg.norm(columns, axis=0)))
+    kept, dropped = [], []
+    for j in range(count):
+        v = columns[:, j].astype(float, copy=True)
+        for _ in range(2):
+            for q in kept:
+                v -= (q @ v) * q
+        norm = float(np.linalg.norm(v))
+        if norm > threshold and norm > 0.0:
+            kept.append(v / norm)
+        else:
+            dropped.append(j)
+    return (np.column_stack(kept) if kept else np.zeros((dim, 0))), dropped
+
+
+NEAR_COSINE = 1.0 - 1e-9
+
+
+def _block_boundary_input(rng, dim, count, near_pairs):
+    """Random columns with exact dependencies at and across the 64-column block
+    edges and a zero column; with ``near_pairs``, also pairs at cosine
+    NEAR_COSINE inside one block and across a block edge."""
+    a = rng.standard_normal((dim, count))
+    for j, parents in ((63, (10, 62)), (64, (0, 63)), (65, (64, 3)), (130, (1, 129, 100))):
+        a[:, j] = sum(rng.standard_normal() * a[:, p] for p in parents)
+    a[:, 90] = 0.0
+    if near_pairs:
+        for first, second in ((100, 101), (127, 128)):
+            x = a[:, first] / np.linalg.norm(a[:, first])
+            z = rng.standard_normal(dim)
+            z -= (z @ x) * x
+            z /= np.linalg.norm(z)
+            a[:, second] = 3.0 * (NEAR_COSINE * x + np.sqrt(1.0 - NEAR_COSINE**2) * z)
+    return a
+
+
+def test_orthonormal_columns_across_block_boundaries():
+    """Blocked CGS2 drops what MGS drops and spans what MGS spans.
+
+    A near-dependent pair has condition number kappa = 1/sin(angle), about
+    2.2e4, so any two stable orthonormalizations agree there only to about
+    eps * kappa (Householder QR and MGS differ by 1.5e-12 on these inputs);
+    the projector bound is 1e-12 without the pairs and eps * kappa with them.
+    Orthonormality is held to 1e-13 either way. Every input has blocks that
+    take the second projection, and the first one also has a block after the
+    first that skips it.
+    """
+    rng = np.random.default_rng(20261018)
+    kappa = 1.0 / np.sqrt(1.0 - NEAR_COSINE**2)
+    for near_pairs, projector_tol in ((False, 1e-12), (True, np.finfo(float).eps * kappa)):
+        for count in (150, 200):
+            a = _block_boundary_input(rng, 256, count, near_pairs)
+            q, dropped = orthonormal_columns(a, DEFAULT_TOLERANCES.rank_tol)
+            q_ref, dropped_ref = _reference_mgs(a, DEFAULT_TOLERANCES.rank_tol)
+            assert dropped == dropped_ref == [63, 64, 65, 90, 130]
+            assert np.linalg.norm(q.T @ q - np.eye(q.shape[1])) <= 1e-13
+            assert_allclose(q @ q.T, q_ref @ q_ref.T, rtol=0, atol=projector_tol)
+
+
 def test_make_projector_properties():
     rng = np.random.default_rng(7)
     for _ in range(30):
