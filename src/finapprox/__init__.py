@@ -46,6 +46,7 @@ from .hilbert import (
     Projector,
     ProjectorReport,
     RepresentabilityReport,
+    Spectrum,
     Tolerances,
     ValidationError,
     ValidationRecord,
@@ -103,6 +104,7 @@ __all__ = [
     "Scenario",
     "ScenarioSpec",
     "SingularSystem",
+    "Spectrum",
     "SubspaceFamily",
     "SweepRecord",
     "SweepReport",

@@ -248,14 +248,14 @@ class OracleDecision:
     """Both range-criterion verdicts, reported separately.
 
     The decomposed route checks the two membership conditions
-    P h in Range(P L) and (I - P) h in Range(L) by least-squares residuals.
-    The constrained route minimizes ||L u - h|| subject to P L u = P h by
-    nullspace elimination; ``distance`` is the achieved minimum (infinity
-    when the constraint set is empty). Both routes read one least-squares
-    residual of the constraint rows: it is ``exact_part_residual``, and
-    ``feasible`` says it is below the threshold. The two criteria are
-    genuinely different tests and can disagree; ``agree`` just records
-    whether they did.
+    P h in Range(P L) and (I - P) h in Range(L) by residuals. The
+    constrained route minimizes ||L u - h|| subject to P L u = P h as a
+    least-distance problem in the operator's singular coordinates;
+    ``distance`` is the achieved minimum (infinity when the constraint set
+    is empty). Both routes read one residual of the constraint rows: it is
+    ``exact_part_residual``, and ``feasible`` says it is below the
+    threshold. The two criteria are genuinely different tests and can
+    disagree; ``agree`` just records whether they did.
     """
 
     decomposed_solvable: bool
@@ -268,55 +268,19 @@ class OracleDecision:
     control: Optional[np.ndarray]
 
 
-def _lstsq_residual(
-    a: np.ndarray, b: np.ndarray, scale: Optional[float] = None, smax: Optional[float] = None
-) -> tuple[np.ndarray, float]:
-    """Minimum-norm least squares with a rank cutoff relative to ``scale``.
-
-    Submatrices of a rank-deficient operator can consist entirely of rounding
-    noise; judged against their own largest singular value they look full
-    rank, and inverting them produces enormous spurious solutions. Passing
-    the parent operator's scale keeps the cutoff anchored where the noise
-    floor actually is. ``smax``, the largest singular value of ``a``, is
-    computed when the caller does not already know it.
-    """
-    if a.shape[1] == 0:
-        return np.zeros(0), float(np.linalg.norm(b))
-    rcond = None
-    if scale is not None and scale > 0 and min(a.shape) > 0:
-        if smax is None:
-            smax = float(np.linalg.svd(a, compute_uv=False)[0])
-        floor = _noise_floor(a, scale)
-        if smax <= floor:
-            x = np.zeros(a.shape[1])
-            return x, float(np.linalg.norm(b))
-        rcond = floor / smax
-    x, *_ = np.linalg.lstsq(a, b, rcond=rcond)
-    return x, float(np.linalg.norm(a @ x - b))
-
-
 def _noise_floor(a: np.ndarray, scale: float) -> float:
     """Singular values of ``a`` at or below this are rounding noise of an operator of norm ``scale``."""
     return max(a.shape) * np.finfo(float).eps * scale
 
 
-def _constraint_split(
-    a: np.ndarray, b: np.ndarray, scale: float
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """Particular solution, residual and nullspace of the constraint rows ``a x = b``.
-
-    One full SVD serves all three. Singular values at or below the noise
-    floor of the parent operator (``max(shape) * eps * scale``) count as
-    zero, so noise-level rows add neither rank nor spurious solutions.
-    """
-    u, s, vt = scipy.linalg.svd(a, full_matrices=True)
-    rank = int(np.sum(s > _noise_floor(a, scale)))
-    x = vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank])
-    return x, float(np.linalg.norm(a @ x - b)), vt[rank:].T
-
-
 def range_oracle(problem: ProblemInstance, oracle_tol: Optional[float] = None) -> OracleDecision:
     """Decide solvability directly from the operator, independent of sweeps.
+
+    Works in the singular coordinates of the problem's SVD L = U S V^T,
+    keeping the singular values above ``max(m, n) * eps * ||L||``: a control
+    u reaches L u = U_r c with c = S_r V_r^T u, the free part is tested by
+    ||(I - U_r U_r^T)(I - P) h||, and the constrained route minimizes
+    ||c - U_r^T h|| under the constraint rows; the control is V_r (c / S_r).
 
     Needs the operator; raises on Gram-only instances (a Gram operator alone
     does not determine what the equation can reach jointly with the
@@ -330,48 +294,51 @@ def range_oracle(problem: ProblemInstance, oracle_tol: Optional[float] = None) -
     if not (np.isfinite(tol) and tol > 0):
         raise ValidationError(f"oracle_tol must be positive, got {tol!r}")
 
-    l = problem.operator
-    h = problem.rhs
-    h_norm = float(np.linalg.norm(h))
-    threshold = tol * h_norm
+    l, h = problem.operator, problem.rhs
+    threshold = tol * float(np.linalg.norm(h))
+    spectrum = problem.spectrum
+    floor = _noise_floor(l, problem.validation.operator_norm)
+    r = int(np.sum(spectrum.singular_values > floor))
+    u_r = spectrum.vectors[:, :r]
+    s_r = spectrum.singular_values[:r]
 
-    # ||L||_2, kept from make_problem's rank check of the operator.
-    operator_scale = problem.validation.operator_norm
+    outside = h - problem.project(h)
+    complement_residual = float(np.linalg.norm(outside - u_r @ (u_r.T @ outside)))
 
     # Constraint rows: Q^T for a projector (||P v|| = ||Q^T v||), P itself
-    # for a raw matrix. Their least-squares residual is the exact-part test
-    # P h in Range(P L), and it decides whether the constraint set is empty.
-    # The same split yields a particular feasible control and the constraint
-    # nullspace, over which the constrained route then minimizes.
+    # for a raw matrix. On w = V_r^T u they act as M = rows U_r S_r. Their
+    # rank is read from the singular values of M against the operator's
+    # noise floor: rows U_r alone would count rounding-level entries, and
+    # inverting them yields spurious solutions. A thin QR M^T = Z T and an
+    # SVD T = W diag(sv) Y^T give M = Y diag(sv) (Z W)^T.
     if isinstance(problem.constraint, Projector):
         rows = problem.constraint.basis.T
     else:
         rows = problem.constraint
-    a = rows @ l
     b = rows @ h
-    if a.shape[0] == 0:
-        u_particular = np.zeros(problem.control_dim)
-        exact_residual = 0.0
-        nullspace = np.eye(problem.control_dim)
-    else:
-        u_particular, exact_residual, nullspace = _constraint_split(a, b, operator_scale)
+    m = rows @ u_r
+    m *= s_r
+    z, t = scipy.linalg.qr(m.T, mode="economic", overwrite_a=True, check_finite=False)
+    w, sv, yt = scipy.linalg.svd(t, full_matrices=False, overwrite_a=True, check_finite=False)
+    rank = int(np.sum(sv > floor))
+    right = z @ w[:, :rank]
+    del m, z  # one n x k buffer, overwritten by the QR
+    w_particular = right @ ((yt[:rank] @ b) / sv[:rank])
+    exact_residual = float(np.linalg.norm(rows @ (u_r @ (s_r * w_particular)) - b))
     feasible = exact_residual <= threshold
-
-    _w, complement_residual = _lstsq_residual(
-        l, h - problem.project(h), scale=operator_scale, smax=operator_scale
-    )
     decomposed = feasible and complement_residual <= threshold
 
     if not feasible:
         distance = math.inf
         control = None
     else:
-        base = l @ u_particular - h
-        if nullspace.shape[1]:
-            t, _ = _lstsq_residual(l @ nullspace, -base, scale=operator_scale)
-            control = u_particular + nullspace @ t
-        else:
-            control = u_particular
+        # The constraint fixes c = S_r w along span(S_r^{-1} right) and leaves
+        # it free across it: the nearest feasible c moves U_r^T h along it.
+        target = u_r.T @ h
+        right /= s_r[:, None]
+        fixed, _ = scipy.linalg.qr(right, mode="economic", overwrite_a=True, check_finite=False)
+        c = target - fixed @ (fixed.T @ (target - s_r * w_particular))
+        control = spectrum.right[:r].T @ (c / s_r)
         distance = float(np.linalg.norm(l @ control - h))
     constrained = feasible and distance <= threshold
 

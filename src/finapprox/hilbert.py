@@ -3,7 +3,7 @@
 Vectors are 1-D float64 arrays, operators are 2-D float64 arrays. The types
 here bundle them with the structure the rest of the library relies on:
 orthogonal projectors stored as orthonormal bases, Gram operators with their
-factorability diagnostics, and validated problem instances.
+factorability diagnostics, problem spectra, and validated problem instances.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
+import scipy.linalg
 
 __all__ = [
     "ValidationError",
@@ -22,6 +23,7 @@ __all__ = [
     "ProjectorReport",
     "RepresentabilityReport",
     "ValidationRecord",
+    "Spectrum",
     "ProblemInstance",
     "as_vector",
     "as_operator",
@@ -324,10 +326,12 @@ def projector_defects(matrix, tol: Optional[float] = None, tols: Tolerances = DE
 
 
 def gram(operator) -> np.ndarray:
-    """Gram operator of a linear map, symmetrized exactly: (L L^T + (L L^T)^T) / 2."""
+    """Gram operator L L^T of a linear map, exactly symmetric: numpy evaluates
+    it for a contiguous L by a symmetric rank-k update, so strided L is copied."""
     l = as_operator(operator, name="operator")
-    g = l @ l.T
-    return (g + g.T) / 2.0
+    if not (l.flags.c_contiguous or l.flags.f_contiguous):
+        l = np.ascontiguousarray(l)
+    return l @ l.T
 
 
 @dataclass(frozen=True)
@@ -395,9 +399,9 @@ def gram_representable(
 class ValidationRecord:
     """Defect norms and flags recorded while assembling a problem instance.
 
-    ``operator_norm`` is the operator's largest singular value, kept from the
-    rank check so the range oracle need not factor the operator again; it is
-    ``None`` for Gram-only instances.
+    The Gram facts are read from the problem's :class:`Spectrum`. Given the
+    operator, ``gram_symmetry_defect`` is 0 (L L^T is exactly symmetric) and
+    ``operator_norm`` is ||L||_2; it is ``None`` for Gram-only instances.
     """
 
     gram_symmetry_defect: float
@@ -410,6 +414,28 @@ class ValidationRecord:
     representable: bool
     representable_rank: int
     operator_norm: Optional[float] = None
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """The one O(n^3) decomposition of a problem: G = vectors diag(gram_values) vectors^T.
+
+    With the operator known it is the SVD L = U diag(singular_values) V^T in
+    descending order: ``vectors`` is the square U, ``gram_values`` the squared
+    singular values zero-padded to the ambient dimension, ``right`` is V^T.
+    For Gram-only input it is ``eigh(G)``, without ``singular_values`` and
+    ``right``. The arrays are made read-only.
+    """
+
+    vectors: np.ndarray
+    gram_values: np.ndarray
+    singular_values: Optional[np.ndarray] = None
+    right: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        for a in (self.vectors, self.gram_values, self.singular_values, self.right):
+            if a is not None:
+                a.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -433,6 +459,7 @@ class ProblemInstance:
     control_dim: int
     tols: Tolerances
     validation: ValidationRecord
+    spectrum: Spectrum
 
     @property
     def constraint_matrix(self) -> np.ndarray:
@@ -488,6 +515,10 @@ def make_problem(
     that control dimension; a non-representable instance is still built, the
     flag is how downstream consumers learn that no operator exists.
 
+    One decomposition, the SVD of L or else ``eigh(G)``, is kept as the
+    instance's :class:`Spectrum`; the record's rank, norm and smallest Gram
+    eigenvalue are read from it. A Gram operator that overflows is rejected.
+
     A :class:`Projector` constraint is checked from its basis alone: its
     symmetry defect is 0 by construction and its idempotency defect costs
     O(n k^2). A raw (non-:class:`Projector`) constraint matrix is admitted
@@ -505,24 +536,33 @@ def make_problem(
     l = as_operator(operator, name="operator") if operator is not None else None
 
     gram_factor_defect: Optional[float] = None
+    operator_norm: Optional[float] = None
     if l is not None:
         if control_dim is not None and control_dim != l.shape[1]:
             raise ValidationError(
                 f"declared control_dim {control_dim} conflicts with operator shape {l.shape}"
             )
-        control_dim = l.shape[1]
-        ambient_dim = l.shape[0]
-        product = gram(l)
+        ambient_dim, control_dim = l.shape
+        u, s, vt = scipy.linalg.svd(l, full_matrices=ambient_dim > control_dim, check_finite=False)
+        l = _readonly(l)  # contiguous, so its Gram product is exactly symmetric
+        lam = np.zeros(ambient_dim)
+        with np.errstate(over="ignore"):  # an overflow is rejected below
+            lam[: s.size] = s * s
+            g = gram(l)
+        spectrum = Spectrum(vectors=u, gram_values=lam, singular_values=s, right=vt)
         if gram_matrix is not None:
             g_given = as_operator(gram_matrix, shape=(ambient_dim, ambient_dim), name="gram matrix")
-            gram_factor_defect = float(np.linalg.norm(product - g_given))
+            gram_factor_defect = float(np.linalg.norm(g - g_given))
             scale = max(1.0, float(np.linalg.norm(g_given)))
             if gram_factor_defect > tols.tol_gram * scale:
                 raise ValidationError(
                     f"gram matrix disagrees with the operator's gram product "
                     f"(defect {gram_factor_defect:.3e} exceeds tol_gram)"
                 )
-        g = product
+        gram_sym_defect = 0.0
+        representable = True
+        representable_rank = _numerical_rank(s, tols.rank_tol)
+        operator_norm = float(s[0]) if s.size else 0.0
     else:
         g = as_operator(gram_matrix, name="gram matrix")
         if g.shape[0] != g.shape[1]:
@@ -532,30 +572,25 @@ def make_problem(
             raise ValidationError("control_dim must be declared when no operator is given")
         if not (isinstance(control_dim, (int, np.integer)) and control_dim >= 1):
             raise ValidationError(f"control_dim must be a positive integer, got {control_dim!r}")
-
-    gram_scale = max(1.0, float(np.linalg.norm(g)))
-    gram_sym_defect = float(np.linalg.norm(g - g.T))
-    if gram_sym_defect > tols.tol_sym * gram_scale:
-        raise ValidationError(
-            f"gram matrix symmetry defect {gram_sym_defect:.3e} exceeds tol_sym"
-        )
-    g = (g + g.T) / 2.0
-    min_eig = float(np.linalg.eigvalsh(g)[0]) if ambient_dim else 0.0
-    if min_eig < -tols.tol_psd * gram_scale:
-        raise ValidationError(
-            f"gram matrix is not positive semidefinite (smallest eigenvalue {min_eig:.3e})"
-        )
-
-    operator_norm: Optional[float] = None
-    if l is not None:
-        representable = True
-        singular_values = np.linalg.svd(l, compute_uv=False) if min(l.shape) else np.zeros(0)
-        representable_rank = _numerical_rank(singular_values, tols.rank_tol)
-        operator_norm = float(singular_values[0]) if singular_values.size else 0.0
-    else:
-        report = gram_representable(g, control_dim, tols=tols)
-        representable = report.representable
-        representable_rank = report.rank
+        gram_scale = max(1.0, float(np.linalg.norm(g)))
+        gram_sym_defect = float(np.linalg.norm(g - g.T))
+        if gram_sym_defect > tols.tol_sym * gram_scale:
+            raise ValidationError(
+                f"gram matrix symmetry defect {gram_sym_defect:.3e} exceeds tol_sym"
+            )
+        g = (g + g.T) / 2.0
+        lam, vectors = np.linalg.eigh(g)
+        spectrum = Spectrum(vectors=vectors, gram_values=lam)
+        if lam.size and lam[0] < -tols.tol_psd * gram_scale:
+            raise ValidationError(
+                f"gram matrix is not positive semidefinite (smallest eigenvalue {lam[0]:.3e})"
+            )
+        # gram_representable's rule, read from the spectrum already at hand
+        representable_rank = _numerical_rank(lam, tols.rank_tol)
+        representable = representable_rank <= control_dim
+    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(spectrum.gram_values))):
+        raise ValidationError("the gram operator overflows: its entries or spectrum are not finite")
+    min_eig = float(np.min(spectrum.gram_values)) if ambient_dim else 0.0
 
     if isinstance(constraint, Projector):
         if constraint.dim != ambient_dim:
@@ -577,6 +612,7 @@ def make_problem(
         constraint_supplied_raw = True
 
     h = as_vector(rhs, dim=ambient_dim, name="rhs")
+    g.setflags(write=False)
 
     record = ValidationRecord(
         gram_symmetry_defect=gram_sym_defect,
@@ -591,12 +627,13 @@ def make_problem(
         operator_norm=operator_norm,
     )
     return ProblemInstance(
-        operator=_readonly(l) if l is not None else None,
-        gram=_readonly(g),
+        operator=l,
+        gram=g,
         constraint=p,
         rhs=_readonly(h),
         ambient_dim=ambient_dim,
         control_dim=int(control_dim),
         tols=tols,
         validation=record,
+        spectrum=spectrum,
     )

@@ -125,7 +125,8 @@ class RegularizedFactor:
     """Factorization of the regularized system shared by every alpha.
 
     For a :class:`Projector` constraint with orthonormal basis Q of rank k,
-    one eigendecomposition G = U diag(lam) U^T serves the whole schedule.
+    the eigendecomposition G = U diag(lam) U^T that the problem's
+    :class:`~finapprox.hilbert.Spectrum` holds serves the whole schedule.
     With A = G + alpha I and B = U^T Q, the Woodbury identity gives
 
         T_alpha^{-1} = A^{-1} + A^{-1} Q C_alpha^{-1} Q^T A^{-1},
@@ -142,7 +143,7 @@ class RegularizedFactor:
     Attributes
     ----------
     problem : the problem this factor solves.
-    eigenvalues : eigenvalues of G in ascending order, clamped at zero.
+    eigenvalues : eigenvalues of G, clamped at zero, in the spectrum's order.
     eigenvectors : the matching orthonormal eigenvectors U.
     basis_coords : B = U^T Q, the constraint basis in G's eigenbasis.
     smallest_eigenvalue : smallest eigenvalue of G_QQ (infinite for the zero
@@ -161,13 +162,10 @@ class RegularizedFactor:
     def constrained(self, projector: Projector) -> "RegularizedFactor":
         """Factor of the same equation under another projector constraint.
 
-        Reuses the eigendecomposition of G, so a new level costs O(n^2 k)
-        instead of a new O(n^3) factorization.
+        The re-posed problem keeps the spectrum, so a new level costs
+        O(n^2 k) instead of a new O(n^3) factorization.
         """
-        posed = self.problem.constrained(projector)
-        if self.eigenvalues is None:
-            return factor_regularized(posed)
-        return _spectral_factor(posed, self.eigenvalues, self.eigenvectors)
+        return factor_regularized(self.problem.constrained(projector))
 
     def solve(self, alpha: float) -> Union[RegularizedSolution, SingularSystem]:
         """Regularized solve at ``alpha``, with one step of iterative refinement."""
@@ -206,18 +204,14 @@ def factor_regularized(problem: ProblemInstance) -> RegularizedFactor:
     """Factor the regularized system of ``problem`` once for every alpha.
 
     Projector constraints get the spectral factor described in
-    :class:`RegularizedFactor`: one ``eigh`` of the Gram operator per
-    problem. Raw constraint matrices get a factor that solves each alpha by
-    the generic dense route.
+    :class:`RegularizedFactor`, read from the problem's spectrum: no
+    factorization of G happens here. Raw constraint matrices get a factor
+    that solves each alpha by the generic dense route.
     """
     if not isinstance(problem.constraint, Projector):
         return RegularizedFactor(problem=problem)
-    lam, u = np.linalg.eigh(problem.gram)
     # G is validated positive semidefinite; negative eigenvalues are rounding
-    return _spectral_factor(problem, np.maximum(lam, 0.0), u)
-
-
-def _spectral_factor(problem: ProblemInstance, lam: np.ndarray, u: np.ndarray) -> RegularizedFactor:
+    lam, u = np.maximum(problem.spectrum.gram_values, 0.0), problem.spectrum.vectors
     q = problem.constraint.basis
     b = u.T @ q
     smallest = math.inf
@@ -225,7 +219,7 @@ def _spectral_factor(problem: ProblemInstance, lam: np.ndarray, u: np.ndarray) -
     if q.shape[1]:
         mu, v = np.linalg.eigh((b.T * lam) @ b)
         smallest = float(mu[0])
-        cutoff = problem.tols.singular_tol * float(lam[-1])
+        cutoff = problem.tols.singular_tol * float(np.max(lam))
         if smallest <= cutoff:
             null_basis = q @ v[:, mu <= cutoff]
             kernel = _kernel_vector(null_basis, q @ v[:, 0], problem.rhs)

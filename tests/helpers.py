@@ -7,10 +7,12 @@ regime where the regularized system is invertible at every alpha and the
 sweep verdict is crisp rather than borderline.
 """
 
+import math
+
 import numpy as np
 import scipy.linalg
 
-from finapprox import make_problem, make_projector
+from finapprox import Projector, make_problem, make_projector
 
 TRANSVERSALITY_FLOOR = 0.05
 
@@ -137,3 +139,83 @@ def random_strictly_positive_problem(rng, max_dim=8):
     proj = transversal_projector(rng, operator)
     h = rng.standard_normal(dim)
     return make_problem(operator=operator, constraint=proj, rhs=h)
+
+
+def _noise_floor(a, scale):
+    return max(a.shape) * np.finfo(float).eps * scale
+
+
+def _lstsq_residual(a, b, scale=None, smax=None):
+    """Minimum-norm least squares with a rank cutoff relative to ``scale``.
+
+    Submatrices of a rank-deficient operator can consist entirely of rounding
+    noise; the parent operator's scale anchors the cutoff at the noise floor.
+    """
+    if a.shape[1] == 0:
+        return np.zeros(0), float(np.linalg.norm(b))
+    rcond = None
+    if scale is not None and scale > 0 and min(a.shape) > 0:
+        if smax is None:
+            smax = float(np.linalg.svd(a, compute_uv=False)[0])
+        floor = _noise_floor(a, scale)
+        if smax <= floor:
+            return np.zeros(a.shape[1]), float(np.linalg.norm(b))
+        rcond = floor / smax
+    x, *_ = np.linalg.lstsq(a, b, rcond=rcond)
+    return x, float(np.linalg.norm(a @ x - b))
+
+
+def _constraint_split(a, b, scale):
+    """Particular solution, residual and nullspace of the constraint rows ``a x = b``.
+
+    Singular values at or below ``max(a.shape) * eps * scale`` count as zero.
+    """
+    u, s, vt = scipy.linalg.svd(a, full_matrices=True)
+    rank = int(np.sum(s > _noise_floor(a, scale)))
+    x = vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank])
+    return x, float(np.linalg.norm(a @ x - b)), vt[rank:].T
+
+
+def dense_range_oracle(problem):
+    """Reference for ``range_oracle`` by dense least squares on L itself.
+
+    The constraint rows ``rows @ L`` are split by one full SVD into a
+    particular control, a residual and a nullspace; ``(I - P) h`` is tested
+    by ``lstsq(L)``, and the constrained minimum over the nullspace by
+    ``lstsq(L N)``. Returns ``(feasible, decomposed_solvable,
+    constrained_solvable, distance)``.
+    """
+    l, h = problem.operator, problem.rhs
+    threshold = problem.tols.oracle_tol * float(np.linalg.norm(h))
+    scale = float(np.linalg.svd(l, compute_uv=False)[0]) if min(l.shape) else 0.0
+    if isinstance(problem.constraint, Projector):
+        rows = problem.constraint.basis.T
+    else:
+        rows = problem.constraint
+    a, b = rows @ l, rows @ h
+    if a.shape[0] == 0:
+        particular, exact, nullspace = np.zeros(l.shape[1]), 0.0, np.eye(l.shape[1])
+    else:
+        particular, exact, nullspace = _constraint_split(a, b, scale)
+    feasible = exact <= threshold
+    _w, complement = _lstsq_residual(l, h - problem.project(h), scale=scale, smax=scale)
+    if not feasible:
+        return False, False, False, math.inf
+    t, _ = _lstsq_residual(l @ nullspace, h - l @ particular, scale=scale)
+    distance = float(np.linalg.norm(l @ (particular + nullspace @ t) - h))
+    return True, complement <= threshold, distance <= threshold, distance
+
+
+def record_linalg_calls(monkeypatch):
+    """List of ``(name, shape of the first argument)`` for every dense decomposition or solve."""
+    calls = []
+    for module, prefix in ((np.linalg, "numpy"), (scipy.linalg, "scipy")):
+        for name in ("svd", "eigh", "eigvalsh", "solve", "lstsq", "qr"):
+            real = getattr(module, name)
+
+            def counted(a, *args, _real=real, _name=f"{prefix}.{name}", **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    return calls

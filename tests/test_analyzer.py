@@ -20,7 +20,13 @@ from finapprox import (
     regularized_operator,
     witness_correlation,
 )
-from helpers import random_decision_problem, random_well_posed_problem
+from helpers import (
+    dense_range_oracle,
+    random_decision_problem,
+    random_orthonormal,
+    random_well_posed_problem,
+    record_linalg_calls,
+)
 
 
 def kkt_constrained_minimum(problem):
@@ -30,7 +36,7 @@ def kkt_constrained_minimum(problem):
     constraint's range, by solving the first-order optimality system
     [[L^T L, C^T], [C, 0]] (u, lam) = (L^T h, d) with a minimum-norm
     least-squares solve. Entirely different elimination from the package's
-    nullspace route.
+    route in singular coordinates.
     """
     l = problem.operator
     c = problem.constraint.basis.T @ l
@@ -192,29 +198,109 @@ def test_oracle_requires_operator():
 
 
 def test_oracle_reuses_validated_operator_norm(monkeypatch):
-    """make_problem keeps ||L||_2 from its rank check; the oracle reads it instead of an svd(L)."""
+    """make_problem keeps ||L||_2 from its one SVD of L; the oracle decomposes nothing of L's size."""
     rng = np.random.default_rng(20261019)
     l = rng.standard_normal((7, 5))
     proj = make_projector(list(rng.standard_normal((2, 7))))
     problem = make_problem(operator=l, constraint=proj, rhs=rng.standard_normal(7))
-    assert problem.validation.operator_norm == float(np.linalg.svd(l, compute_uv=False)[0])
+    singular_values = problem.spectrum.singular_values
+    assert problem.validation.operator_norm == singular_values[0]
+    assert_allclose(singular_values, np.linalg.svd(l, compute_uv=False), rtol=1e-14)
     assert problem.constrained(proj).validation.operator_norm == problem.validation.operator_norm
     gram_only = build_scenario("rank_deficient_gamma").problem
     assert gram_only.validation.operator_norm is None
 
     expected = range_oracle(problem)
-    shapes = []
-    real_svd = np.linalg.svd
-
-    def recording_svd(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return real_svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    calls = record_linalg_calls(monkeypatch)
     oracle = range_oracle(problem)
-    assert l.shape not in shapes
+    assert calls, "the oracle's small factorizations go through the recorded entry points"
+    assert not [c for c in calls if c[1] in (l.shape, (7, 7), (5, 5))]
     assert oracle.distance == expected.distance
     assert oracle.exact_part_residual == expected.exact_part_residual
+
+
+def _conditioned_operator(rng, dim, dim_u, rank, ill):
+    """Rank-``rank`` operator; ill-conditioned draws reach condition numbers up to 1e6."""
+    if ill:
+        condition = 10.0 ** rng.uniform(0.0, 6.0)
+        values = 10.0 ** rng.uniform(-np.log10(condition), 0.0, size=rank)
+        values[0] = 1.0
+        if rank > 1:
+            values[1] = 1.0 / condition
+    else:
+        values = rng.uniform(0.5, 1.5, size=rank)
+    left, right = random_orthonormal(rng, dim, rank), random_orthonormal(rng, dim_u, rank)
+    return left @ (values[:, None] * right.T)
+
+
+def _oracle_reference_problems(seed, count):
+    """Seeded problems, dimension 2 to 64, in six kinds taken in turn.
+
+    Three eighths of them are the fifth kind, whose failures are rarest.
+    Full rank; rank deficient with a reachable or an unreachable right-hand
+    side; rank deficient with a projector that contains a unit vector of
+    ker L^T; tall rank-2 operators on 3 to 5 controls whose projector is
+    one unit vector of ker L^T, with a reachable right-hand side, where the
+    constraint row is rounding noise that must not be inverted; and raw
+    constraint matrices or the zero projector. Half the operators have
+    condition numbers up to 1e6, and a quarter are scaled by a factor
+    between 1e-4 and 1e2.
+    """
+    rng = np.random.default_rng(seed)
+    for index in range(count):
+        kind = (0, 1, 2, 3, 4, 4, 4, 5)[index % 8]
+        ill = bool(rng.integers(0, 2))
+        if kind == 0:
+            dim = int(rng.integers(2, 49))
+            operator = _conditioned_operator(rng, dim, int(rng.integers(dim, 57)), dim, ill)
+        elif kind == 4:
+            operator = _conditioned_operator(rng, int(rng.integers(24, 65)), int(rng.integers(3, 6)), 2, ill)
+        else:
+            dim_u = int(rng.integers(1, 49))
+            dim = int(rng.integers(2, 49))
+            rank = int(rng.integers(1, max(1, min(dim - 1, dim_u)) + 1))
+            operator = _conditioned_operator(rng, dim, dim_u, rank, ill)
+        if rng.integers(0, 4) == 0:
+            operator = operator * 10.0 ** rng.uniform(-4.0, 2.0)
+        dim = operator.shape[0]
+        kernel = scipy.linalg.null_space(operator.T, rcond=1e-10)
+        rhs = operator @ rng.standard_normal(operator.shape[1])
+        if kind == 2 or (kind == 3 and rng.integers(0, 2)):
+            direction = kernel @ rng.standard_normal(kernel.shape[1])
+            rhs = rhs + max(1.0, np.linalg.norm(rhs)) * direction / np.linalg.norm(direction)
+        vectors = list(rng.standard_normal((int(rng.integers(1, 4)), dim)))
+        if kind in (3, 4):
+            extra = 0 if kind == 4 else int(rng.integers(0, 3))
+            vectors = [kernel @ rng.standard_normal(kernel.shape[1])] + vectors[:extra]
+        if kind != 5:
+            constraint = make_projector(vectors)
+        elif index % 16 == 15:
+            constraint = make_projector([], dim=dim)
+        else:
+            constraint = rng.standard_normal((dim, 2)) @ rng.standard_normal((2, dim)) / dim
+        yield make_problem(operator=operator, constraint=constraint, rhs=rhs / np.linalg.norm(rhs))
+
+
+def test_oracle_matches_dense_reference():
+    """The singular-coordinate oracle answers what the dense lstsq route answers.
+
+    The reference (tests/helpers.py) factors the constraint rows and L
+    itself; the oracle reads everything from the problem's one SVD. Both
+    must agree on feasibility and both verdicts on every problem, including
+    the tall kernel-constraint kind where the constraint rows carry only
+    rounding noise just above a floor that ignores the ambient dimension.
+    """
+    checked = 0
+    for problem in _oracle_reference_problems(20261024, 480):
+        feasible, decomposed, constrained, _distance = dense_range_oracle(problem)
+        oracle = range_oracle(problem)
+        assert (oracle.feasible, oracle.decomposed_solvable, oracle.constrained_solvable) == (
+            feasible,
+            decomposed,
+            constrained,
+        ), f"problem {checked}"
+        checked += 1
+    assert checked == 480
 
 
 def test_oracle_matches_kkt_route():

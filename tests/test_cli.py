@@ -145,6 +145,27 @@ def test_scenarios_list(capsys):
         assert name in out
 
 
+@pytest.mark.parametrize("command", ["validate", "analyze", "sweep", "oracle"])
+def test_overflowing_gram_product_exits_two(capsys, tmp_path, command):
+    """L L^T of a finite L can overflow; that is malformed input, not an internal error."""
+    path = tmp_path / "overflow.json"
+    path.write_text(
+        json.dumps(
+            {
+                "dimH": 2,
+                "dimU": 2,
+                "L": [[1e160, 0.0], [0.0, 1.0]],
+                "constraint": {"type": "projector_basis", "data": [[1.0, 0.0]]},
+                "h": [1.0, 1.0],
+            }
+        )
+    )
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert "overflows" in err
+
+
 def test_export_and_reanalyze(capsys, tmp_path):
     path = tmp_path / "exported.json"
     code, _, _ = run(

@@ -1,13 +1,13 @@
 """The spectral factor of the regularized system.
 
-One eigendecomposition of the Gram operator serves every alpha and every
-Galerkin level; these tests hold it to a dense reference solve, to the
-alpha-independent SINGULAR test, and to its factorization count.
+The problem's one decomposition (the SVD of L, read as the eigenpairs of
+the Gram operator) serves every alpha and every Galerkin level; these tests
+hold the factor to a dense reference solve, to the alpha-independent
+SINGULAR test, and to its factorization count.
 """
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from finapprox import (
     AlphaSchedule,
@@ -21,9 +21,10 @@ from finapprox import (
     identity_residuals,
     make_problem,
     make_projector,
+    range_oracle,
     regularized_operator,
 )
-from helpers import random_operator, random_orthonormal, reachable_rhs
+from helpers import random_operator, random_orthonormal, reachable_rhs, record_linalg_calls
 
 EPS = np.finfo(float).eps
 ALPHAS = [10.0**-k for k in range(8)]
@@ -147,48 +148,41 @@ def test_singular_exactly_when_pinched_gram_is_singular(scale):
                 )
 
 
-def _counting(calls, name, fn):
-    def counted(a, *args, **kwargs):
-        calls.append((name, np.shape(a)))
-        return fn(a, *args, **kwargs)
-
-    return counted
-
-
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    calls = []
-    for module, prefix in ((np.linalg, "numpy"), (scipy.linalg, "scipy")):
-        for name in ("eigh", "svd", "solve"):
-            monkeypatch.setattr(module, name, _counting(calls, f"{prefix}.{name}", getattr(module, name)))
-    return calls
+    return record_linalg_calls(monkeypatch)
 
 
-def _square_calls(calls, name, n):
-    return [c for c in calls if c[0].endswith(name) and c[1] == (n, n)]
+def _square_calls(calls, n):
+    return [c for c in calls if c[1] == (n, n)]
+
+
+def _solves(calls):
+    return [c for c in calls if c[0].endswith((".solve", ".lstsq"))]
 
 
 def test_alpha_sweep_factors_once(linalg_calls):
+    """Building the problem and an 8-alpha sweep take one n x n decomposition: the SVD of L."""
     problem = build_scenario("function_space_galerkin", M=64, operator="damping").problem
     n = problem.ambient_dim
-    linalg_calls.clear()
     report = alpha_sweep(problem, AlphaSchedule(count=8))
     assert len(report.records) == 8
-    assert len(_square_calls(linalg_calls, ".eigh", n)) == 1
-    assert _square_calls(linalg_calls, ".svd", n) == []
-    assert [c for c in linalg_calls if c[0].endswith(".solve")] == []
+    assert _square_calls(linalg_calls, n) == [("scipy.svd", (n, n))]
+    assert _solves(linalg_calls) == []
+    before = len(linalg_calls)
+    range_oracle(problem)
+    assert _square_calls(linalg_calls[before:], n) == []
 
 
 def test_galerkin_sweep_factors_once(linalg_calls):
+    """Building the problem and an 8-level Galerkin sweep take one n x n decomposition: the SVD of L."""
     scenario = build_scenario("function_space_galerkin", M=64, operator="damping")
     problem = scenario.problem
     n = problem.ambient_dim
-    linalg_calls.clear()
     report = galerkin_sweep(problem, scenario.family, diagonal_steps(8, max_n=scenario.family.max_n))
     assert len(report.records) == 8
-    assert len(_square_calls(linalg_calls, ".eigh", n)) == 1
-    assert _square_calls(linalg_calls, ".svd", n) == []
-    assert [c for c in linalg_calls if c[0].endswith(".solve")] == []
+    assert _square_calls(linalg_calls, n) == [("scipy.svd", (n, n))]
+    assert _solves(linalg_calls) == []
 
 
 def test_constrained_factor_matches_fresh_factor():

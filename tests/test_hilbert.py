@@ -254,6 +254,34 @@ def test_make_problem_shapes_and_validation():
     assert record.constraint_is_projector
 
 
+def test_problem_spectrum_is_one_decomposition():
+    """The kept spectrum reproduces L and G; validation's facts are read from it."""
+    rng = np.random.default_rng(29)
+    for shape in ((6, 3), (3, 6), (5, 5), (7, 1)):
+        l = rng.standard_normal(shape)
+        l[:, 0] *= 1e-3
+        proj = random_projector(rng, shape[0], 1)
+        problem = make_problem(operator=l, constraint=proj, rhs=rng.standard_normal(shape[0]))
+        spectrum = problem.spectrum
+        u, s, vt = spectrum.vectors, spectrum.singular_values, spectrum.right
+        assert u.shape == (shape[0], shape[0])
+        assert_allclose(u.T @ u, np.eye(shape[0]), atol=1e-14)
+        assert_allclose((u[:, : s.size] * s) @ vt, l, atol=1e-14)
+        assert_allclose((u * spectrum.gram_values) @ u.T, problem.gram, atol=1e-13)
+        assert_allclose(s, np.linalg.svd(l, compute_uv=False), rtol=1e-14)
+        assert problem.validation.gram_symmetry_defect == 0.0
+        assert problem.validation.gram_min_eigenvalue == np.min(spectrum.gram_values)
+        assert problem.validation.representable_rank == min(shape)
+        with pytest.raises(ValueError):
+            u[0, 0] = 1.0
+    g = np.diag([2.0, 1.0, 0.0])
+    proj = random_projector(rng, 3, 1)
+    gram_only = make_problem(gram_matrix=g, constraint=proj, rhs=np.ones(3), control_dim=2)
+    assert gram_only.spectrum.singular_values is None
+    assert_allclose(gram_only.spectrum.gram_values, [0.0, 1.0, 2.0], atol=1e-15)
+    assert gram_only.validation.representable_rank == 2
+
+
 def test_make_problem_rejects_bad_dims():
     l = np.eye(3)
     proj = make_projector([np.eye(3)[:, 0]])
