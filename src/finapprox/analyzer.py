@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 from .hilbert import ProblemInstance, Projector, ValidationError
 from .resolvent import RegularizedSolution, SingularSystem, factor_regularized
@@ -318,11 +317,11 @@ def range_oracle(problem: ProblemInstance, oracle_tol: Optional[float] = None) -
     b = rows @ h
     m = rows @ u_r
     m *= s_r
-    z, t = scipy.linalg.qr(m.T, mode="economic", overwrite_a=True, check_finite=False)
-    w, sv, yt = scipy.linalg.svd(t, full_matrices=False, overwrite_a=True, check_finite=False)
+    z, t = np.linalg.qr(m.T)
+    w, sv, yt = np.linalg.svd(t, full_matrices=False)
     rank = int(np.sum(sv > floor))
     right = z @ w[:, :rank]
-    del m, z  # one n x k buffer, overwritten by the QR
+    del m, z
     w_particular = right @ ((yt[:rank] @ b) / sv[:rank])
     exact_residual = float(np.linalg.norm(rows @ (u_r @ (s_r * w_particular)) - b))
     feasible = exact_residual <= threshold
@@ -336,7 +335,7 @@ def range_oracle(problem: ProblemInstance, oracle_tol: Optional[float] = None) -
         # it free across it: the nearest feasible c moves U_r^T h along it.
         target = u_r.T @ h
         right /= s_r[:, None]
-        fixed, _ = scipy.linalg.qr(right, mode="economic", overwrite_a=True, check_finite=False)
+        fixed, _ = np.linalg.qr(right)
         c = target - fixed @ (fixed.T @ (target - s_r * w_particular))
         control = spectrum.right[:r].T @ (c / s_r)
         distance = float(np.linalg.norm(l @ control - h))
@@ -373,7 +372,7 @@ def factor_invertibility(alpha: float, problem: ProblemInstance) -> Invertibilit
         raise ValidationError(f"alpha must be positive and finite, got {alpha!r}")
     n = problem.ambient_dim
     shifted = alpha * np.eye(n) + problem.gram
-    applied = scipy.linalg.solve(shifted, problem.constraint_matrix, assume_a="pos")
+    applied = np.linalg.solve(shifted, problem.constraint_matrix)
     q = np.eye(n) - alpha * applied
     s = np.linalg.svd(q, compute_uv=False)
     largest = float(s[0]) if s.size else 0.0

@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "ValidationError",
@@ -211,13 +210,17 @@ def orthonormal_columns(columns: np.ndarray, rank_tol: float) -> tuple[np.ndarra
     A column is dropped when its remainder after the first pass is at or below
     ``rank_tol`` times the largest input column norm. Because each block only
     sees the columns before it, the basis of a column prefix is the prefix of
-    the basis, up to rounding.
+    the basis, up to rounding. One power-of-two scale first brings the largest
+    entry into [1/2, 1), so no norm overflows; being exact, it changes no basis
+    that could be computed without it.
 
     Returns the orthonormal matrix and the indices of dropped columns.
     """
     dim, count = columns.shape
     if count == 0:
         return np.zeros((dim, 0)), []
+    peak = float(np.max(np.abs(columns)))
+    columns = np.ldexp(columns, -math.frexp(peak)[1])
     input_norms = np.linalg.norm(columns, axis=0)
     threshold = rank_tol * float(np.max(input_norms))
     basis = np.empty((dim, count), order="F")
@@ -274,12 +277,10 @@ def make_projector(
     if dim <= 0:
         raise ValidationError(f"dim must be positive, got {dim}")
 
+    input_defect = np.inf
     if columns.shape[1] and columns.shape[1] <= dim:
-        input_defect = float(
-            np.linalg.norm(columns.T @ columns - np.eye(columns.shape[1]))
-        )
-    else:
-        input_defect = np.inf
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow: not orthonormal
+            input_defect = float(np.linalg.norm(columns.T @ columns - np.eye(columns.shape[1])))
     if input_defect <= tols.tol_ortho:
         basis = columns
     else:
@@ -543,7 +544,7 @@ def make_problem(
                 f"declared control_dim {control_dim} conflicts with operator shape {l.shape}"
             )
         ambient_dim, control_dim = l.shape
-        u, s, vt = scipy.linalg.svd(l, full_matrices=ambient_dim > control_dim, check_finite=False)
+        u, s, vt = np.linalg.svd(l, full_matrices=ambient_dim > control_dim)
         l = _readonly(l)  # contiguous, so its Gram product is exactly symmetric
         lam = np.zeros(ambient_dim)
         with np.errstate(over="ignore"):  # an overflow is rejected below

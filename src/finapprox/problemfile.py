@@ -63,7 +63,7 @@ def _positive_int(value, field: str) -> int:
 def _matrix(value, shape: tuple, field: str) -> np.ndarray:
     try:
         m = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemFileError(f"field {field!r} is not a numeric matrix: {exc}") from exc
     if m.shape != shape:
         raise ProblemFileError(f"field {field!r} has shape {m.shape}, expected {shape}")
@@ -95,7 +95,7 @@ def problem_from_dict(data: dict, tols: Optional[Tolerances] = None) -> ProblemI
             )
         try:
             tols = Tolerances(**{k: float(v) for k, v in overrides.items()})
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ProblemFileError(f"field 'tolerances' is invalid: {exc}") from exc
 
     operator = _matrix(data["L"], (dim_h, dim_u), "L") if "L" in data else None
@@ -111,7 +111,7 @@ def problem_from_dict(data: dict, tols: Optional[Tolerances] = None) -> ProblemI
     if ctype == "projector_basis":
         try:
             vectors = [np.asarray(v, dtype=float) for v in cdata]
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ProblemFileError(f"field 'constraint.data' is not a list of vectors: {exc}") from exc
         for i, v in enumerate(vectors):
             if v.shape != (dim_h,):
@@ -134,7 +134,7 @@ def problem_from_dict(data: dict, tols: Optional[Tolerances] = None) -> ProblemI
     h_value = _require(data, "h")
     try:
         rhs = np.asarray(h_value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemFileError(f"field 'h' is not a numeric vector: {exc}") from exc
     if rhs.shape != (dim_h,):
         raise ProblemFileError(f"field 'h' has shape {rhs.shape}, expected ({dim_h},)")

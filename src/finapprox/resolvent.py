@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-import scipy.linalg
 
 from .hilbert import ProblemInstance, Projector, ValidationError
 
@@ -132,10 +131,10 @@ class RegularizedFactor:
         T_alpha^{-1} = A^{-1} + A^{-1} Q C_alpha^{-1} Q^T A^{-1},
         C_alpha = B^T diag(lam / (alpha (lam + alpha))) B,
 
-    so each alpha costs one k x k Cholesky factorization and O(n^2 + n k^2)
-    work. Because G is positive semidefinite, T_alpha is singular for every
-    alpha > 0 exactly when G_QQ = Q^T G Q is, and then its kernel is
-    Q ker G_QQ; that test runs once, here, instead of once per alpha.
+    so each alpha costs two k x k LU solves (the solve and its refinement)
+    and O(n^2 + n k^2) work. Because G is positive semidefinite, T_alpha is
+    singular for every alpha > 0 exactly when G_QQ = Q^T G Q is, and then its
+    kernel is Q ker G_QQ; that test runs once, here, instead of once per alpha.
 
     Raw constraint matrices keep the generic path: ``eigenvalues`` is None
     and :meth:`solve` factors the assembled matrix at each alpha.
@@ -182,12 +181,12 @@ class RegularizedFactor:
         shifted = lam + alpha
         capacitance = None
         if b.shape[1]:
-            capacitance = scipy.linalg.cho_factor((b.T * (lam / (alpha * shifted))) @ b)
+            capacitance = (b.T * (lam / (alpha * shifted))) @ b
 
         def apply_inverse(r: np.ndarray) -> np.ndarray:
             y = (u.T @ r) / shifted
             if capacitance is not None:
-                y += (b @ scipy.linalg.cho_solve(capacitance, b.T @ y)) / shifted
+                y += (b @ np.linalg.solve(capacitance, b.T @ y)) / shifted
             return u @ y
 
         problem = self.problem
@@ -272,7 +271,7 @@ def _solution(alpha: float, z: np.ndarray, problem: ProblemInstance) -> Regulari
 def _solve_generic(
     alpha: float, problem: ProblemInstance
 ) -> Union[RegularizedSolution, SingularSystem]:
-    """Dense route for raw constraints: SVD guard, one LU factorization, one refinement.
+    """Dense route for raw constraints: SVD guard, one LU solve, one refinement.
 
     Returns a :class:`SingularSystem` when the smallest singular value falls
     below ``singular_tol`` times the largest.
@@ -284,9 +283,8 @@ def _solve_generic(
     s_min = float(s[-1]) if s.size else 0.0
     if s_min <= problem.tols.singular_tol * s_max or s_max == 0.0:
         return _singular_report(alpha, t, h, problem)
-    lu = scipy.linalg.lu_factor(t)
-    z = scipy.linalg.lu_solve(lu, h)
-    z = z + scipy.linalg.lu_solve(lu, h - t @ z)
+    z = np.linalg.solve(t, h)
+    z = z + np.linalg.solve(t, h - t @ z)
     return _solution(alpha, z, problem)
 
 

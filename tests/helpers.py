@@ -206,11 +206,15 @@ def dense_range_oracle(problem):
     return True, complement <= threshold, distance <= threshold, distance
 
 
+_COUNTED = ("svd", "eigh", "eigvalsh", "solve", "lstsq", "qr", "cholesky", "inv")
+_COUNTED_SCIPY = _COUNTED + ("cho_factor", "lu_factor")
+
+
 def record_linalg_calls(monkeypatch):
     """List of ``(name, shape of the first argument)`` for every dense decomposition or solve."""
     calls = []
-    for module, prefix in ((np.linalg, "numpy"), (scipy.linalg, "scipy")):
-        for name in ("svd", "eigh", "eigvalsh", "solve", "lstsq", "qr"):
+    for module, prefix, names in ((np.linalg, "numpy", _COUNTED), (scipy.linalg, "scipy", _COUNTED_SCIPY)):
+        for name in names:
             real = getattr(module, name)
 
             def counted(a, *args, _real=real, _name=f"{prefix}.{name}", **kwargs):

@@ -1,9 +1,14 @@
 """Command line interface: subcommands, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import finapprox
 from finapprox.cli import main
 
 
@@ -166,6 +171,83 @@ def test_overflowing_gram_product_exits_two(capsys, tmp_path, command):
     assert "overflows" in err
 
 
+HUGE = 10**400  # a valid JSON integer that no float can hold
+
+
+def _huge_number_problem(case):
+    data = {
+        "dimH": 2,
+        "dimU": 2,
+        "L": [[1.0, 0.0], [0.0, 1.0]],
+        "constraint": {"type": "projector_basis", "data": [[1.0, 0.0]]},
+        "h": [1.0, 1.0],
+    }
+    if case == "L":
+        data["L"][0][0] = HUGE
+    elif case == "Gamma":
+        data["Gamma"] = [[HUGE, 0.0], [0.0, 1.0]]
+    elif case == "h":
+        data["h"][1] = HUGE
+    elif case == "projector_basis":
+        data["constraint"]["data"] = [[HUGE, 0.0]]
+    elif case == "raw":
+        data["constraint"] = {"type": "raw", "data": [[HUGE, 0.0], [0.0, 0.0]]}
+    else:
+        data["tolerances"] = {"rank_tol": HUGE}
+    return data
+
+
+@pytest.mark.parametrize(
+    "case, field",
+    [
+        ("L", "'L'"),
+        ("Gamma", "'Gamma'"),
+        ("h", "'h'"),
+        ("projector_basis", "'constraint.data'"),
+        ("raw", "'constraint.data'"),
+        ("tolerances", "'tolerances'"),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "analyze", "oracle", "galerkin"])
+def test_integer_too_large_for_a_float_exits_two(capsys, tmp_path, command, case, field):
+    """JSON integers have no size limit; one that overflows a float is bad input, not an internal error."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_huge_number_problem(case)))
+    family = ["--family", "coordinate"] if command == "galerkin" else []
+    code, out, err = run(capsys, command, "--input", str(path), *family)
+    assert code == 2
+    assert out == ""
+    assert field in err
+    assert "internal error" not in err
+
+
+def test_constraint_with_overflowing_norm_is_kept(capsys, tmp_path):
+    """A basis vector whose norm overflows spans the same line as its unit form.
+
+    The line is ker L, so the constrained system is SINGULAR (exit 3); dropping
+    the constraint would answer the unconstrained problem, SOLVABLE.
+    """
+    reports = []
+    for vector in ([0.0, 1e308], [0.0, 1.0]):
+        path = tmp_path / "problem.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "dimH": 2,
+                    "dimU": 2,
+                    "L": [[1.0, 0.0], [0.0, 0.0]],
+                    "constraint": {"type": "projector_basis", "data": [vector]},
+                    "h": [1.0, 0.0],
+                }
+            )
+        )
+        code, out, err = run(capsys, "analyze", "--input", str(path))
+        assert (code, err) == (3, "")
+        reports.append(out)
+    assert "# verdict=SINGULAR" in reports[0]
+    assert reports[0] == reports[1]
+
+
 def test_export_and_reanalyze(capsys, tmp_path):
     path = tmp_path / "exported.json"
     code, _, _ = run(
@@ -246,3 +328,34 @@ def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["no-such-command"])
     assert excinfo.value.code == 2
+
+
+SINGLE_BLAS_CHILD = """
+import contextlib, io, json, sys
+from finapprox.cli import main
+
+fs = ["--scenario", "function_space_galerkin", "--param", "M=16"]
+requests = [[command, *fs] for command in ("analyze", "galerkin", "oracle", "validate")]
+requests += [["analyze", "--scenario", name] for name in ("nilpotent_pi", "rank_deficient_gamma")]
+codes = []
+for argv in requests:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_requests_load_no_second_blas():
+    """A fresh interpreter serves every kind of request without importing scipy.
+
+    scipy ships its own OpenBLAS with its own thread pool; the program runs
+    every dense kernel through numpy's, so only one BLAS is ever loaded.
+    """
+    src = str(Path(finapprox.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-c", SINGLE_BLAS_CHILD], env=env, capture_output=True, text=True, check=True
+    )
+    result = json.loads(child.stdout.splitlines()[-1])
+    assert result["codes"] == [0] * 6
+    assert result["scipy"] == []

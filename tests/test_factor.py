@@ -157,32 +157,49 @@ def _square_calls(calls, n):
     return [c for c in calls if c[1] == (n, n)]
 
 
-def _solves(calls):
-    return [c for c in calls if c[0].endswith((".solve", ".lstsq"))]
+def _capacitance_solves(k, records):
+    """Two k x k solves per nonsingular alpha: the solve and its refinement step."""
+    nonsingular = sum(not r.singular for r in records)
+    return [("numpy.solve", (k, k))] * (2 * nonsingular) if k else []
 
 
 def test_alpha_sweep_factors_once(linalg_calls):
-    """Building the problem and an 8-alpha sweep take one n x n decomposition: the SVD of L."""
+    """Building the problem and an 8-alpha sweep take one n x n decomposition: the SVD of L.
+
+    Each alpha adds only its k x k capacitance solves; no factorization of
+    any other kind or size runs.
+    """
     problem = build_scenario("function_space_galerkin", M=64, operator="damping").problem
-    n = problem.ambient_dim
+    n, k = problem.ambient_dim, problem.constraint.rank
+    assert 0 < k < n
     report = alpha_sweep(problem, AlphaSchedule(count=8))
     assert len(report.records) == 8
-    assert _square_calls(linalg_calls, n) == [("scipy.svd", (n, n))]
-    assert _solves(linalg_calls) == []
+    assert _square_calls(linalg_calls, n) == [("numpy.svd", (n, n))]
+    expected = _capacitance_solves(k, report.records)
+    assert expected
+    assert [c for c in linalg_calls if c[0] not in ("numpy.svd", "numpy.eigh")] == expected
     before = len(linalg_calls)
     range_oracle(problem)
     assert _square_calls(linalg_calls[before:], n) == []
 
 
 def test_galerkin_sweep_factors_once(linalg_calls):
-    """Building the problem and an 8-level Galerkin sweep take one n x n decomposition: the SVD of L."""
+    """Building the problem and an 8-level Galerkin sweep take one n x n decomposition: the SVD of L.
+
+    Each level adds only its k_n x k_n capacitance solves.
+    """
     scenario = build_scenario("function_space_galerkin", M=64, operator="damping")
     problem = scenario.problem
     n = problem.ambient_dim
     report = galerkin_sweep(problem, scenario.family, diagonal_steps(8, max_n=scenario.family.max_n))
     assert len(report.records) == 8
-    assert _square_calls(linalg_calls, n) == [("scipy.svd", (n, n))]
-    assert _solves(linalg_calls) == []
+    calls = list(linalg_calls)
+    assert _square_calls(calls, n) == [("numpy.svd", (n, n))]
+    expected = []
+    for record in report.records:
+        expected += _capacitance_solves(scenario.family.level(record.n).shape[1], [record])
+    assert expected
+    assert [c for c in calls if c[0] not in ("numpy.svd", "numpy.eigh")] == expected
 
 
 def test_constrained_factor_matches_fresh_factor():

@@ -63,6 +63,29 @@ def test_orthonormal_columns_zero_column():
     assert q.shape == (3, 0)
 
 
+@pytest.mark.parametrize("size", [1e160, 1e308])
+def test_orthonormal_columns_at_overflowing_norms(size):
+    """Columns whose norms overflow give the basis they give once scaled into range.
+
+    At 1e160 the squared norm overflows, at 1e308 the norm itself does; the
+    drop rule stays relative to the largest column in both.
+    """
+    e1, e2 = np.eye(3)[:, :2].T
+    pair = np.column_stack([size * e1, e2])
+    assert orthonormal_columns(pair, DEFAULT_TOLERANCES.rank_tol)[1] == [1]
+    assert make_projector(list(pair.T)).rank == make_projector([1e150 * e1, e2]).rank == 1
+    rng = np.random.default_rng(41)
+    dense = size * rng.uniform(-1.0, 1.0, (6, 4))
+    for columns in (pair, dense, np.column_stack([dense, (dense[:, 0] + dense[:, 1]) / 2])):
+        in_range = np.ldexp(columns, -np.frexp(size)[1])
+        assert np.max(np.linalg.norm(in_range, axis=0)) < 10.0
+        got, got_dropped = orthonormal_columns(columns, DEFAULT_TOLERANCES.rank_tol)
+        want, want_dropped = orthonormal_columns(in_range, DEFAULT_TOLERANCES.rank_tol)
+        np.testing.assert_array_equal(got, want)
+        assert got_dropped == want_dropped
+        np.testing.assert_array_equal(make_projector(list(columns.T)).basis, got)
+
+
 def _reference_mgs(columns, rank_tol):
     """Column-by-column modified Gram-Schmidt with a second pass, the reference."""
     dim, count = columns.shape
