@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .hilbert import ProblemInstance, Projector, ValidationError
+from .hilbert import ProblemInstance, Projector, ValidationError, _numerical_rank
 from .resolvent import RegularizedSolution, SingularSystem, factor_regularized
 
 __all__ = [
@@ -377,10 +377,9 @@ def factor_invertibility(alpha: float, problem: ProblemInstance) -> Invertibilit
     s = np.linalg.svd(q, compute_uv=False)
     largest = float(s[0]) if s.size else 0.0
     smallest = float(s[-1]) if s.size else 0.0
-    invertible = largest > 0 and smallest > problem.tols.singular_tol * largest
     return InvertibilityReport(
         alpha=float(alpha),
         smallest_singular_value=smallest,
         largest_singular_value=largest,
-        invertible=bool(invertible),
+        invertible=_numerical_rank(s, problem.tols.singular_tol) == s.size,
     )

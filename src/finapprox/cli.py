@@ -13,8 +13,10 @@ Exit codes: 0 success, 2 bad input, 3 every scheduled alpha singular,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -23,8 +25,6 @@ import numpy as np
 
 from .analyzer import (
     AlphaSchedule,
-    Decision,
-    OracleDecision,
     SweepReport,
     Verdict,
     alpha_sweep,
@@ -38,7 +38,6 @@ from .scenarios import (
     EXPECTED_VERDICTS,
     SCENARIO_DESCRIPTIONS,
     SCENARIO_PARAMS,
-    Scenario,
     build_scenario,
     scenario_names,
 )
@@ -52,21 +51,6 @@ EXIT_SINGULAR = 3
 EXIT_INTERNAL = 4
 
 log = logging.getLogger("finapprox")
-
-
-def _fmt(value) -> str:
-    """Shortest round-trip decimal for floats; plain str otherwise."""
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (np.floating,)):
-        return repr(float(value))
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
-def _vector_csv(v: np.ndarray) -> str:
-    return ",".join(repr(float(x)) for x in v)
 
 
 def _parse_param(text: str) -> tuple[str, object]:
@@ -119,70 +103,80 @@ def _write(text: str, output: Optional[str]) -> None:
         path.write_text(text)
 
 
-def _sweep_rows(report: SweepReport) -> list[str]:
-    rows = ["alpha,norm_indicator,norm_residual,norm_constraint_residual,singular"]
-    for r in report.records:
-        rows.append(
-            f"{_fmt(r.alpha)},{_fmt(r.norm_indicator)},{_fmt(r.norm_residual)},"
-            f"{_fmt(r.norm_constraint_residual)},{_fmt(r.singular)}"
-        )
-    return rows
+SWEEP_COLUMNS = ("alpha", "norm_indicator", "norm_residual", "norm_constraint_residual", "singular")
+GALERKIN_COLUMNS = (
+    "step", "n", "alpha", "residual", "constraint_residual_n", "constraint_residual_target", "singular"
+)
 
 
-def _sweep_json(report: SweepReport) -> list[dict]:
-    return [
-        {
-            "alpha": r.alpha,
-            "norm_indicator": None if r.singular else r.norm_indicator,
-            "norm_residual": None if r.singular else r.norm_residual,
-            "norm_constraint_residual": None if r.singular else r.norm_constraint_residual,
-            "singular": r.singular,
-        }
-        for r in report.records
-    ]
+def _csv_value(value) -> str:
+    """The CSV rule for every note and cell: None is empty, a bool true/false, floats ``repr``."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(float(value))
+    if isinstance(value, np.ndarray):
+        return ",".join(repr(float(x)) for x in value)
+    return str(value)
 
 
-def _oracle_json(oracle: OracleDecision) -> dict:
-    return {
-        "decomposed_solvable": oracle.decomposed_solvable,
-        "constrained_solvable": oracle.constrained_solvable,
-        "agree": oracle.agree,
-        "exact_part_residual": oracle.exact_part_residual,
-        "complement_residual": oracle.complement_residual,
-        "feasible": oracle.feasible,
-        "distance": None if oracle.distance == float("inf") else oracle.distance,
-    }
+def _json_value(value):
+    """The JSON rule, applied through the envelope: non-finite floats are null, vectors lists."""
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_json_value(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return [_json_value(float(x)) for x in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
-def _emit(args, command: str, source: dict[str, str], payload: dict, lines: list[str]) -> None:
-    """Write a report in the v1 envelope: JSON ``payload`` or CSV ``lines``.
+def _emit(args, command: str, source: dict, fields: dict, notes: dict, columns, rows) -> None:
+    """Write a report in the v1 envelope: JSON ``fields`` or CSV ``notes`` and table.
 
-    JSON gains the ``version``, ``command`` and ``source`` keys; CSV is
-    prefixed with the header, ``# command=`` and one comment per source tag.
+    JSON gains the ``version``, ``command`` and ``source`` keys. CSV starts
+    with the header and one ``# key=value`` note each for the command, the
+    source tags and ``notes``, leaving out a note whose value is None; then
+    come the ``columns`` line and one line per row.
     """
     if args.format == "json":
-        envelope = {"version": "finapprox v1", "command": command, "source": source, **payload}
-        _write(json.dumps(envelope, indent=2, sort_keys=True) + "\n", args.output)
+        envelope = {"version": "finapprox v1", "command": command, "source": source, **fields}
+        text = json.dumps(_json_value(envelope), indent=2, sort_keys=True, allow_nan=False)
+        _write(text + "\n", args.output)
     else:
-        comments = [f"# {key}={value}" for key, value in source.items()]
-        lines = [HEADER, f"# command={command}", *comments, *lines]
+        notes = {"command": command, **source, **notes}
+        lines = [
+            HEADER,
+            *(f"# {key}={_csv_value(value)}" for key, value in notes.items() if value is not None),
+            ",".join(columns),
+            *(",".join(_csv_value(value) for value in row) for row in rows),
+        ]
         _write("\n".join(lines) + "\n", args.output)
 
 
-def _key_value_rows(fields: dict, missing: str) -> list[str]:
-    """CSV ``key,value`` rows; ``missing`` stands for a None value."""
-    return ["key,value", *(f"{k},{_fmt(v) if v is not None else missing}" for k, v in fields.items())]
+def _records(columns: Sequence[str], rows: Sequence[tuple]) -> list[dict]:
+    return [dict(zip(columns, row)) for row in rows]
 
 
-def _schedule_json(args) -> dict:
-    return {"alpha0": args.alpha0, "ratio": args.ratio, "count": args.count}
+def _fields(record, skip: str) -> dict:
+    """A dataclass record's fields in declaration order, less ``skip``."""
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record) if f.name != skip}
+
+
+def _sweep_table(report: SweepReport) -> list[tuple]:
+    return [tuple(getattr(r, column) for column in SWEEP_COLUMNS) for r in report.records]
 
 
 def _cmd_sweep(args) -> int:
     problem, _family, source = _load(args)
     report = alpha_sweep(problem, _schedule(args))
-    payload = {"schedule": _schedule_json(args), "records": _sweep_json(report)}
-    _emit(args, "sweep", source, payload, _sweep_rows(report))
+    rows = _sweep_table(report)
+    fields = {"schedule": vars(report.schedule), "records": _records(SWEEP_COLUMNS, rows)}
+    _emit(args, "sweep", source, fields, {}, SWEEP_COLUMNS, rows)
     if not report.nonsingular_records():
         return EXIT_SINGULAR
     return EXIT_OK
@@ -197,25 +191,21 @@ def _cmd_analyze(args) -> int:
     if oracle is not None and decision.verdict in (Verdict.SOLVABLE, Verdict.NOT_SOLVABLE):
         agreement = oracle.constrained_solvable == (decision.verdict is Verdict.SOLVABLE)
 
-    payload = {
-        "schedule": _schedule_json(args),
-        "records": _sweep_json(report),
+    rows = _sweep_table(report)
+    fields = {
+        "schedule": vars(report.schedule),
+        "records": _records(SWEEP_COLUMNS, rows),
         "verdict": decision.verdict.value,
-        "witness": None if decision.witness is None else [float(x) for x in decision.witness],
-        "oracle": None if oracle is None else _oracle_json(oracle),
+        "witness": decision.witness,
+        "oracle": None if oracle is None else _fields(oracle, skip="control"),
         "agreement": agreement,
     }
-    lines = [f"# verdict={decision.verdict.value}"]
-    if decision.witness is not None:
-        lines.append(f"# witness={_vector_csv(decision.witness)}")
+    notes = {"verdict": decision.verdict.value, "witness": decision.witness}
     if oracle is not None:
-        lines.append(f"# oracle_constrained_solvable={_fmt(oracle.constrained_solvable)}")
-        lines.append(f"# oracle_decomposed_solvable={_fmt(oracle.decomposed_solvable)}")
-        lines.append(f"# oracle_distance={_fmt(oracle.distance)}")
-    if agreement is not None:
-        lines.append(f"# agreement={_fmt(agreement)}")
-    lines.extend(_sweep_rows(report))
-    _emit(args, "analyze", source, payload, lines)
+        for name in ("constrained_solvable", "decomposed_solvable", "distance"):
+            notes[f"oracle_{name}"] = getattr(oracle, name)
+    notes["agreement"] = agreement
+    _emit(args, "analyze", source, fields, notes, SWEEP_COLUMNS, rows)
     if decision.verdict is Verdict.SINGULAR:
         return EXIT_SINGULAR
     return EXIT_OK
@@ -223,8 +213,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_oracle(args) -> int:
     problem, _family, source = _load(args)
-    fields = _oracle_json(range_oracle(problem))
-    _emit(args, "oracle", source, {"oracle": fields}, _key_value_rows(fields, missing="inf"))
+    fields = _fields(range_oracle(problem), skip="control")
+    _emit(args, "oracle", source, {"oracle": fields}, {}, ("key", "value"), fields.items())
     return EXIT_OK
 
 
@@ -248,32 +238,13 @@ def _cmd_galerkin(args) -> int:
     chosen = _pick_family(args, problem, family)
     steps = diagonal_steps(count=args.count, max_n=chosen.max_n, alpha0=args.alpha0, ratio=args.ratio)
     report = galerkin_sweep(problem, chosen, steps)
-    payload = {
-        "family": chosen.description,
-        "records": [
-            {
-                "step": r.step,
-                "n": r.n,
-                "alpha": r.alpha,
-                "residual": None if r.singular else r.norm_residual,
-                "constraint_residual_n": None if r.singular else r.norm_constraint_residual,
-                "constraint_residual_target": r.norm_constraint_residual_target,
-                "singular": r.singular,
-            }
-            for r in report.records
-        ],
-    }
-    lines = [
-        f"# family={chosen.description}",
-        "step,n,alpha,residual,constraint_residual_n,constraint_residual_target,singular",
+    rows = [
+        (r.step, r.n, r.alpha, r.norm_residual, r.norm_constraint_residual,
+         r.norm_constraint_residual_target, r.singular)
+        for r in report.records
     ]
-    for r in report.records:
-        target = "" if r.norm_constraint_residual_target is None else _fmt(r.norm_constraint_residual_target)
-        lines.append(
-            f"{r.step},{r.n},{_fmt(r.alpha)},{_fmt(r.norm_residual)},"
-            f"{_fmt(r.norm_constraint_residual)},{target},{_fmt(r.singular)}"
-        )
-    _emit(args, "galerkin", source, payload, lines)
+    fields = {"family": chosen.description, "records": _records(GALERKIN_COLUMNS, rows)}
+    _emit(args, "galerkin", source, fields, {"family": chosen.description}, GALERKIN_COLUMNS, rows)
     if all(r.singular for r in report.records):
         return EXIT_SINGULAR
     return EXIT_OK
@@ -281,22 +252,13 @@ def _cmd_galerkin(args) -> int:
 
 def _cmd_validate(args) -> int:
     problem, _family, source = _load(args)
-    record = problem.validation
     fields = {
         "ambient_dim": problem.ambient_dim,
         "control_dim": problem.control_dim,
         "operator_present": problem.operator is not None,
-        "gram_symmetry_defect": record.gram_symmetry_defect,
-        "gram_min_eigenvalue": record.gram_min_eigenvalue,
-        "gram_factor_defect": record.gram_factor_defect,
-        "constraint_symmetry_defect": record.constraint_symmetry_defect,
-        "constraint_idempotency_defect": record.constraint_idempotency_defect,
-        "constraint_is_projector": record.constraint_is_projector,
-        "constraint_supplied_raw": record.constraint_supplied_raw,
-        "representable": record.representable,
-        "representable_rank": record.representable_rank,
+        **_fields(problem.validation, skip="operator_norm"),
     }
-    _emit(args, "validate", source, fields, _key_value_rows(fields, missing=""))
+    _emit(args, "validate", source, fields, {}, ("key", "value"), fields.items())
     return EXIT_OK
 
 

@@ -255,9 +255,9 @@ def galerkin_sweep(
     ``target`` defaults to the problem's own constraint when that is a
     projector; when present, the residual is additionally measured under it.
 
-    Only the constraint changes between levels, so the Gram operator is
-    factored once, at the first step, and each later level reuses that
-    factorization (:meth:`RegularizedFactor.constrained`).
+    Only the constraint changes between levels. Each level re-poses the
+    problem (:meth:`ProblemInstance.constrained`), which keeps its spectrum,
+    so a level costs O(n^2 k) and the Gram operator is never factored again.
     """
     if family.dim != problem.ambient_dim:
         raise ValidationError(
@@ -269,13 +269,9 @@ def galerkin_sweep(
     effective_tols = tols if tols is not None else problem.tols
 
     records = []
-    factor = None
     for index, (n, alpha) in enumerate(step_list, start=1):
         projector = family_projector(family, n, tols=effective_tols)
-        if factor is None:
-            factor = factor_regularized(problem.constrained(projector))
-        else:
-            factor = factor.constrained(projector)
+        factor = factor_regularized(problem.constrained(projector))
         records.append(_galerkin_record(index, n, alpha, factor.solve(alpha), target))
     return GalerkinReport(records=tuple(records), rhs_norm=float(np.linalg.norm(problem.rhs)))
 

@@ -518,7 +518,8 @@ def make_problem(
 
     One decomposition, the SVD of L or else ``eigh(G)``, is kept as the
     instance's :class:`Spectrum`; the record's rank, norm and smallest Gram
-    eigenvalue are read from it. A Gram operator that overflows is rejected.
+    eigenvalue are read from it. A Gram operator that overflows is rejected,
+    and so is a right-hand side whose norm overflows.
 
     A :class:`Projector` constraint is checked from its basis alone: its
     symmetry defect is 0 by construction and its idempotency defect costs
@@ -613,6 +614,9 @@ def make_problem(
         constraint_supplied_raw = True
 
     h = as_vector(rhs, dim=ambient_dim, name="rhs")
+    with np.errstate(over="ignore"):  # every threshold scales with ||h||
+        if not math.isfinite(float(np.linalg.norm(h))):
+            raise ValidationError("rhs is too large: its norm overflows")
     g.setflags(write=False)
 
     record = ValidationRecord(

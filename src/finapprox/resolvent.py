@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .hilbert import ProblemInstance, Projector, ValidationError
+from .hilbert import ProblemInstance, Projector, ValidationError, _numerical_rank
 
 __all__ = [
     "RegularizedSolution",
@@ -158,14 +158,6 @@ class RegularizedFactor:
     smallest_eigenvalue: float = math.inf
     kernel_vector: Optional[np.ndarray] = None
 
-    def constrained(self, projector: Projector) -> "RegularizedFactor":
-        """Factor of the same equation under another projector constraint.
-
-        The re-posed problem keeps the spectrum, so a new level costs
-        O(n^2 k) instead of a new O(n^3) factorization.
-        """
-        return factor_regularized(self.problem.constrained(projector))
-
     def solve(self, alpha: float) -> Union[RegularizedSolution, SingularSystem]:
         """Regularized solve at ``alpha``, with one step of iterative refinement."""
         _check_alpha(alpha)
@@ -279,9 +271,7 @@ def _solve_generic(
     t = regularized_operator(alpha, problem)
     h = problem.rhs
     s = np.linalg.svd(t, compute_uv=False)
-    s_max = float(s[0]) if s.size else 0.0
-    s_min = float(s[-1]) if s.size else 0.0
-    if s_min <= problem.tols.singular_tol * s_max or s_max == 0.0:
+    if _numerical_rank(s, problem.tols.singular_tol) < s.size:
         return _singular_report(alpha, t, h, problem)
     z = np.linalg.solve(t, h)
     z = z + np.linalg.solve(t, h - t @ z)
@@ -292,12 +282,7 @@ def _singular_report(
     alpha: float, t: np.ndarray, h: np.ndarray, problem: ProblemInstance
 ) -> SingularSystem:
     _u, s, vt = np.linalg.svd(t)
-    s_max = float(s[0]) if s.size else 0.0
-    if s_max == 0.0:
-        null_basis = vt.T
-    else:
-        null_mask = s <= problem.tols.singular_tol * s_max
-        null_basis = vt[null_mask].T
+    null_basis = vt[_numerical_rank(s, problem.tols.singular_tol):].T
     kernel = _kernel_vector(null_basis, vt[-1], h)
     if problem.constraint_is_projector:
         smallest = float(np.linalg.eigvalsh(t)[0])

@@ -171,6 +171,41 @@ def test_overflowing_gram_product_exits_two(capsys, tmp_path, command):
     assert "overflows" in err
 
 
+def _diagonal_unsolvable_file(path, rhs):
+    """``diagonal_unsolvable`` as a problem file with right-hand side ``rhs``."""
+    path.write_text(
+        json.dumps(
+            {
+                "dimH": 2,
+                "dimU": 1,
+                "L": [[1.0], [0.0]],
+                "constraint": {"type": "projector_basis", "data": [[1.0, 0.0]]},
+                "h": rhs,
+            }
+        )
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command", [["analyze"], ["sweep"], ["oracle"], ["galerkin", "--family", "coordinate"], ["validate"]]
+)
+def test_rhs_with_overflowing_norm_exits_two(capsys, tmp_path, command):
+    """Every threshold scales with ||h||; an h whose norm overflows would pass every test."""
+    path = _diagonal_unsolvable_file(tmp_path / "huge_rhs.json", [0.0, 1e200])
+    code, out, err = run(capsys, *command, "--input", path)
+    assert code == 2
+    assert out == ""
+    assert "rhs" in err
+
+
+def test_large_finite_rhs_keeps_its_verdict(capsys, tmp_path):
+    path = _diagonal_unsolvable_file(tmp_path / "large_rhs.json", [0.0, 1e100])
+    code, out, _ = run(capsys, "analyze", "--input", path)
+    assert code == 0
+    assert "# verdict=NOT_SOLVABLE" in out.splitlines()
+
+
 HUGE = 10**400  # a valid JSON integer that no float can hold
 
 

@@ -200,13 +200,3 @@ def test_galerkin_sweep_factors_once(linalg_calls):
         expected += _capacitance_solves(scenario.family.level(record.n).shape[1], [record])
     assert expected
     assert [c for c in calls if c[0] not in ("numpy.svd", "numpy.eigh")] == expected
-
-
-def test_constrained_factor_matches_fresh_factor():
-    """Re-posing under another projector gives what a fresh factorization gives."""
-    scenario = build_scenario("function_space_galerkin", M=32, operator="damping")
-    base = factor_regularized(scenario.problem)
-    projector = make_projector(list(scenario.family.level(3).T))
-    reused = base.constrained(projector).solve(1e-3)
-    fresh = factor_regularized(scenario.problem.constrained(projector)).solve(1e-3)
-    np.testing.assert_allclose(reused.costate, fresh.costate, rtol=1e-12)

@@ -1,0 +1,87 @@
+"""Malformed problem files are bad input: every report command exits 0, 2 or 3, never 4.
+
+Each example takes a valid problem file and applies one to three mutations:
+a value anywhere in the document is swapped for one of the wrong type, shape
+or size (huge integers, overflowing floats), or a key or list entry is dropped.
+"""
+
+import contextlib
+import copy
+import io
+import json
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from finapprox.cli import EXIT_BAD_INPUT, EXIT_OK, EXIT_SINGULAR, main
+from finapprox.problemfile import problem_to_dict
+from finapprox.scenarios import build_scenario
+
+COMMANDS = (["analyze"], ["sweep"], ["oracle"], ["galerkin", "--family", "coordinate"], ["validate"])
+# an operator with a raw constraint, a Gram operator alone, an operator with a projector
+BASES = tuple(
+    json.loads(json.dumps(problem_to_dict(build_scenario(name).problem)))
+    for name in ("nilpotent_pi", "rank_deficient_gamma", "diagonal_unsolvable")
+)
+HUGE_RHS = {**BASES[2], "h": [0.0, 1e200]}
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e200, -1e308, 1e-320, 0.0, 1, 10**400, -(10**400)]),
+)
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    NUMBERS,
+    st.lists(NUMBERS, max_size=3),
+    st.lists(st.lists(NUMBERS, max_size=3), max_size=3),
+    st.fixed_dictionaries({"type": st.sampled_from(["raw", "projector_basis", "?"]), "data": NUMBERS}),
+)
+
+
+def _paths(node, prefix=()):
+    """Every location in a JSON document, as the key sequence that reaches it."""
+    yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def malformed_problems(draw):
+    problem = copy.deepcopy(draw(st.sampled_from(BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(problem))))
+        if not path:
+            return draw(JUNK)
+        parent = problem
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(JUNK)
+    return problem
+
+
+@pytest.fixture(scope="module")
+def problem_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("malformed") / "problem.json"
+
+
+def _exit_codes(path, problem) -> list[int]:
+    path.write_text(json.dumps(problem))
+    codes = []
+    for command in COMMANDS:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes.append(main([*command, "--input", str(path)]))
+    return codes
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@example(problem=HUGE_RHS, allowed={EXIT_BAD_INPUT})
+@given(problem=malformed_problems(), allowed=st.just({EXIT_OK, EXIT_BAD_INPUT, EXIT_SINGULAR}))
+def test_malformed_problem_file_never_exits_four(problem_path, problem, allowed):
+    assert set(_exit_codes(problem_path, problem)) <= allowed
