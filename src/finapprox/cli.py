@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -218,13 +219,12 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+FAMILIES = {"sine": sine_family, "coordinate": coordinate_family}
+
+
 def _pick_family(args, problem: ProblemInstance, family: Optional[SubspaceFamily]) -> SubspaceFamily:
     if getattr(args, "family", None):
-        if args.family == "sine":
-            return sine_family(problem.ambient_dim)
-        if args.family == "coordinate":
-            return coordinate_family(problem.ambient_dim)
-        raise ValidationError(f"unknown family {args.family!r} (choose 'sine' or 'coordinate')")
+        return FAMILIES[args.family](problem.ambient_dim)
     if family is not None:
         return family
     raise ValidationError(
@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_source(p_galerkin)
     add_schedule(p_galerkin)
     add_output(p_galerkin)
-    p_galerkin.add_argument("--family", choices=("sine", "coordinate"), default=None,
+    p_galerkin.add_argument("--family", choices=tuple(FAMILIES), default=None,
                             help="family for problem-file inputs")
     p_galerkin.set_defaults(func=_cmd_galerkin)
 
@@ -361,9 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: building it costs more than a small request.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",

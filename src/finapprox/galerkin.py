@@ -17,8 +17,8 @@ from .hilbert import (
     DEFAULT_TOLERANCES,
     ProblemInstance,
     Projector,
-    Tolerances,
     ValidationError,
+    as_operator,
     orthonormal_columns,
     _readonly,
 )
@@ -41,44 +41,52 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SubspaceFamily:
-    """Nested family of subspaces given by a level generator.
+    """Nested family of subspaces: one orthonormal basis read by column prefixes.
 
-    ``generator(n)`` returns the level-n basis vectors as columns of a
-    ``(dim, k_n)`` array; level n must extend level n-1 by appending columns
-    (prefix nesting). Levels are defined for 1 <= n <= max_n; level 0 is the
-    zero subspace by convention and never consults the generator.
+    Level n, for 1 <= n <= max_n, is the span of the first ``sizes[n - 1]``
+    columns of ``basis``; level 0 is the zero subspace. The basis is trusted
+    to be orthonormal, as a :class:`Projector` basis is. Construction checks
+    its shape and finiteness and that the levels nest: ``sizes`` is a
+    nondecreasing tuple of integers from at least 1 up to the column count.
+    The basis is made read-only.
     """
 
-    generator: Callable[[int], np.ndarray]
+    basis: np.ndarray
+    sizes: tuple[int, ...]
     description: str
-    max_n: int
-    dim: int
 
-    def level(self, n: int) -> np.ndarray:
-        if not (isinstance(n, (int, np.integer)) and 1 <= n <= self.max_n):
+    def __post_init__(self) -> None:
+        basis = as_operator(self.basis, name="family basis")
+        sizes = tuple(self.sizes)
+        nested = all(isinstance(k, (int, np.integer)) for k in sizes) and all(
+            a <= b for a, b in zip(sizes, sizes[1:])
+        )
+        if not (nested and sizes and sizes[0] >= 1 and sizes[-1] == basis.shape[1]):
             raise ValidationError(
-                f"level must be an integer in [1, {self.max_n}] for this family, got {n!r}"
+                f"family level sizes must be integers rising from at least 1 to the basis's "
+                f"{basis.shape[1]} columns without falling, got {sizes!r}"
             )
-        columns = np.asarray(self.generator(n), dtype=float)
-        if columns.ndim != 2 or columns.shape[0] != self.dim:
-            raise ValidationError(
-                f"family generator returned shape {columns.shape}, expected ({self.dim}, k)"
-            )
-        if not np.all(np.isfinite(columns)):
-            raise ValidationError(f"family level {n} contains non-finite entries")
-        return columns
+        basis.setflags(write=False)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "sizes", tuple(int(k) for k in sizes))
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[0]
+
+    @property
+    def max_n(self) -> int:
+        return len(self.sizes)
 
 
 def coordinate_family(dim: int) -> SubspaceFamily:
     """Nested spans of the first n coordinate directions in R^dim."""
     if not (isinstance(dim, (int, np.integer)) and dim >= 1):
         raise ValidationError(f"dim must be a positive integer, got {dim!r}")
-    eye = np.eye(int(dim))
     return SubspaceFamily(
-        generator=lambda n: eye[:, :n],
+        basis=np.eye(int(dim)),
+        sizes=tuple(range(1, int(dim) + 1)),
         description=f"first coordinate directions of R^{int(dim)}",
-        max_n=int(dim),
-        dim=int(dim),
     )
 
 
@@ -107,10 +115,12 @@ def sample_midpoint(func: Callable[[np.ndarray], np.ndarray], grid_size: int) ->
 def sine_family(grid_size: int) -> SubspaceFamily:
     """Constant plus first n full-period sine modes on the midpoint grid.
 
-    Level n holds the samples of {1, sin(2 pi x), ..., sin(2 pi n x)} in the
+    Level n spans the samples of {1, sin(2 pi x), ..., sin(2 pi n x)} in the
     discrete inner product embedding. Levels run up to floor((M - 2) / 2),
-    which keeps every requested mode strictly below the grid's aliasing
-    limit; requesting more is rejected.
+    which keeps every mode strictly below the grid's aliasing limit. The top
+    level is sampled and orthonormalized once; a mode that the
+    orthonormalization drops is an error, because a dependent level means the
+    discretization itself is broken.
     """
     if not (isinstance(grid_size, (int, np.integer)) and grid_size >= 4):
         raise ValidationError(f"sine family needs a grid of at least 4 points, got {grid_size!r}")
@@ -118,61 +128,51 @@ def sine_family(grid_size: int) -> SubspaceFamily:
     x = midpoint_grid(m)
     scale = 1.0 / np.sqrt(float(m))
     max_n = (m - 2) // 2
-
-    def level(n: int) -> np.ndarray:
-        columns = np.empty((m, n + 1))
-        columns[:, 0] = scale
-        columns[:, 1:] = np.sin(np.outer(x, 2.0 * np.pi * np.arange(1, n + 1))) * scale
-        return columns
-
+    columns = np.empty((m, max_n + 1))
+    columns[:, 0] = scale
+    columns[:, 1:] = np.sin(np.outer(x, 2.0 * np.pi * np.arange(1, max_n + 1))) * scale
+    basis, dropped = orthonormal_columns(columns, DEFAULT_TOLERANCES.rank_tol)
+    if dropped:
+        raise ValidationError(
+            f"sine family on {m} points has linearly dependent modes (columns {dropped} dropped)"
+        )
     return SubspaceFamily(
-        generator=level,
+        basis=basis,
+        sizes=tuple(range(2, max_n + 2)),
         description=f"constant plus first sine modes on {m} midpoints of (0, 1)",
-        max_n=max_n,
-        dim=m,
     )
 
 
-def family_projector(
-    family: SubspaceFamily, n: int, tols: Tolerances = DEFAULT_TOLERANCES
-) -> Projector:
+def family_projector(family: SubspaceFamily, n: int) -> Projector:
     """Orthogonal projector onto the family's level-n subspace.
 
-    Level 0 is the zero projector. Unlike general projector construction,
-    a family level is required to be independent: any dropped column is an
-    error naming the offending level, because a dependent family level means
-    the discretization itself is broken.
+    Its basis is the first k_n columns of the family's basis, with no
+    orthonormalization; the top level is the family's own array. Level 0 is
+    the zero projector.
     """
     if not (isinstance(n, (int, np.integer)) and 0 <= n <= family.max_n):
         raise ValidationError(
             f"family level must be an integer in [0, {family.max_n}], got {n!r}"
         )
-    if n == 0:
-        return Projector(basis=_readonly(np.zeros((family.dim, 0))))
-    columns = family.level(int(n))
-    basis, dropped = orthonormal_columns(columns, tols.rank_tol)
-    if dropped:
-        raise ValidationError(
-            f"family level {n} has linearly dependent basis vectors (columns {dropped} dropped)"
-        )
-    return Projector(basis=_readonly(basis))
+    k = family.sizes[n - 1] if n else 0
+    basis = family.basis[:, :k]
+    # A proper prefix is a strided view, and BLAS matrix-vector products can
+    # round a strided operand differently from a contiguous one; the copy (k
+    # columns) keeps each level's results independent of the family's size.
+    return Projector(basis=basis if basis.flags.c_contiguous else _readonly(basis))
 
 
 def strong_convergence_probe(
     family: SubspaceFamily,
     target: Projector,
     probes: Sequence[np.ndarray],
-    tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> np.ndarray:
     """Defect table ||P_n x - P x|| for each probe x and each level n.
 
     Row n-1 holds level n, columns follow the probes. When every family level
     lies inside the target's range, each column is non-increasing, and strong
     convergence of the family to the target shows up as columns decreasing
-    toward zero.
-
-    Levels are prefix-nested, so the max-level basis is built once and level n
-    is its first k_n columns; P_n x is updated from the new columns only.
+    toward zero. P_n x is updated from each level's new columns only.
     """
     if target.dim != family.dim:
         raise ValidationError(
@@ -183,19 +183,16 @@ def strong_convergence_probe(
         if x.shape != (family.dim,):
             raise ValidationError(f"probe {i} has shape {x.shape}, expected ({family.dim},)")
     x = np.column_stack(probe_list) if probe_list else np.zeros((family.dim, 0))
-    basis = family_projector(family, family.max_n, tols=tols).basis
+    basis = family.basis
     coefficients = basis.T @ x
     targeted = target.apply(x)
     projected = np.zeros_like(x)
     table = np.empty((family.max_n, x.shape[1]))
     done = 0
-    for n in range(1, family.max_n + 1):
-        k = family.level(n).shape[1]
-        if not done <= k <= basis.shape[1]:
-            raise ValidationError(f"family level {n} is not a column prefix of level {family.max_n}")
+    for row, k in enumerate(family.sizes):
         projected += basis[:, done:k] @ coefficients[done:k]
         done = k
-        table[n - 1] = np.linalg.norm(projected - targeted, axis=0)
+        table[row] = np.linalg.norm(projected - targeted, axis=0)
     return table
 
 
@@ -245,15 +242,13 @@ def galerkin_sweep(
     problem: ProblemInstance,
     family: SubspaceFamily,
     steps: Sequence[tuple[int, float]],
-    target: Optional[Projector] = None,
-    tols: Optional[Tolerances] = None,
 ) -> GalerkinReport:
     """Run the regularized solve with the constraint replaced level by level.
 
     Each step (n, alpha) solves the problem under the level-n projector, so
     the level-n component of the equation is matched exactly at every step.
-    ``target`` defaults to the problem's own constraint when that is a
-    projector; when present, the residual is additionally measured under it.
+    When the problem's own constraint is a projector, the residual is also
+    measured under it.
 
     Only the constraint changes between levels. Each level re-poses the
     problem (:meth:`ProblemInstance.constrained`), which keeps its spectrum,
@@ -263,15 +258,11 @@ def galerkin_sweep(
         raise ValidationError(
             f"family dimension {family.dim} does not match problem dimension {problem.ambient_dim}"
         )
-    if target is None and isinstance(problem.constraint, Projector):
-        target = problem.constraint
-    step_list = [(int(n), float(alpha)) for n, alpha in steps]
-    effective_tols = tols if tols is not None else problem.tols
-
+    target = problem.constraint if isinstance(problem.constraint, Projector) else None
     records = []
-    for index, (n, alpha) in enumerate(step_list, start=1):
-        projector = family_projector(family, n, tols=effective_tols)
-        factor = factor_regularized(problem.constrained(projector))
+    for index, (n, alpha) in enumerate(steps, start=1):
+        n, alpha = int(n), float(alpha)
+        factor = factor_regularized(problem.constrained(family_projector(family, n)))
         records.append(_galerkin_record(index, n, alpha, factor.solve(alpha), target))
     return GalerkinReport(records=tuple(records), rhs_norm=float(np.linalg.norm(problem.rhs)))
 

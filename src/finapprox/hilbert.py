@@ -367,33 +367,42 @@ def gram_representable(
     if not (isinstance(control_dim, (int, np.integer)) and control_dim >= 1):
         raise ValidationError(f"control_dim must be a positive integer, got {control_dim!r}")
 
-    sym_defect = float(np.linalg.norm(g - g.T))
-    scale = max(1.0, float(np.linalg.norm(g)))
-    symmetric_part = (g + g.T) / 2.0
-    eigenvalues, eigenvectors = np.linalg.eigh(symmetric_part)
-    order = np.argsort(eigenvalues)[::-1]
-    eigenvalues = eigenvalues[order]
-    eigenvectors = eigenvectors[:, order]
-    min_eig = float(eigenvalues[-1]) if eigenvalues.size else 0.0
-    rank = _numerical_rank(eigenvalues, tols.rank_tol)
-
-    ok = (
-        sym_defect <= tols.tol_sym * scale
-        and min_eig >= -tols.tol_psd * scale
-        and rank <= control_dim
-    )
+    _part, lam, vectors, sym_defect, rank, fault = _gram_spectrum(g, tols)
+    ok = fault is None and rank <= control_dim
     factor = None
     if ok:
         factor = np.zeros((n, control_dim))
-        for k in range(rank):
-            factor[:, k] = np.sqrt(max(eigenvalues[k], 0.0)) * eigenvectors[:, k]
+        for k in range(rank):  # leading eigenpairs first; eigh's order is ascending
+            factor[:, k] = np.sqrt(max(lam[n - 1 - k], 0.0)) * vectors[:, n - 1 - k]
     return RepresentabilityReport(
         representable=ok,
         rank=rank,
         symmetry_defect=sym_defect,
-        min_eigenvalue=min_eig,
+        min_eigenvalue=float(lam[0]) if lam.size else 0.0,
         factor=_readonly(factor) if factor is not None else None,
     )
+
+
+def _gram_spectrum(g: np.ndarray, tols: Tolerances):
+    """The Gram-only rule that :func:`gram_representable` and :func:`make_problem` share.
+
+    Returns the symmetric part S = (G + G^T) / 2, ``eigh(S)`` in ascending
+    order, the symmetry defect ||G - G^T||_F, the numerical rank, and the
+    first fault found, or None: a symmetry defect or negative spectrum beyond
+    ``tol_sym`` or ``tol_psd`` times max(1, ||G||_F), or a non-finite spectrum.
+    """
+    sym_defect = float(np.linalg.norm(g - g.T))
+    scale = max(1.0, float(np.linalg.norm(g)))
+    part = (g + g.T) / 2.0
+    lam, vectors = np.linalg.eigh(part)
+    fault = None
+    if sym_defect > tols.tol_sym * scale:
+        fault = f"gram matrix symmetry defect {sym_defect:.3e} exceeds tol_sym"
+    elif not (np.all(np.isfinite(part)) and np.all(np.isfinite(lam))):
+        fault = "the gram operator overflows: its entries or spectrum are not finite"
+    elif lam.size and lam[0] < -tols.tol_psd * scale:
+        fault = f"gram matrix is not positive semidefinite (smallest eigenvalue {lam[0]:.3e})"
+    return part, lam, vectors, sym_defect, _numerical_rank(lam, tols.rank_tol), fault
 
 
 @dataclass(frozen=True)
@@ -565,6 +574,8 @@ def make_problem(
         representable = True
         representable_rank = _numerical_rank(s, tols.rank_tol)
         operator_norm = float(s[0]) if s.size else 0.0
+        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(lam))):
+            raise ValidationError("the gram operator overflows: its entries or spectrum are not finite")
     else:
         g = as_operator(gram_matrix, name="gram matrix")
         if g.shape[0] != g.shape[1]:
@@ -574,24 +585,11 @@ def make_problem(
             raise ValidationError("control_dim must be declared when no operator is given")
         if not (isinstance(control_dim, (int, np.integer)) and control_dim >= 1):
             raise ValidationError(f"control_dim must be a positive integer, got {control_dim!r}")
-        gram_scale = max(1.0, float(np.linalg.norm(g)))
-        gram_sym_defect = float(np.linalg.norm(g - g.T))
-        if gram_sym_defect > tols.tol_sym * gram_scale:
-            raise ValidationError(
-                f"gram matrix symmetry defect {gram_sym_defect:.3e} exceeds tol_sym"
-            )
-        g = (g + g.T) / 2.0
-        lam, vectors = np.linalg.eigh(g)
+        g, lam, vectors, gram_sym_defect, representable_rank, fault = _gram_spectrum(g, tols)
+        if fault:
+            raise ValidationError(fault)
         spectrum = Spectrum(vectors=vectors, gram_values=lam)
-        if lam.size and lam[0] < -tols.tol_psd * gram_scale:
-            raise ValidationError(
-                f"gram matrix is not positive semidefinite (smallest eigenvalue {lam[0]:.3e})"
-            )
-        # gram_representable's rule, read from the spectrum already at hand
-        representable_rank = _numerical_rank(lam, tols.rank_tol)
         representable = representable_rank <= control_dim
-    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(spectrum.gram_values))):
-        raise ValidationError("the gram operator overflows: its entries or spectrum are not finite")
     min_eig = float(np.min(spectrum.gram_values)) if ambient_dim else 0.0
 
     if isinstance(constraint, Projector):

@@ -205,7 +205,7 @@ def _build_function_space_galerkin(params, tols) -> Scenario:
             "(choose 'identity' or 'damping')"
         )
     family = sine_family(m)
-    target = family_projector(family, family.max_n, tols=tols)
+    target = family_projector(family, family.max_n)
     rhs = sample_midpoint(lambda x: x, m)
     problem = make_problem(operator=operator, constraint=target, rhs=rhs, tols=tols)
     return Scenario(

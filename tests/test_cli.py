@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import finapprox
+from finapprox import cli
 from finapprox.cli import main
 
 
@@ -357,6 +358,23 @@ def test_missing_source_rejected(capsys):
 def test_missing_input_file(capsys):
     code, _, err = run(capsys, "analyze", "--input", "/no/such/file.json")
     assert code == 2
+
+
+def test_main_builds_its_parser_once(capsys):
+    """Successive requests in one process share one parser and report as fresh ones do."""
+    requests = [
+        ["analyze", "--scenario", "diagonal_unsolvable"],
+        ["galerkin", "--scenario", "function_space_galerkin", "--param", "M=16", "--format", "json"],
+        ["validate", "--scenario", "rank_deficient_gamma"],
+        ["analyze", "--scenario", "diagonal_unsolvable"],
+    ]
+    fresh = []
+    for argv in requests:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    cli._parser.cache_clear()
+    assert [run(capsys, *argv) for argv in requests] == fresh
+    assert cli._parser.cache_info().misses == 1
 
 
 def test_usage_error_exits_two(capsys):

@@ -197,6 +197,6 @@ def test_galerkin_sweep_factors_once(linalg_calls):
     assert _square_calls(calls, n) == [("numpy.svd", (n, n))]
     expected = []
     for record in report.records:
-        expected += _capacitance_solves(scenario.family.level(record.n).shape[1], [record])
+        expected += _capacitance_solves(scenario.family.sizes[record.n - 1], [record])
     assert expected
     assert [c for c in calls if c[0] not in ("numpy.svd", "numpy.eigh")] == expected

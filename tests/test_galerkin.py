@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from finapprox import (
+    DEFAULT_TOLERANCES,
     ValidationError,
     coordinate_family,
     diagonal_steps,
@@ -13,10 +14,12 @@ from finapprox import (
     make_problem,
     make_projector,
     midpoint_grid,
+    orthonormal_columns,
     sample_midpoint,
     sine_family,
     strong_convergence_probe,
 )
+from finapprox import galerkin
 from finapprox.galerkin import SubspaceFamily
 
 
@@ -36,48 +39,95 @@ def test_sample_midpoint_normalization():
     assert_allclose(linear @ ones, 0.5, atol=1e-12)
 
 
+def sine_samples(m, max_n):
+    """Constant plus sine modes 1..max_n on the midpoint grid, sampled one mode at a time."""
+    x = midpoint_grid(m)
+    scale = 1.0 / np.sqrt(float(m))
+    samples = np.empty((m, max_n + 1))
+    samples[:, 0] = scale
+    for k in range(1, max_n + 1):
+        samples[:, k] = np.sin(2.0 * np.pi * k * x) * scale
+    return samples
+
+
 def test_sine_family_levels():
     family = sine_family(64)
     assert family.dim == 64
     assert family.max_n == 31
-    level3 = family.level(3)
-    assert level3.shape == (64, 4)
-    # midpoint sampling keeps distinct full-period sines discretely orthogonal
-    gram_matrix = level3.T @ level3
-    assert_allclose(gram_matrix[0, 0], 1.0, rtol=1e-13)
-    for k in range(1, 4):
-        assert_allclose(gram_matrix[k, k], 0.5, rtol=1e-12)
-    off_diagonal = gram_matrix - np.diag(np.diag(gram_matrix))
-    assert np.max(np.abs(off_diagonal)) <= 1e-12
+    assert family.sizes == tuple(range(2, 33))
+    assert family_projector(family, 3).rank == 4
+    # midpoint sampling keeps distinct full-period sines discretely orthogonal,
+    # so the basis is the samples normalized: 1 and sqrt(2) sin(2 pi k x)
+    samples = sine_samples(64, 31)
+    assert_allclose(family.basis, samples / np.linalg.norm(samples, axis=0), rtol=0, atol=1e-13)
+    assert not family.basis.flags.writeable
     with pytest.raises(ValidationError):
-        family.level(32)
-    with pytest.raises(ValidationError):
-        family.level(0)
+        family_projector(family, 32)
     with pytest.raises(ValidationError):
         sine_family(3)
     # coarsest legal grid: sampled sines stay independent only up to n = 1
     assert sine_family(4).max_n == 1
     with pytest.raises(ValidationError):
-        sine_family(4).level(2)
+        family_projector(sine_family(4), 2)
 
 
 def test_sine_family_matches_per_mode_loop():
-    """The vectorized level equals sampling one mode at a time, bit for bit."""
+    """The basis is BCGS2 of the per-mode samples, bit for bit: the top level is sampled once."""
     for m in (4, 63, 256):
         family = sine_family(m)
-        x = midpoint_grid(m)
-        scale = 1.0 / np.sqrt(float(m))
-        reference = np.empty((m, family.max_n + 1))
-        reference[:, 0] = scale
-        for k in range(1, family.max_n + 1):
-            reference[:, k] = np.sin(2.0 * np.pi * k * x) * scale
-        assert np.array_equal(family.level(family.max_n), reference)
+        expected, dropped = orthonormal_columns(sine_samples(m, family.max_n), DEFAULT_TOLERANCES.rank_tol)
+        assert dropped == []
+        assert np.array_equal(family.basis, expected)
+
+
+def test_sine_family_rejects_dropped_modes(monkeypatch):
+    """A mode the orthonormalization drops means a broken discretization, not a smaller level."""
+
+    def dropping(columns, rank_tol):
+        basis, _ = orthonormal_columns(columns, rank_tol)
+        return basis[:, :-1], [columns.shape[1] - 1]
+
+    monkeypatch.setattr(galerkin, "orthonormal_columns", dropping)
+    with pytest.raises(ValidationError, match="dependent"):
+        sine_family(16)
 
 
 def test_coordinate_family_levels():
     family = coordinate_family(5)
     assert family.max_n == 5
-    assert_allclose(family.level(2), np.eye(5)[:, :2], atol=0)
+    assert family.sizes == (1, 2, 3, 4, 5)
+    assert np.array_equal(family.basis, np.eye(5))
+    assert_allclose(family_projector(family, 2).basis, np.eye(5)[:, :2], atol=0)
+
+
+@pytest.mark.parametrize(
+    "basis, sizes",
+    [
+        pytest.param(np.eye(4), (1, 2, 5), id="exceeding"),
+        pytest.param(np.eye(4), (1, 2, 3), id="short"),
+        pytest.param(np.eye(4), (2, 4, 3), id="falling"),  # a level that loses columns is no prefix
+        pytest.param(np.eye(4), (0, 4), id="empty-first"),
+        pytest.param(np.eye(4), (), id="no-levels"),
+        pytest.param(np.eye(4), (1.5, 4), id="non-integer"),
+        pytest.param(np.ones(4), (1,), id="one-dimensional"),
+        pytest.param(np.full((4, 1), np.nan), (1,), id="non-finite"),
+    ],
+)
+def test_subspace_family_rejects_bad_shapes_and_sizes(basis, sizes):
+    with pytest.raises(ValidationError):
+        SubspaceFamily(basis=basis, sizes=sizes, description="malformed")
+
+
+def test_family_levels_share_the_top_level():
+    """The top level is the family's own array; a proper prefix is a contiguous copy of its columns."""
+    family = sine_family(64)
+    assert np.shares_memory(family_projector(family, family.max_n).basis, family.basis)
+    level = family_projector(family, 5).basis
+    assert level.flags.c_contiguous and not level.flags.writeable
+    assert not np.shares_memory(level, family.basis)
+    assert np.array_equal(level, family.basis[:, :6])
+    repeated = SubspaceFamily(basis=np.eye(3), sizes=(1, 1, 3), description="a level repeated")
+    assert family_projector(repeated, 2).rank == 1
 
 
 def test_family_projector_ranks_and_nesting():
@@ -92,17 +142,6 @@ def test_family_projector_ranks_and_nesting():
     assert_allclose(p5.matrix @ p2.matrix, p2.matrix, atol=1e-12)
     with pytest.raises(ValidationError):
         family_projector(family, family.max_n + 1)
-
-
-def test_family_projector_rejects_dependent_levels():
-    broken = SubspaceFamily(
-        generator=lambda n: np.ones((4, n + 1)),
-        description="deliberately dependent columns",
-        max_n=3,
-        dim=4,
-    )
-    with pytest.raises(ValidationError, match="dependent"):
-        family_projector(broken, 1)
 
 
 def test_strong_convergence_probe_monotone():
@@ -120,12 +159,19 @@ def test_strong_convergence_probe_monotone():
 
 
 def test_family_levels_are_basis_prefixes():
-    """Level n's basis is the first k_n columns of the max-level basis, across block edges."""
-    for family in (sine_family(256), coordinate_family(150)):
-        full = family_projector(family, family.max_n).basis
+    """Orthonormalizing level n on its own gives the first k_n columns of the family's basis.
+
+    Below one 64-column block it is the same computation, bit for bit; past a
+    block edge it can differ by rounding.
+    """
+    for family, columns in ((sine_family(256), sine_samples(256, 126)), (coordinate_family(150), np.eye(150))):
         for n in (1, 2, 62, 63, 64, 65, 100, family.max_n - 1):
-            basis = family_projector(family, n).basis
-            assert_allclose(basis, full[:, : basis.shape[1]], rtol=0, atol=1e-13)
+            k = family.sizes[n - 1]
+            basis, _ = orthonormal_columns(columns[:, :k], DEFAULT_TOLERANCES.rank_tol)
+            if k < 64:
+                assert np.array_equal(basis, family.basis[:, :k])
+            assert_allclose(basis, family.basis[:, :k], rtol=0, atol=1e-13)
+    assert np.array_equal(orthonormal_columns(np.eye(150), DEFAULT_TOLERANCES.rank_tol)[0], np.eye(150))
 
 
 def test_strong_convergence_probe_matches_per_level_reference():
@@ -142,18 +188,6 @@ def test_strong_convergence_probe_matches_per_level_reference():
             ]
         )
         assert_allclose(table, reference, rtol=0, atol=1e-12)
-
-
-def test_strong_convergence_probe_rejects_non_prefix_levels():
-    shrinking = SubspaceFamily(
-        generator=lambda n: np.eye(4)[:, : 4 - n],
-        description="levels that lose columns",
-        max_n=3,
-        dim=4,
-    )
-    target = family_projector(coordinate_family(4), 2)
-    with pytest.raises(ValidationError, match="prefix"):
-        strong_convergence_probe(shrinking, target, [np.ones(4)])
 
 
 def test_strong_convergence_probe_validates_shapes():
@@ -202,15 +236,14 @@ def test_galerkin_sweep_closed_form():
     assert_allclose(report.final_norm_residual, 0.0, atol=1e-15)
 
 
-def test_galerkin_sweep_jobs_deterministic():
+def test_galerkin_sweep_repeats_exactly():
     target = make_projector([np.eye(4)[:, j] for j in range(4)])
     problem = make_problem(operator=np.eye(4), constraint=target, rhs=np.ones(4))
     family = coordinate_family(4)
     steps = diagonal_steps(count=6, max_n=4)
-    serial = galerkin_sweep(problem, family, steps)
-    threaded = galerkin_sweep(problem, family, steps)
-    for a, b in zip(serial.records, threaded.records):
-        assert a == b
+    first = galerkin_sweep(problem, family, steps)
+    second = galerkin_sweep(problem, family, steps)
+    assert first.records == second.records
 
 
 def test_galerkin_sweep_dimension_mismatch():

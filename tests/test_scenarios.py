@@ -103,8 +103,9 @@ def test_function_space_galerkin_structure():
     assert family.dim == 32
     assert family.max_n == 15
     assert problem.ambient_dim == 32
-    # constraint is the projector onto the family's top level
+    # constraint is the projector onto the family's top level, sharing its array
     assert problem.constraint.rank == family.max_n + 1
+    assert np.shares_memory(problem.constraint.basis, family.basis)
     # rhs embeds f(x) = x, whose discrete norm approximates 1/sqrt(3)
     assert_allclose(np.linalg.norm(problem.rhs), 1.0 / np.sqrt(3.0), atol=1e-3)
 
