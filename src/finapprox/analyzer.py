@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .hilbert import ProblemInstance, Projector, ValidationError, _numerical_rank
+from .hilbert import ProblemInstance, Projector, ValidationError, _numerical_rank, as_vector
 from .resolvent import RegularizedSolution, SingularSystem, factor_regularized
 
 __all__ = [
@@ -231,7 +231,7 @@ def witness_correlation(
     """
     if schedule is None:
         schedule = AlphaSchedule()
-    v = np.asarray(witness, dtype=float)
+    v = as_vector(witness, dim=problem.ambient_dim, name="witness")
     factor = factor_regularized(problem)
     out: list[tuple[float, float]] = []
     for alpha in schedule.values():

@@ -19,6 +19,7 @@ from .hilbert import (
     Projector,
     ValidationError,
     as_operator,
+    as_vector,
     orthonormal_columns,
     _readonly,
 )
@@ -178,10 +179,7 @@ def strong_convergence_probe(
         raise ValidationError(
             f"target projector dimension {target.dim} does not match family dimension {family.dim}"
         )
-    probe_list = [np.asarray(x, dtype=float) for x in probes]
-    for i, x in enumerate(probe_list):
-        if x.shape != (family.dim,):
-            raise ValidationError(f"probe {i} has shape {x.shape}, expected ({family.dim},)")
+    probe_list = [as_vector(x, dim=family.dim, name=f"probe {i}") for i, x in enumerate(probes)]
     x = np.column_stack(probe_list) if probe_list else np.zeros((family.dim, 0))
     basis = family.basis
     coefficients = basis.T @ x
@@ -250,19 +248,23 @@ def galerkin_sweep(
     When the problem's own constraint is a projector, the residual is also
     measured under it.
 
-    Only the constraint changes between levels. Each level re-poses the
-    problem (:meth:`ProblemInstance.constrained`), which keeps its spectrum,
-    so a level costs O(n^2 k) and the Gram operator is never factored again.
+    The levels read the equation through G alone, so they are posed on the
+    problem's Gram-only view (:meth:`ProblemInstance.gram_view`): one
+    ``eigh(G)`` serves every level, the operator's SVD never runs, and no
+    control is formed. Only the constraint changes between levels; each
+    level re-poses that view (:meth:`ProblemInstance.constrained`), which
+    keeps its spectrum, so a level costs O(n^2 k).
     """
     if family.dim != problem.ambient_dim:
         raise ValidationError(
             f"family dimension {family.dim} does not match problem dimension {problem.ambient_dim}"
         )
     target = problem.constraint if isinstance(problem.constraint, Projector) else None
+    view = problem.gram_view()
     records = []
     for index, (n, alpha) in enumerate(steps, start=1):
         n, alpha = int(n), float(alpha)
-        factor = factor_regularized(problem.constrained(family_projector(family, n)))
+        factor = factor_regularized(view.constrained(family_projector(family, n)))
         records.append(_galerkin_record(index, n, alpha, factor.solve(alpha), target))
     return GalerkinReport(records=tuple(records), rhs_norm=float(np.linalg.norm(problem.rhs)))
 

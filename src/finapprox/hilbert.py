@@ -9,8 +9,8 @@ factorability diagnostics, problem spectra, and validated problem instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, field, replace
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -277,22 +277,20 @@ def make_projector(
     if dim <= 0:
         raise ValidationError(f"dim must be positive, got {dim}")
 
-    input_defect = np.inf
+    defect = np.inf
     if columns.shape[1] and columns.shape[1] <= dim:
         with np.errstate(over="ignore", invalid="ignore"):  # overflow: not orthonormal
-            input_defect = float(np.linalg.norm(columns.T @ columns - np.eye(columns.shape[1])))
-    if input_defect <= tols.tol_ortho:
+            defect = float(np.linalg.norm(columns.T @ columns - np.eye(columns.shape[1])))
+    if defect <= tols.tol_ortho:
         basis = columns
     else:
         basis, _dropped = orthonormal_columns(columns, tols.rank_tol)
+        defect = float(np.linalg.norm(basis.T @ basis - np.eye(basis.shape[1])))
     rank = basis.shape[1]
     if rank < min_rank:
         raise ValidationError(f"projector rank {rank} fell below the required minimum {min_rank}")
-
-    if rank:
-        ortho_defect = float(np.linalg.norm(basis.T @ basis - np.eye(rank)))
-        if ortho_defect > tols.tol_ortho:
-            raise ValidationError(f"orthonormalization defect {ortho_defect:.3e} exceeds tol_ortho")
+    if defect > tols.tol_ortho:
+        raise ValidationError(f"orthonormalization defect {defect:.3e} exceeds tol_ortho")
     return Projector(basis=_readonly(basis))
 
 
@@ -409,8 +407,9 @@ def _gram_spectrum(g: np.ndarray, tols: Tolerances):
 class ValidationRecord:
     """Defect norms and flags recorded while assembling a problem instance.
 
-    The Gram facts are read from the problem's :class:`Spectrum`. Given the
-    operator, ``gram_symmetry_defect`` is 0 (L L^T is exactly symmetric) and
+    ``gram_min_eigenvalue``, ``representable_rank`` and ``operator_norm`` are
+    read from the problem's :class:`Spectrum`. Given the operator,
+    ``gram_symmetry_defect`` is 0 (L L^T is exactly symmetric) and
     ``operator_norm`` is ||L||_2; it is ``None`` for Gram-only instances.
     """
 
@@ -433,8 +432,9 @@ class Spectrum:
     With the operator known it is the SVD L = U diag(singular_values) V^T in
     descending order: ``vectors`` is the square U, ``gram_values`` the squared
     singular values zero-padded to the ambient dimension, ``right`` is V^T.
-    For Gram-only input it is ``eigh(G)``, without ``singular_values`` and
-    ``right``. The arrays are made read-only.
+    For Gram-only input, and for :meth:`ProblemInstance.gram_view`, it is
+    ``eigh(G)``, without ``singular_values`` and ``right``. The arrays are
+    made read-only.
     """
 
     vectors: np.ndarray
@@ -448,6 +448,40 @@ class Spectrum:
                 a.setflags(write=False)
 
 
+def _spectral_facts(spectrum: Spectrum, rank_tol: float) -> dict:
+    """The :class:`ValidationRecord` fields read from a problem's spectrum."""
+    lam, s = spectrum.gram_values, spectrum.singular_values
+    return {
+        "gram_min_eigenvalue": float(np.min(lam)) if lam.size else 0.0,
+        "representable_rank": _numerical_rank(lam if s is None else s, rank_tol),
+        "operator_norm": None if s is None else (float(s[0]) if s.size else 0.0),
+    }
+
+
+class _Decomposition:
+    """A problem's one O(n^3) decomposition, made on first read.
+
+    Built from an operator, it runs the SVD the first time :attr:`spectrum`
+    is read; Gram-only input hands in its ``eigh(G)``. Every instance that
+    :meth:`ProblemInstance.constrained` derives holds the same object, so the
+    decomposition runs at most once per problem.
+    """
+
+    def __init__(self, operator: Optional[np.ndarray] = None, spectrum: Optional[Spectrum] = None):
+        self._operator = operator
+        self._spectrum = spectrum
+
+    @property
+    def spectrum(self) -> Spectrum:
+        if self._spectrum is None:
+            rows, cols = self._operator.shape
+            u, s, vt = np.linalg.svd(self._operator, full_matrices=rows > cols)
+            lam = np.zeros(rows)  # s^2 zero-padded to the ambient dimension
+            lam[: s.size] = s * s
+            self._spectrum = Spectrum(vectors=u, gram_values=lam, singular_values=s, right=vt)
+        return self._spectrum
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """A constrained operator equation in finite coordinates.
@@ -459,6 +493,10 @@ class ProblemInstance:
     orthonormal basis, or a raw square matrix admitted for counterexample
     studies and flagged as such in ``validation``. :meth:`project` applies
     either form to a vector without building an n x n matrix for a projector.
+
+    The problem's :class:`Spectrum` is computed on first read of
+    :attr:`spectrum` or :attr:`validation` and shared with every instance
+    :meth:`constrained` derives.
     """
 
     operator: Optional[np.ndarray]
@@ -468,8 +506,16 @@ class ProblemInstance:
     ambient_dim: int
     control_dim: int
     tols: Tolerances
-    validation: ValidationRecord
-    spectrum: Spectrum
+    _checks: Mapping[str, object] = field(repr=False)  # the record's fields not read from the spectrum
+    _decomposition: _Decomposition = field(repr=False)
+
+    @property
+    def spectrum(self) -> Spectrum:
+        return self._decomposition.spectrum
+
+    @property
+    def validation(self) -> ValidationRecord:
+        return ValidationRecord(**self._checks, **_spectral_facts(self.spectrum, self.tols.rank_tol))
 
     @property
     def constraint_matrix(self) -> np.ndarray:
@@ -480,7 +526,7 @@ class ProblemInstance:
 
     @property
     def constraint_is_projector(self) -> bool:
-        return self.validation.constraint_is_projector
+        return self._checks["constraint_is_projector"]
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Apply the constraint map to ``x``: Q (Q^T x) for a projector, P x for a raw matrix."""
@@ -498,14 +544,27 @@ class ProblemInstance:
             raise ValidationError(
                 f"replacement projector acts on dimension {projector.dim}, expected {self.ambient_dim}"
             )
-        record = replace(
-            self.validation,
-            constraint_symmetry_defect=0.0,
-            constraint_idempotency_defect=_idempotency_defect(projector.basis),
-            constraint_is_projector=True,
-            constraint_supplied_raw=False,
-        )
-        return replace(self, constraint=projector, validation=record)
+        checks = {
+            **self._checks,
+            "constraint_symmetry_defect": 0.0,
+            "constraint_idempotency_defect": _idempotency_defect(projector.basis),
+            "constraint_is_projector": True,
+            "constraint_supplied_raw": False,
+        }
+        return replace(self, constraint=projector, _checks=checks)
+
+    def gram_view(self) -> "ProblemInstance":
+        """The same equation posed on G alone, decomposed by one ``eigh(G)``.
+
+        It has no operator, and shares G and h with this instance. Solves that
+        read only G can use it instead of the operator's SVD; a Gram-only
+        instance is its own view.
+        """
+        if self.operator is None:
+            return self
+        lam, vectors = np.linalg.eigh(self.gram)
+        spectrum = Spectrum(vectors=vectors, gram_values=lam)
+        return replace(self, operator=None, _decomposition=_Decomposition(spectrum=spectrum))
 
 
 def make_problem(
@@ -525,10 +584,12 @@ def make_problem(
     that control dimension; a non-representable instance is still built, the
     flag is how downstream consumers learn that no operator exists.
 
-    One decomposition, the SVD of L or else ``eigh(G)``, is kept as the
-    instance's :class:`Spectrum`; the record's rank, norm and smallest Gram
-    eigenvalue are read from it. A Gram operator that overflows is rejected,
-    and so is a right-hand side whose norm overflows.
+    Every check runs here. The instance's :class:`Spectrum` is the SVD of L,
+    run on first use, or else ``eigh(G)``, run here for the PSD check; the
+    record's rank, norm and smallest Gram eigenvalue are read from it. A
+    Gram operator that overflows is rejected (given L, by the bound
+    lambda_max(G) <= max_i sum_j |G_ij|, which needs no decomposition), and
+    so is a right-hand side whose norm overflows.
 
     A :class:`Projector` constraint is checked from its basis alone: its
     symmetry defect is 0 by construction and its idempotency defect costs
@@ -547,20 +608,17 @@ def make_problem(
     l = as_operator(operator, name="operator") if operator is not None else None
 
     gram_factor_defect: Optional[float] = None
-    operator_norm: Optional[float] = None
     if l is not None:
         if control_dim is not None and control_dim != l.shape[1]:
             raise ValidationError(
                 f"declared control_dim {control_dim} conflicts with operator shape {l.shape}"
             )
         ambient_dim, control_dim = l.shape
-        u, s, vt = np.linalg.svd(l, full_matrices=ambient_dim > control_dim)
         l = _readonly(l)  # contiguous, so its Gram product is exactly symmetric
-        lam = np.zeros(ambient_dim)
-        with np.errstate(over="ignore"):  # an overflow is rejected below
-            lam[: s.size] = s * s
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
             g = gram(l)
-        spectrum = Spectrum(vectors=u, gram_values=lam, singular_values=s, right=vt)
+            row_sum_bound = float(np.linalg.norm(g, np.inf))
+        decomposition = _Decomposition(operator=l)
         if gram_matrix is not None:
             g_given = as_operator(gram_matrix, shape=(ambient_dim, ambient_dim), name="gram matrix")
             gram_factor_defect = float(np.linalg.norm(g - g_given))
@@ -572,9 +630,7 @@ def make_problem(
                 )
         gram_sym_defect = 0.0
         representable = True
-        representable_rank = _numerical_rank(s, tols.rank_tol)
-        operator_norm = float(s[0]) if s.size else 0.0
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(lam))):
+        if not math.isfinite(row_sum_bound):
             raise ValidationError("the gram operator overflows: its entries or spectrum are not finite")
     else:
         g = as_operator(gram_matrix, name="gram matrix")
@@ -585,12 +641,11 @@ def make_problem(
             raise ValidationError("control_dim must be declared when no operator is given")
         if not (isinstance(control_dim, (int, np.integer)) and control_dim >= 1):
             raise ValidationError(f"control_dim must be a positive integer, got {control_dim!r}")
-        g, lam, vectors, gram_sym_defect, representable_rank, fault = _gram_spectrum(g, tols)
+        g, lam, vectors, gram_sym_defect, rank, fault = _gram_spectrum(g, tols)
         if fault:
             raise ValidationError(fault)
-        spectrum = Spectrum(vectors=vectors, gram_values=lam)
-        representable = representable_rank <= control_dim
-    min_eig = float(np.min(spectrum.gram_values)) if ambient_dim else 0.0
+        decomposition = _Decomposition(spectrum=Spectrum(vectors=vectors, gram_values=lam))
+        representable = rank <= control_dim
 
     if isinstance(constraint, Projector):
         if constraint.dim != ambient_dim:
@@ -617,18 +672,15 @@ def make_problem(
             raise ValidationError("rhs is too large: its norm overflows")
     g.setflags(write=False)
 
-    record = ValidationRecord(
-        gram_symmetry_defect=gram_sym_defect,
-        gram_min_eigenvalue=min_eig,
-        gram_factor_defect=gram_factor_defect,
-        constraint_symmetry_defect=symmetry_defect,
-        constraint_idempotency_defect=idempotency_defect,
-        constraint_is_projector=constraint_is_projector,
-        constraint_supplied_raw=constraint_supplied_raw,
-        representable=representable,
-        representable_rank=representable_rank,
-        operator_norm=operator_norm,
-    )
+    checks = {
+        "gram_symmetry_defect": gram_sym_defect,
+        "gram_factor_defect": gram_factor_defect,
+        "constraint_symmetry_defect": symmetry_defect,
+        "constraint_idempotency_defect": idempotency_defect,
+        "constraint_is_projector": constraint_is_projector,
+        "constraint_supplied_raw": constraint_supplied_raw,
+        "representable": representable,
+    }
     return ProblemInstance(
         operator=l,
         gram=g,
@@ -637,6 +689,6 @@ def make_problem(
         ambient_dim=ambient_dim,
         control_dim=int(control_dim),
         tols=tols,
-        validation=record,
-        spectrum=spectrum,
+        _checks=checks,
+        _decomposition=decomposition,
     )

@@ -125,8 +125,11 @@ class RegularizedFactor:
 
     For a :class:`Projector` constraint with orthonormal basis Q of rank k,
     the eigendecomposition G = U diag(lam) U^T that the problem's
-    :class:`~finapprox.hilbert.Spectrum` holds serves the whole schedule.
-    With A = G + alpha I and B = U^T Q, the Woodbury identity gives
+    :class:`~finapprox.hilbert.Spectrum` holds serves the whole schedule:
+    the SVD of L, computed on the problem's first use, or ``eigh(G)`` for
+    Gram-only input and for the Gram-only view that Galerkin levels are
+    posed on. Either order of the eigenpairs serves. With A = G + alpha I
+    and B = U^T Q, the Woodbury identity gives
 
         T_alpha^{-1} = A^{-1} + A^{-1} Q C_alpha^{-1} Q^T A^{-1},
         C_alpha = B^T diag(lam / (alpha (lam + alpha))) B,
@@ -195,9 +198,10 @@ def factor_regularized(problem: ProblemInstance) -> RegularizedFactor:
     """Factor the regularized system of ``problem`` once for every alpha.
 
     Projector constraints get the spectral factor described in
-    :class:`RegularizedFactor`, read from the problem's spectrum: no
-    factorization of G happens here. Raw constraint matrices get a factor
-    that solves each alpha by the generic dense route.
+    :class:`RegularizedFactor`, read from the problem's spectrum. That read
+    runs the problem's one decomposition if nothing has read it before; no
+    other factorization of G happens here. Raw constraint matrices get a
+    factor that solves each alpha by the generic dense route.
     """
     if not isinstance(problem.constraint, Projector):
         return RegularizedFactor(problem=problem)

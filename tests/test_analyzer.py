@@ -173,6 +173,17 @@ def test_witness_correlation_skips_singular():
     assert values == []
 
 
+@pytest.mark.parametrize(
+    "witness, message",
+    [([np.nan, 1.0], "non-finite"), ([0.0, 1.0, 0.0], "length 3"), ([[0.0, 1.0]], "one-dimensional")],
+)
+def test_witness_correlation_validates_witness(witness, message):
+    """A witness of the wrong length or with non-finite entries is rejected, not correlated."""
+    problem = build_scenario("diagonal_unsolvable").problem
+    with pytest.raises(ValidationError, match=message):
+        witness_correlation(problem, witness)
+
+
 def test_oracle_closed_forms():
     solvable = range_oracle(build_scenario("diagonal_solvable").problem)
     assert solvable.constrained_solvable and solvable.decomposed_solvable

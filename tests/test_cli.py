@@ -11,6 +11,7 @@ import pytest
 import finapprox
 from finapprox import cli
 from finapprox.cli import main
+from helpers import record_linalg_calls
 
 
 def run(capsys, *argv):
@@ -151,9 +152,12 @@ def test_scenarios_list(capsys):
         assert name in out
 
 
-@pytest.mark.parametrize("command", ["validate", "analyze", "sweep", "oracle"])
+@pytest.mark.parametrize("command", ["validate", "analyze", "sweep", "oracle", "galerkin --family coordinate"])
 def test_overflowing_gram_product_exits_two(capsys, tmp_path, command):
-    """L L^T of a finite L can overflow; that is malformed input, not an internal error."""
+    """L L^T of a finite L can overflow; that is malformed input, not an internal error.
+
+    ``galerkin`` never decomposes L, so only the check at construction guards it.
+    """
     path = tmp_path / "overflow.json"
     path.write_text(
         json.dumps(
@@ -166,7 +170,7 @@ def test_overflowing_gram_product_exits_two(capsys, tmp_path, command):
             }
         )
     )
-    code, out, err = run(capsys, command, "--input", str(path))
+    code, out, err = run(capsys, *command.split(), "--input", str(path))
     assert code == 2
     assert out == ""
     assert "overflows" in err
@@ -282,6 +286,19 @@ def test_constraint_with_overflowing_norm_is_kept(capsys, tmp_path):
         reports.append(out)
     assert "# verdict=SINGULAR" in reports[0]
     assert reports[0] == reports[1]
+
+
+def test_export_runs_no_decomposition(capsys, tmp_path, monkeypatch):
+    """Exporting a scenario checks its problem but never decomposes it."""
+    calls = record_linalg_calls(monkeypatch)
+    path = tmp_path / "exported.json"
+    code, _, _ = run(
+        capsys, "export", "--scenario", "function_space_galerkin", "--param", "M=64",
+        "--output", str(path),
+    )
+    assert code == 0
+    assert json.loads(path.read_text())["dimH"] == 64
+    assert not [c for c in calls if c[1] == (64, 64)]
 
 
 def test_export_and_reanalyze(capsys, tmp_path):

@@ -1,9 +1,10 @@
 """The spectral factor of the regularized system.
 
 The problem's one decomposition (the SVD of L, read as the eigenpairs of
-the Gram operator) serves every alpha and every Galerkin level; these tests
-hold the factor to a dense reference solve, to the alpha-independent
-SINGULAR test, and to its factorization count.
+the Gram operator) serves every alpha, and one eigh of the Gram operator
+serves every Galerkin level; these tests hold the factor to a dense
+reference solve, to the alpha-independent SINGULAR test, and to its
+factorization count.
 """
 
 import numpy as np
@@ -184,9 +185,10 @@ def test_alpha_sweep_factors_once(linalg_calls):
 
 
 def test_galerkin_sweep_factors_once(linalg_calls):
-    """Building the problem and an 8-level Galerkin sweep take one n x n decomposition: the SVD of L.
+    """Building the problem and an 8-level Galerkin sweep take one n x n decomposition: eigh(G).
 
-    Each level adds only its k_n x k_n capacitance solves.
+    The levels read G alone, so the operator's SVD never runs. Each level
+    adds only its k_n x k_n capacitance solves.
     """
     scenario = build_scenario("function_space_galerkin", M=64, operator="damping")
     problem = scenario.problem
@@ -194,9 +196,10 @@ def test_galerkin_sweep_factors_once(linalg_calls):
     report = galerkin_sweep(problem, scenario.family, diagonal_steps(8, max_n=scenario.family.max_n))
     assert len(report.records) == 8
     calls = list(linalg_calls)
-    assert _square_calls(calls, n) == [("numpy.svd", (n, n))]
+    assert _square_calls(calls, n) == [("numpy.eigh", (n, n))]
+    assert not [c for c in calls if c[0] == "numpy.svd"]
     expected = []
     for record in report.records:
         expected += _capacitance_solves(scenario.family.sizes[record.n - 1], [record])
     assert expected
-    assert [c for c in calls if c[0] not in ("numpy.svd", "numpy.eigh")] == expected
+    assert [c for c in calls if c[0] != "numpy.eigh"] == expected

@@ -193,8 +193,12 @@ def test_strong_convergence_probe_matches_per_level_reference():
 def test_strong_convergence_probe_validates_shapes():
     family = sine_family(16)
     target = family_projector(family, 2)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="length 15"):
         strong_convergence_probe(family, target, [np.zeros(15)])
+    with pytest.raises(ValidationError, match="probe 1 contains non-finite"):
+        strong_convergence_probe(family, target, [np.zeros(16), np.full(16, np.inf)])
+    with pytest.raises(ValidationError, match="probe 0 contains non-finite"):
+        strong_convergence_probe(family, target, [np.full(16, np.nan)])
     other = family_projector(sine_family(32), 2)
     with pytest.raises(ValidationError):
         strong_convergence_probe(family, other, [np.zeros(16)])

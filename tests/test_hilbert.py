@@ -16,6 +16,7 @@ from finapprox import (
     orthonormal_columns,
     projector_defects,
 )
+from helpers import record_linalg_calls
 
 
 def random_projector(rng, dim, rank):
@@ -277,15 +278,35 @@ def test_make_problem_shapes_and_validation():
     assert record.constraint_is_projector
 
 
-def test_problem_spectrum_is_one_decomposition():
-    """The kept spectrum reproduces L and G; validation's facts are read from it."""
+def test_problem_spectrum_is_one_decomposition(monkeypatch):
+    """The kept spectrum reproduces L and G; validation's facts are read from it.
+
+    Given the operator, make_problem runs no decomposition. The first read of
+    the spectrum or of the record runs one SVD of L, and every instance that
+    ``constrained`` derives shares it.
+    """
     rng = np.random.default_rng(29)
-    for shape in ((6, 3), (3, 6), (5, 5), (7, 1)):
+    calls = record_linalg_calls(monkeypatch)
+    first_reads = (
+        lambda problem, derived: problem.spectrum,
+        lambda problem, derived: problem.validation,
+        lambda problem, derived: derived.validation,
+        lambda problem, derived: derived.spectrum,
+    )
+    for shape, first_read in zip(((6, 3), (3, 6), (5, 5), (7, 1)), first_reads):
         l = rng.standard_normal(shape)
         l[:, 0] *= 1e-3
         proj = random_projector(rng, shape[0], 1)
+        calls.clear()
         problem = make_problem(operator=l, constraint=proj, rhs=rng.standard_normal(shape[0]))
+        assert calls == []
+        derived = problem.constrained(random_projector(rng, shape[0], 1))
+        first_read(problem, derived)
+        assert calls == [("numpy.svd", shape)]
         spectrum = problem.spectrum
+        assert derived.spectrum is spectrum
+        assert derived.validation.operator_norm == problem.validation.operator_norm
+        assert calls == [("numpy.svd", shape)]
         u, s, vt = spectrum.vectors, spectrum.singular_values, spectrum.right
         assert u.shape == (shape[0], shape[0])
         assert_allclose(u.T @ u, np.eye(shape[0]), atol=1e-14)
@@ -303,6 +324,43 @@ def test_problem_spectrum_is_one_decomposition():
     assert gram_only.spectrum.singular_values is None
     assert_allclose(gram_only.spectrum.gram_values, [0.0, 1.0, 2.0], atol=1e-15)
     assert gram_only.validation.representable_rank == 2
+
+
+def test_gram_view_shares_the_equation(monkeypatch):
+    """The Gram-only view keeps G and h, drops L, and is decomposed by one eigh(G)."""
+    rng = np.random.default_rng(31)
+    l = rng.standard_normal((6, 4))
+    problem = make_problem(operator=l, constraint=random_projector(rng, 6, 2), rhs=rng.standard_normal(6))
+    calls = record_linalg_calls(monkeypatch)
+    view = problem.gram_view()
+    assert calls == [("numpy.eigh", (6, 6))]
+    assert view.operator is None
+    assert view.gram is problem.gram and view.rhs is problem.rhs
+    assert view.constraint is problem.constraint
+    spectrum = view.spectrum
+    assert spectrum.singular_values is None
+    assert_allclose((spectrum.vectors * spectrum.gram_values) @ spectrum.vectors.T, problem.gram, atol=1e-13)
+    assert calls == [("numpy.eigh", (6, 6))]
+    assert view.gram_view() is view
+
+
+def test_gram_overflow_is_rejected_before_any_decomposition(monkeypatch):
+    """A finite G whose bound max_i sum_j |G_ij| on lambda_max overflows is rejected unfactored.
+
+    Here G = c [[1, 1/2], [1/2, 1/2]] with c = 1.3e308: its entries and its
+    largest eigenvalue (about 1.31 c) are finite, but the row-sum bound 1.5 c
+    is not, so the check is stricter than a finite spectrum.
+    """
+    calls = record_linalg_calls(monkeypatch)
+    l = np.sqrt(1.3e308) * np.array([[1.0, 0.0], [0.5, 0.5]])
+    g = l @ l.T
+    assert np.all(np.isfinite(g))
+    assert np.all(np.isfinite(np.linalg.svd(l, compute_uv=False) ** 2))
+    calls.clear()
+    proj = make_projector([np.array([1.0, 0.0])])
+    with pytest.raises(ValidationError, match="overflows"):
+        make_problem(operator=l, constraint=proj, rhs=np.ones(2))
+    assert calls == []
 
 
 def test_make_problem_rejects_bad_dims():
