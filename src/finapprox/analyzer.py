@@ -296,7 +296,7 @@ def range_oracle(problem: ProblemInstance, oracle_tol: Optional[float] = None) -
     l, h = problem.operator, problem.rhs
     threshold = tol * float(np.linalg.norm(h))
     spectrum = problem.spectrum
-    floor = _noise_floor(l, problem.validation.operator_norm)
+    floor = _noise_floor(l, float(np.max(spectrum.singular_values, initial=0.0)))  # ||L||_2
     r = int(np.sum(spectrum.singular_values > floor))
     u_r = spectrum.vectors[:, :r]
     s_r = spectrum.singular_values[:r]

@@ -14,13 +14,11 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .hilbert import (
-    DEFAULT_TOLERANCES,
     ProblemInstance,
     Projector,
     ValidationError,
     as_operator,
     as_vector,
-    orthonormal_columns,
     _readonly,
 )
 from .resolvent import RegularizedSolution, SingularSystem, factor_regularized
@@ -118,25 +116,23 @@ def sine_family(grid_size: int) -> SubspaceFamily:
 
     Level n spans the samples of {1, sin(2 pi x), ..., sin(2 pi n x)} in the
     discrete inner product embedding. Levels run up to floor((M - 2) / 2),
-    which keeps every mode strictly below the grid's aliasing limit. The top
-    level is sampled and orthonormalized once; a mode that the
-    orthonormalization drops is an error, because a dependent level means the
-    discretization itself is broken.
+    which keeps every mode strictly below the grid's aliasing limit. There
+    the sampled modes are exactly orthogonal (DST-II orthogonality), each
+    with squared norm M/2 and orthogonal to the constant, so the basis is
+    written in closed form: column 0 is 1/sqrt(M) and column j is
+    sqrt(2/M) sin(pi r / M) with r = j(2m + 1) mod 2M at row m. Reducing the
+    phase exactly in integers keeps np.sin on arguments below 2 pi, where it
+    is accurate to rounding.
     """
     if not (isinstance(grid_size, (int, np.integer)) and grid_size >= 4):
         raise ValidationError(f"sine family needs a grid of at least 4 points, got {grid_size!r}")
     m = int(grid_size)
-    x = midpoint_grid(m)
-    scale = 1.0 / np.sqrt(float(m))
     max_n = (m - 2) // 2
-    columns = np.empty((m, max_n + 1))
-    columns[:, 0] = scale
-    columns[:, 1:] = np.sin(np.outer(x, 2.0 * np.pi * np.arange(1, max_n + 1))) * scale
-    basis, dropped = orthonormal_columns(columns, DEFAULT_TOLERANCES.rank_tol)
-    if dropped:
-        raise ValidationError(
-            f"sine family on {m} points has linearly dependent modes (columns {dropped} dropped)"
-        )
+    phase = np.outer(2 * np.arange(m) + 1, np.arange(max_n + 1))
+    phase %= 2 * m
+    basis = np.sin(phase * (np.pi / m))
+    basis *= np.sqrt(2.0 / m)
+    basis[:, 0] = 1.0 / np.sqrt(float(m))
     return SubspaceFamily(
         basis=basis,
         sizes=tuple(range(2, max_n + 2)),

@@ -163,56 +163,19 @@ def _idempotency_defect(basis: np.ndarray) -> float:
     return math.sqrt(max(float(np.sum(m * m.T)), 0.0))
 
 
-_CGS_BLOCK = 64
-# A projection that keeps at least this share of a column's norm leaves it
-# orthogonal to the basis to rounding ("twice is enough", Kahan-Parlett).
-_REORTH_RATIO = 1.0 / math.sqrt(2.0)
-
-
-def _cgs2_in_block(w: np.ndarray, threshold: float) -> tuple[list[int], np.ndarray]:
-    """Orthonormalize the columns of ``w`` in place by CGS2.
-
-    Each column is projected twice against the block's columns kept so far,
-    with one gemv pair per pass, and kept when its remainder exceeds
-    ``threshold``. Kept columns are packed to the front of ``w``. Returns the
-    kept indices and the norms of their remainders.
-    """
-    kept: list[int] = []
-    norms: list[float] = []
-    for j in range(w.shape[1]):
-        v = w[:, j]
-        if kept:
-            q = w[:, : len(kept)]
-            for _ in range(2):
-                v -= q @ (q.T @ v)
-        norm = float(np.linalg.norm(v))
-        if norm > threshold and norm > 0.0:
-            w[:, len(kept)] = v / norm
-            kept.append(j)
-            norms.append(norm)
-    return kept, np.array(norms)
-
-
 def orthonormal_columns(columns: np.ndarray, rank_tol: float) -> tuple[np.ndarray, list[int]]:
-    """Orthonormalize the columns of a matrix by blocked classical Gram-Schmidt
-    with reorthogonalization (BCGS2).
+    """Orthonormalize the columns of a matrix by classical Gram-Schmidt with
+    reorthogonalization (CGS2).
 
-    Columns are taken in blocks of 64. A block is projected against the basis
-    ``Q`` kept so far with one gemm pair, ``W -= Q (Q^T W)``, then
-    orthonormalized column by column by CGS2 inside the block. When a kept
-    column's remainder is below 1/sqrt(2) of its input norm, that one pass may
-    have left rounding-level components along ``Q`` that normalization
-    magnifies, so the block is projected against ``Q`` and orthonormalized
-    inside the block once more. Doing this after the in-block step keeps the
-    result orthonormal to rounding even when nearly dependent columns share a
-    block.
-
-    A column is dropped when its remainder after the first pass is at or below
-    ``rank_tol`` times the largest input column norm. Because each block only
-    sees the columns before it, the basis of a column prefix is the prefix of
-    the basis, up to rounding. One power-of-two scale first brings the largest
-    entry into [1/2, 1), so no norm overflows; being exact, it changes no basis
-    that could be computed without it.
+    Columns are taken one at a time. Each is projected twice against the
+    basis kept so far, with one gemv pair per pass; two passes leave it
+    orthogonal to the basis to rounding ("twice is enough", Kahan-Parlett).
+    A column is dropped when its remainder is at or below ``rank_tol`` times
+    the largest input column norm. Each column sees only the columns before
+    it, so the basis of a column prefix is the prefix of the basis, bit for
+    bit. One power-of-two scale first brings the largest entry into
+    [1/2, 1), so no norm overflows; being exact, it changes no basis that
+    could be computed without it.
 
     Returns the orthonormal matrix and the indices of dropped columns.
     """
@@ -221,40 +184,35 @@ def orthonormal_columns(columns: np.ndarray, rank_tol: float) -> tuple[np.ndarra
         return np.zeros((dim, 0)), []
     peak = float(np.max(np.abs(columns)))
     columns = np.ldexp(columns, -math.frexp(peak)[1])
-    input_norms = np.linalg.norm(columns, axis=0)
-    threshold = rank_tol * float(np.max(input_norms))
-    basis = np.empty((dim, count), order="F")
+    threshold = rank_tol * float(np.max(np.linalg.norm(columns, axis=0)))
+    w = np.array(columns, dtype=float, order="F")  # kept columns are packed to its front
     rank = 0
     dropped: list[int] = []
-    for start in range(0, count, _CGS_BLOCK):
-        w = np.array(columns[:, start : start + _CGS_BLOCK], dtype=float, order="F")
-        q = basis[:, :rank]
+    for j in range(count):
+        v = w[:, j]
         if rank:
-            w -= q @ (q.T @ w)
-        kept, remainders = _cgs2_in_block(w, threshold)
-        if rank and np.any(remainders < _REORTH_RATIO * input_norms[start + np.array(kept, dtype=int)]):
-            v = w[:, : len(kept)]
-            v -= q @ (q.T @ v)
-            kept = [kept[i] for i in _cgs2_in_block(v, 0.0)[0]]
-        survivors = set(kept)
-        dropped.extend(start + j for j in range(w.shape[1]) if j not in survivors)
-        basis[:, rank : rank + len(kept)] = w[:, : len(kept)]
-        rank += len(kept)
-    return np.ascontiguousarray(basis[:, :rank]), dropped
+            q = w[:, :rank]
+            for _ in range(2):
+                v -= q @ (q.T @ v)
+        norm = float(np.linalg.norm(v))
+        if norm > threshold and norm > 0.0:
+            w[:, rank] = v / norm
+            rank += 1
+        else:
+            dropped.append(j)
+    return np.ascontiguousarray(w[:, :rank]), dropped
 
 
 def make_projector(
     vectors: Sequence,
     dim: Optional[int] = None,
     tols: Tolerances = DEFAULT_TOLERANCES,
-    min_rank: int = 0,
 ) -> Projector:
     """Build the orthogonal projector onto the span of ``vectors``.
 
     Linearly dependent inputs are dropped, so the result's rank can be lower
     than the number of vectors supplied. An empty list needs an explicit
-    ``dim`` and yields the zero projector. ``min_rank`` lets callers demand a
-    minimum achieved rank and turns falling short into an error.
+    ``dim`` and yields the zero projector.
 
     Vectors that are already orthonormal within ``tol_ortho`` are kept
     verbatim, which makes the construction idempotent: feeding a projector's
@@ -286,9 +244,6 @@ def make_projector(
     else:
         basis, _dropped = orthonormal_columns(columns, tols.rank_tol)
         defect = float(np.linalg.norm(basis.T @ basis - np.eye(basis.shape[1])))
-    rank = basis.shape[1]
-    if rank < min_rank:
-        raise ValidationError(f"projector rank {rank} fell below the required minimum {min_rank}")
     if defect > tols.tol_ortho:
         raise ValidationError(f"orthonormalization defect {defect:.3e} exceeds tol_ortho")
     return Projector(basis=_readonly(basis))
@@ -304,23 +259,21 @@ class ProjectorReport:
     is_orthogonal_projector: bool
 
 
-def projector_defects(matrix, tol: Optional[float] = None, tols: Tolerances = DEFAULT_TOLERANCES) -> ProjectorReport:
+def projector_defects(matrix, tols: Tolerances = DEFAULT_TOLERANCES) -> ProjectorReport:
     """Measure idempotency and symmetry defects of a candidate projector matrix.
 
     ``is_orthogonal_projector`` holds when both defects stay within the
-    tolerance relative to ``max(1, ||P||_F)``.
+    ``tol_proj`` relative to ``max(1, ||P||_F)``.
     """
     p = as_operator(matrix, name="candidate projector")
     n, m = p.shape
     if n != m:
         raise ValidationError(f"candidate projector must be square, got shape {p.shape}")
-    if tol is None:
-        tol = tols.tol_proj
     idem = float(np.linalg.norm(p @ p - p))
     sym = float(np.linalg.norm(p - p.T))
     scale = max(1.0, float(np.linalg.norm(p)))
     rank = _numerical_rank(np.linalg.svd(p, compute_uv=False), tols.rank_tol)
-    ok = idem <= tol * scale and sym <= tol * scale
+    ok = idem <= tols.tol_proj * scale and sym <= tols.tol_proj * scale
     return ProjectorReport(idempotency_defect=idem, symmetry_defect=sym, rank=rank, is_orthogonal_projector=ok)
 
 
@@ -448,6 +401,14 @@ class Spectrum:
                 a.setflags(write=False)
 
 
+# The record's constraint fields for a Projector, whose idempotency defect is read on demand.
+_PROJECTOR_CHECKS = {
+    "constraint_symmetry_defect": 0.0,
+    "constraint_is_projector": True,
+    "constraint_supplied_raw": False,
+}
+
+
 def _spectral_facts(spectrum: Spectrum, rank_tol: float) -> dict:
     """The :class:`ValidationRecord` fields read from a problem's spectrum."""
     lam, s = spectrum.gram_values, spectrum.singular_values
@@ -506,7 +467,7 @@ class ProblemInstance:
     ambient_dim: int
     control_dim: int
     tols: Tolerances
-    _checks: Mapping[str, object] = field(repr=False)  # the record's fields not read from the spectrum
+    _checks: Mapping[str, object] = field(repr=False)  # the record's fields not read on demand
     _decomposition: _Decomposition = field(repr=False)
 
     @property
@@ -515,7 +476,12 @@ class ProblemInstance:
 
     @property
     def validation(self) -> ValidationRecord:
-        return ValidationRecord(**self._checks, **_spectral_facts(self.spectrum, self.tols.rank_tol))
+        """The construction checks plus the facts read on demand: the spectral
+        ones and, for a projector constraint, its O(n k^2) idempotency defect."""
+        checks = dict(self._checks)
+        if isinstance(self.constraint, Projector):
+            checks["constraint_idempotency_defect"] = _idempotency_defect(self.constraint.basis)
+        return ValidationRecord(**checks, **_spectral_facts(self.spectrum, self.tols.rank_tol))
 
     @property
     def constraint_matrix(self) -> np.ndarray:
@@ -544,14 +510,7 @@ class ProblemInstance:
             raise ValidationError(
                 f"replacement projector acts on dimension {projector.dim}, expected {self.ambient_dim}"
             )
-        checks = {
-            **self._checks,
-            "constraint_symmetry_defect": 0.0,
-            "constraint_idempotency_defect": _idempotency_defect(projector.basis),
-            "constraint_is_projector": True,
-            "constraint_supplied_raw": False,
-        }
-        return replace(self, constraint=projector, _checks=checks)
+        return replace(self, constraint=projector, _checks={**self._checks, **_PROJECTOR_CHECKS})
 
     def gram_view(self) -> "ProblemInstance":
         """The same equation posed on G alone, decomposed by one ``eigh(G)``.
@@ -591,10 +550,11 @@ def make_problem(
     lambda_max(G) <= max_i sum_j |G_ij|, which needs no decomposition), and
     so is a right-hand side whose norm overflows.
 
-    A :class:`Projector` constraint is checked from its basis alone: its
-    symmetry defect is 0 by construction and its idempotency defect costs
-    O(n k^2). A raw (non-:class:`Projector`) constraint matrix is admitted
-    but flagged: ``validation.constraint_supplied_raw`` is set, and
+    A :class:`Projector` constraint is recorded from its basis alone: its
+    symmetry defect is 0 by construction, and its idempotency defect is
+    computed, in O(n k^2), when ``validation`` is read. A raw
+    (non-:class:`Projector`) constraint matrix is admitted but flagged:
+    ``validation.constraint_supplied_raw`` is set, and
     ``validation.constraint_is_projector`` records whether it happens to pass
     the projector checks (:func:`projector_defects`) anyway.
     """
@@ -653,18 +613,17 @@ def make_problem(
                 f"constraint projector acts on dimension {constraint.dim}, expected {ambient_dim}"
             )
         p = constraint
-        symmetry_defect = 0.0
-        idempotency_defect = _idempotency_defect(constraint.basis)
-        constraint_is_projector = True
-        constraint_supplied_raw = False
+        constraint_checks = _PROJECTOR_CHECKS
     else:
         raw = as_operator(constraint, shape=(ambient_dim, ambient_dim), name="constraint matrix")
         p = _readonly(raw)
         c_report = projector_defects(raw, tols=tols)
-        symmetry_defect = c_report.symmetry_defect
-        idempotency_defect = c_report.idempotency_defect
-        constraint_is_projector = c_report.is_orthogonal_projector
-        constraint_supplied_raw = True
+        constraint_checks = {
+            "constraint_symmetry_defect": c_report.symmetry_defect,
+            "constraint_idempotency_defect": c_report.idempotency_defect,
+            "constraint_is_projector": c_report.is_orthogonal_projector,
+            "constraint_supplied_raw": True,
+        }
 
     h = as_vector(rhs, dim=ambient_dim, name="rhs")
     with np.errstate(over="ignore"):  # every threshold scales with ||h||
@@ -675,10 +634,7 @@ def make_problem(
     checks = {
         "gram_symmetry_defect": gram_sym_defect,
         "gram_factor_defect": gram_factor_defect,
-        "constraint_symmetry_defect": symmetry_defect,
-        "constraint_idempotency_defect": idempotency_defect,
-        "constraint_is_projector": constraint_is_projector,
-        "constraint_supplied_raw": constraint_supplied_raw,
+        **constraint_checks,
         "representable": representable,
     }
     return ProblemInstance(

@@ -229,11 +229,14 @@ def factor_regularized(problem: ProblemInstance) -> RegularizedFactor:
 
 
 def _kernel_vector(null_basis: np.ndarray, fallback: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The normalized kernel component of ``h`` when it has one, else ``fallback``."""
+    """The normalized kernel component of ``h`` when it has one, else ``fallback``.
+
+    The component counts when it exceeds 1e-12 of ||h||, so scaling ``h``
+    does not change the answer.
+    """
     kernel_component = null_basis @ (null_basis.T @ h)
     component_norm = float(np.linalg.norm(kernel_component))
-    h_scale = max(float(np.linalg.norm(h)), 1.0)
-    if component_norm > 1e-12 * h_scale:
+    if component_norm > 1e-12 * float(np.linalg.norm(h)):
         return kernel_component / component_norm
     return fallback
 

@@ -335,6 +335,7 @@ def test_projector_reports_build_no_dense_projector(capsys, monkeypatch):
         raise AssertionError("dense projector form requested")
 
     monkeypatch.setattr(hilbert, "projector_defects", refuse)
+    monkeypatch.setattr(hilbert, "orthonormal_columns", refuse)
     monkeypatch.setattr(hilbert.Projector, "matrix", property(refuse))
     for command in ("analyze", "sweep", "oracle", "galerkin", "validate"):
         code, out, err = run(

@@ -19,7 +19,6 @@ from finapprox import (
     sine_family,
     strong_convergence_probe,
 )
-from finapprox import galerkin
 from finapprox.galerkin import SubspaceFamily
 
 
@@ -72,24 +71,11 @@ def test_sine_family_levels():
 
 
 def test_sine_family_matches_per_mode_loop():
-    """The basis is BCGS2 of the per-mode samples, bit for bit: the top level is sampled once."""
-    for m in (4, 63, 256):
+    """The closed-form basis is the per-mode samples, each normalized, to rounding."""
+    for m in (4, 5, 63, 1024, 2048):
         family = sine_family(m)
-        expected, dropped = orthonormal_columns(sine_samples(m, family.max_n), DEFAULT_TOLERANCES.rank_tol)
-        assert dropped == []
-        assert np.array_equal(family.basis, expected)
-
-
-def test_sine_family_rejects_dropped_modes(monkeypatch):
-    """A mode the orthonormalization drops means a broken discretization, not a smaller level."""
-
-    def dropping(columns, rank_tol):
-        basis, _ = orthonormal_columns(columns, rank_tol)
-        return basis[:, :-1], [columns.shape[1] - 1]
-
-    monkeypatch.setattr(galerkin, "orthonormal_columns", dropping)
-    with pytest.raises(ValidationError, match="dependent"):
-        sine_family(16)
+        samples = sine_samples(m, family.max_n)
+        assert_allclose(family.basis, samples / np.linalg.norm(samples, axis=0), rtol=0, atol=1e-13)
 
 
 def test_coordinate_family_levels():
@@ -159,18 +145,19 @@ def test_strong_convergence_probe_monotone():
 
 
 def test_family_levels_are_basis_prefixes():
-    """Orthonormalizing level n on its own gives the first k_n columns of the family's basis.
+    """Orthonormalizing a column prefix gives the prefix of the full basis, bit for bit.
 
-    Below one 64-column block it is the same computation, bit for bit; past a
-    block edge it can differ by rounding.
+    Each column sees only the columns before it, so this holds at any width;
+    the sine family's closed form is that basis to rounding.
     """
-    for family, columns in ((sine_family(256), sine_samples(256, 126)), (coordinate_family(150), np.eye(150))):
-        for n in (1, 2, 62, 63, 64, 65, 100, family.max_n - 1):
-            k = family.sizes[n - 1]
-            basis, _ = orthonormal_columns(columns[:, :k], DEFAULT_TOLERANCES.rank_tol)
-            if k < 64:
-                assert np.array_equal(basis, family.basis[:, :k])
-            assert_allclose(basis, family.basis[:, :k], rtol=0, atol=1e-13)
+    family = sine_family(256)
+    samples = sine_samples(256, family.max_n)
+    full, dropped = orthonormal_columns(samples, DEFAULT_TOLERANCES.rank_tol)
+    assert dropped == []
+    assert_allclose(full, family.basis, rtol=0, atol=1e-13)
+    for k in (1, 2, 63, 64, 65, 100):
+        basis, _ = orthonormal_columns(samples[:, :k], DEFAULT_TOLERANCES.rank_tol)
+        assert np.array_equal(basis, full[:, :k])
     assert np.array_equal(orthonormal_columns(np.eye(150), DEFAULT_TOLERANCES.rank_tol)[0], np.eye(150))
 
 

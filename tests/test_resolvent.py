@@ -195,6 +195,24 @@ def test_singular_kernel_without_rhs_component():
     assert abs(sol.smallest_eigenvalue) <= 1e-14
 
 
+def test_singular_kernel_vector_is_scale_invariant():
+    """Scaling the rhs leaves the reported kernel vector unchanged, down to tiny scales.
+
+    truncated_shift's kernel is span{e2..eN}, so the kernel component of
+    h = c (e2 + 0.3 e3) is h itself whatever c is.
+    """
+    base = build_scenario("truncated_shift", N=6).problem
+    direction = np.zeros(6)
+    direction[1], direction[2] = 1.0, 0.3
+    expected = direction / np.linalg.norm(direction)
+    assert_allclose(expected[1:3], [0.958, 0.287], atol=5e-4)
+    for c in (1.0, 1e-6, 1e-13):
+        problem = make_problem(operator=base.operator, constraint=base.constraint, rhs=c * direction)
+        sol = solve_regularized(0.5, problem)
+        assert isinstance(sol, SingularSystem)
+        assert_allclose(sol.kernel_vector, expected, rtol=0, atol=1e-12)
+
+
 def test_costate_refinement_tightens_solve():
     """The solve residual stays near rounding even at the smallest alpha."""
     rng = np.random.default_rng(20260405)
