@@ -19,7 +19,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .hilbert import ProblemInstance, Projector, ValidationError, _numerical_rank, as_vector
-from .resolvent import RegularizedSolution, SingularSystem, factor_regularized
+from .resolvent import RegularizedSolution, SingularSystem, _check_alpha, factor_regularized
 
 __all__ = [
     "AlphaSchedule",
@@ -92,12 +92,6 @@ class SweepReport:
 
     def nonsingular_records(self) -> tuple[SweepRecord, ...]:
         return tuple(r for r in self.records if not r.singular)
-
-    @property
-    def final_indicator(self) -> Optional[np.ndarray]:
-        """Indicator vector at the smallest nonsingular alpha, if any."""
-        nonsingular = self.nonsingular_records()
-        return nonsingular[-1].indicator if nonsingular else None
 
 
 def _record(solution: Union[RegularizedSolution, SingularSystem]) -> SweepRecord:
@@ -368,8 +362,7 @@ def factor_invertibility(alpha: float, problem: ProblemInstance) -> Invertibilit
     alpha I + G is always invertible for alpha > 0, so invertibility of the
     factor certifies invertibility of the whole regularized system.
     """
-    if not (np.isfinite(alpha) and alpha > 0):
-        raise ValidationError(f"alpha must be positive and finite, got {alpha!r}")
+    _check_alpha(alpha)
     n = problem.ambient_dim
     shifted = alpha * np.eye(n) + problem.gram
     applied = np.linalg.solve(shifted, problem.constraint_matrix)

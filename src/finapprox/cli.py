@@ -276,11 +276,10 @@ def _cmd_scenarios_list(args) -> int:
 def _cmd_export(args) -> int:
     if not args.scenario:
         raise ValidationError("export needs --scenario NAME")
-    params = dict(_parse_param(p) for p in (args.param or []))
-    scenario = build_scenario(args.scenario, **params)
+    problem, _family, _source = _load(args)
     if args.output in (None, "-"):
         raise ValidationError("export needs --output PATH for the problem file")
-    save_problem(scenario.problem, args.output)
+    save_problem(problem, args.output)
     log.info("wrote %s", args.output)
     return EXIT_OK
 

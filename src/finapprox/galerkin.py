@@ -13,6 +13,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from .analyzer import AlphaSchedule
 from .hilbert import (
     ProblemInstance,
     Projector,
@@ -197,12 +198,7 @@ def diagonal_steps(
     ratio: float = 0.1,
 ) -> list[tuple[int, float]]:
     """Default diagonal schedule: step k pairs level min(k, max_n) with alpha0 * ratio**k."""
-    if not (isinstance(count, (int, np.integer)) and count >= 1):
-        raise ValidationError(f"count must be a positive integer, got {count!r}")
-    if not (np.isfinite(alpha0) and alpha0 > 0):
-        raise ValidationError(f"alpha0 must be positive, got {alpha0!r}")
-    if not (np.isfinite(ratio) and 0 < ratio < 1):
-        raise ValidationError(f"ratio must lie strictly between 0 and 1, got {ratio!r}")
+    AlphaSchedule(alpha0=alpha0, ratio=ratio, count=count)  # validates the three arguments
     steps = []
     for k in range(1, int(count) + 1):
         n = k if max_n is None else min(k, int(max_n))

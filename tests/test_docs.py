@@ -1,4 +1,5 @@
-"""The README's Python examples run, and the benchmark's tracer finds every name it wraps."""
+"""The README's Python examples run, its scenario table matches the catalog, and the
+benchmark's tracer finds every name it wraps."""
 
 import importlib
 import importlib.util
@@ -7,8 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from finapprox import EXPECTED_VERDICTS, scenario_names
+
 ROOT = Path(__file__).resolve().parents[1]
-README_BLOCKS = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.DOTALL)
+README = (ROOT / "README.md").read_text()
+README_BLOCKS = re.findall(r"```python\n(.*?)```", README, re.DOTALL)
 
 
 def test_readme_has_python_examples():
@@ -23,6 +27,16 @@ def test_readme_python_block_runs(index):
         # diagonal_unsolvable reaches the witness line
         assert namespace["decision"].verdict.value == "NOT_SOLVABLE"
         assert "v" in namespace
+
+
+def test_readme_scenario_table_matches_catalog():
+    """Each row of "Bundled scenarios" states the catalog's expected verdict, and
+    every catalog scenario has a row."""
+    section = README.split("## Bundled scenarios", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)`[^|]*\| (\w+) \|", section, re.MULTILINE)
+    assert rows
+    assert {name: verdict for name, verdict in rows} == EXPECTED_VERDICTS
+    assert sorted(name for name, _ in rows) == list(scenario_names())
 
 
 def test_tracer_layers_resolve():

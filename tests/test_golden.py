@@ -1,4 +1,5 @@
-"""Golden reports: every CLI report of the small bundled scenarios, byte for byte.
+"""Golden reports: every CLI report of the small bundled scenarios, and the
+scenario catalog, byte for byte.
 
 Each case runs one command on one scenario and compares stdout with
 ``tests/golden/<scenario>.<command>.<format>``; ``tests/golden/exit_codes.json``
@@ -38,6 +39,7 @@ def _cases() -> list[tuple[str, list[str]]]:
         cases.append(
             (f"{scenario}.validate.json", ["validate", "--scenario", scenario, "--format", "json"])
         )
+    cases.append(("scenarios-list.txt", ["scenarios-list"]))
     return cases
 
 

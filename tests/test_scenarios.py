@@ -66,6 +66,22 @@ def test_unknown_parameter_rejected():
         build_scenario("function_space_galerkin", operator="unknown")
 
 
+@pytest.mark.parametrize(
+    "name,accepted",
+    [
+        ("truncated_shift", "['N']"),
+        ("function_space_galerkin", "['M', 'operator']"),
+        ("diagonal_solvable", "none"),
+    ],
+)
+def test_unknown_parameter_names_unknown_and_accepted_keys(name, accepted):
+    with pytest.raises(ValidationError) as excinfo:
+        build_scenario(name, m=8)
+    message = str(excinfo.value)
+    assert "unknown parameters ['m']" in message
+    assert message.endswith(f"accepts {accepted}")
+
+
 def test_truncated_shift_structure():
     scenario = build_scenario("truncated_shift", N=8)
     problem = scenario.problem
