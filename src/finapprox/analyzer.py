@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .hilbert import ProblemInstance, Projector, ValidationError, _numerical_rank, as_vector
+from .hilbert import ProblemInstance, Projector, ValidationError, _int_at_least, _numerical_rank, as_vector
 from .resolvent import RegularizedSolution, SingularSystem, _check_alpha, factor_regularized
 
 __all__ = [
@@ -51,7 +51,7 @@ class AlphaSchedule:
             raise ValidationError(f"alpha0 must be positive, got {self.alpha0!r}")
         if not (np.isfinite(self.ratio) and 0 < self.ratio < 1):
             raise ValidationError(f"ratio must lie strictly between 0 and 1, got {self.ratio!r}")
-        if not (isinstance(self.count, (int, np.integer)) and self.count >= 1):
+        if not _int_at_least(self.count, 1):
             raise ValidationError(f"count must be a positive integer, got {self.count!r}")
 
     def values(self) -> list[float]:

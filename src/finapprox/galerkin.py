@@ -18,9 +18,10 @@ from .hilbert import (
     ProblemInstance,
     Projector,
     ValidationError,
+    _int_at_least,
+    _readonly,
     as_operator,
     as_vector,
-    _readonly,
 )
 from .resolvent import RegularizedSolution, SingularSystem, factor_regularized
 
@@ -58,10 +59,8 @@ class SubspaceFamily:
     def __post_init__(self) -> None:
         basis = as_operator(self.basis, name="family basis")
         sizes = tuple(self.sizes)
-        nested = all(isinstance(k, (int, np.integer)) for k in sizes) and all(
-            a <= b for a, b in zip(sizes, sizes[1:])
-        )
-        if not (nested and sizes and sizes[0] >= 1 and sizes[-1] == basis.shape[1]):
+        nested = all(_int_at_least(k, 1) for k in sizes) and all(a <= b for a, b in zip(sizes, sizes[1:]))
+        if not (nested and sizes and sizes[-1] == basis.shape[1]):
             raise ValidationError(
                 f"family level sizes must be integers rising from at least 1 to the basis's "
                 f"{basis.shape[1]} columns without falling, got {sizes!r}"
@@ -81,7 +80,7 @@ class SubspaceFamily:
 
 def coordinate_family(dim: int) -> SubspaceFamily:
     """Nested spans of the first n coordinate directions in R^dim."""
-    if not (isinstance(dim, (int, np.integer)) and dim >= 1):
+    if not _int_at_least(dim, 1):
         raise ValidationError(f"dim must be a positive integer, got {dim!r}")
     return SubspaceFamily(
         basis=np.eye(int(dim)),
@@ -92,7 +91,7 @@ def coordinate_family(dim: int) -> SubspaceFamily:
 
 def midpoint_grid(grid_size: int) -> np.ndarray:
     """Midpoints (j + 1/2) / M of a uniform partition of (0, 1)."""
-    if not (isinstance(grid_size, (int, np.integer)) and grid_size >= 1):
+    if not _int_at_least(grid_size, 1):
         raise ValidationError(f"grid_size must be a positive integer, got {grid_size!r}")
     m = int(grid_size)
     return (np.arange(m) + 0.5) / m
@@ -125,7 +124,7 @@ def sine_family(grid_size: int) -> SubspaceFamily:
     phase exactly in integers keeps np.sin on arguments below 2 pi, where it
     is accurate to rounding.
     """
-    if not (isinstance(grid_size, (int, np.integer)) and grid_size >= 4):
+    if not _int_at_least(grid_size, 4):
         raise ValidationError(f"sine family needs a grid of at least 4 points, got {grid_size!r}")
     m = int(grid_size)
     max_n = (m - 2) // 2
@@ -148,7 +147,7 @@ def family_projector(family: SubspaceFamily, n: int) -> Projector:
     orthonormalization; the top level is the family's own array. Level 0 is
     the zero projector.
     """
-    if not (isinstance(n, (int, np.integer)) and 0 <= n <= family.max_n):
+    if not (_int_at_least(n, 0) and n <= family.max_n):
         raise ValidationError(
             f"family level must be an integer in [0, {family.max_n}], got {n!r}"
         )

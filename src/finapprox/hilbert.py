@@ -24,8 +24,6 @@ __all__ = [
     "ValidationRecord",
     "Spectrum",
     "ProblemInstance",
-    "as_vector",
-    "as_operator",
     "orthonormal_columns",
     "make_projector",
     "projector_defects",
@@ -92,13 +90,31 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _int_at_least(value, low: int) -> bool:
+    """The one integer-parameter rule: an int or numpy integer, not a bool, at least ``low``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low
+
+
+def _as_array(x, ndim: int, name: str) -> np.ndarray:
+    """The one numeric-input check: a finite float array of ``ndim`` (1 or 2) dimensions.
+
+    A value numpy cannot convert to floats raises :class:`ValidationError`,
+    as every other failure here does.
+    """
+    try:
+        a = np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name} is not numeric: {exc}") from exc
+    if a.ndim != ndim:
+        raise ValidationError(f"{name} must be {('one', 'two')[ndim - 1]}-dimensional, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValidationError(f"{name} contains non-finite entries")
+    return a
+
+
 def as_vector(x, dim: Optional[int] = None, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D float array, optionally checking its length."""
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
-        raise ValidationError(f"{name} must be one-dimensional, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValidationError(f"{name} contains non-finite entries")
+    v = _as_array(x, 1, name)
     if dim is not None and v.shape[0] != dim:
         raise ValidationError(f"{name} has length {v.shape[0]}, expected {dim}")
     return v
@@ -106,11 +122,7 @@ def as_vector(x, dim: Optional[int] = None, name: str = "vector") -> np.ndarray:
 
 def as_operator(a, shape: Optional[tuple] = None, name: str = "operator") -> np.ndarray:
     """Coerce to a finite 2-D float array, optionally checking its shape."""
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2:
-        raise ValidationError(f"{name} must be two-dimensional, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValidationError(f"{name} contains non-finite entries")
+    m = _as_array(a, 2, name)
     if shape is not None and m.shape != shape:
         raise ValidationError(f"{name} has shape {m.shape}, expected {shape}")
     return m
@@ -312,19 +324,13 @@ def gram_representable(
     ``control_dim`` columns.
     """
     g = as_operator(gram_matrix, name="gram matrix")
-    n, m = g.shape
-    if n != m:
-        raise ValidationError(f"gram matrix must be square, got shape {g.shape}")
-    if not (isinstance(control_dim, (int, np.integer)) and control_dim >= 1):
-        raise ValidationError(f"control_dim must be a positive integer, got {control_dim!r}")
-
-    _part, lam, vectors, sym_defect, rank, fault = _gram_spectrum(g, tols)
+    _part, lam, vectors, sym_defect, rank, fault = _gram_spectrum(g, control_dim, tols)
     ok = fault is None and rank <= control_dim
     factor = None
     if ok:
-        factor = np.zeros((n, control_dim))
+        factor = np.zeros((g.shape[0], control_dim))
         for k in range(rank):  # leading eigenpairs first; eigh's order is ascending
-            factor[:, k] = np.sqrt(max(lam[n - 1 - k], 0.0)) * vectors[:, n - 1 - k]
+            factor[:, k] = np.sqrt(max(lam[-1 - k], 0.0)) * vectors[:, -1 - k]
     return RepresentabilityReport(
         representable=ok,
         rank=rank,
@@ -334,14 +340,20 @@ def gram_representable(
     )
 
 
-def _gram_spectrum(g: np.ndarray, tols: Tolerances):
+def _gram_spectrum(g: np.ndarray, control_dim, tols: Tolerances):
     """The Gram-only rule that :func:`gram_representable` and :func:`make_problem` share.
 
-    Returns the symmetric part S = (G + G^T) / 2, ``eigh(S)`` in ascending
-    order, the symmetry defect ||G - G^T||_F, the numerical rank, and the
-    first fault found, or None: a symmetry defect or negative spectrum beyond
-    ``tol_sym`` or ``tol_psd`` times max(1, ||G||_F), or a non-finite spectrum.
+    Raises :class:`ValidationError` unless G is square and ``control_dim`` is
+    a positive integer. Returns the symmetric part S = (G + G^T) / 2,
+    ``eigh(S)`` in ascending order, the symmetry defect ||G - G^T||_F, the
+    numerical rank, and the first fault found, or None: a symmetry defect or
+    negative spectrum beyond ``tol_sym`` or ``tol_psd`` times max(1, ||G||_F),
+    or a non-finite spectrum.
     """
+    if g.shape[0] != g.shape[1]:
+        raise ValidationError(f"gram matrix must be square, got shape {g.shape}")
+    if not _int_at_least(control_dim, 1):
+        raise ValidationError(f"control_dim must be a positive integer, got {control_dim!r}")
     sym_defect = float(np.linalg.norm(g - g.T))
     scale = max(1.0, float(np.linalg.norm(g)))
     part = (g + g.T) / 2.0
@@ -593,15 +605,11 @@ def make_problem(
         if not math.isfinite(row_sum_bound):
             raise ValidationError("the gram operator overflows: its entries or spectrum are not finite")
     else:
-        g = as_operator(gram_matrix, name="gram matrix")
-        if g.shape[0] != g.shape[1]:
-            raise ValidationError(f"gram matrix must be square, got shape {g.shape}")
-        ambient_dim = g.shape[0]
         if control_dim is None:
             raise ValidationError("control_dim must be declared when no operator is given")
-        if not (isinstance(control_dim, (int, np.integer)) and control_dim >= 1):
-            raise ValidationError(f"control_dim must be a positive integer, got {control_dim!r}")
-        g, lam, vectors, gram_sym_defect, rank, fault = _gram_spectrum(g, tols)
+        g = as_operator(gram_matrix, name="gram matrix")
+        g, lam, vectors, gram_sym_defect, rank, fault = _gram_spectrum(g, control_dim, tols)
+        ambient_dim = g.shape[0]
         if fault:
             raise ValidationError(fault)
         decomposition = _Decomposition(spectrum=Spectrum(vectors=vectors, gram_values=lam))

@@ -31,6 +31,9 @@ from .hilbert import (
     Projector,
     Tolerances,
     ValidationError,
+    _int_at_least,
+    as_operator,
+    as_vector,
     make_problem,
     make_projector,
 )
@@ -55,21 +58,9 @@ def _require(mapping: dict, key: str):
 
 
 def _positive_int(value, field: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+    if not _int_at_least(value, 1):
         raise ProblemFileError(f"field {field!r} must be a positive integer, got {value!r}")
     return value
-
-
-def _matrix(value, shape: tuple, field: str) -> np.ndarray:
-    try:
-        m = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ProblemFileError(f"field {field!r} is not a numeric matrix: {exc}") from exc
-    if m.shape != shape:
-        raise ProblemFileError(f"field {field!r} has shape {m.shape}, expected {shape}")
-    if not np.all(np.isfinite(m)):
-        raise ProblemFileError(f"field {field!r} contains non-finite entries")
-    return m
 
 
 def problem_from_dict(data: dict, tols: Optional[Tolerances] = None) -> ProblemInstance:
@@ -98,48 +89,34 @@ def problem_from_dict(data: dict, tols: Optional[Tolerances] = None) -> ProblemI
         except (TypeError, ValueError, OverflowError) as exc:
             raise ProblemFileError(f"field 'tolerances' is invalid: {exc}") from exc
 
-    operator = _matrix(data["L"], (dim_h, dim_u), "L") if "L" in data else None
-    gram_matrix = _matrix(data["Gamma"], (dim_h, dim_h), "Gamma") if "Gamma" in data else None
-    if operator is None and gram_matrix is None:
-        raise ProblemFileError("problem file needs at least one of 'L' and 'Gamma'")
+    try:  # the numeric fields get the library's own checks, named by field
+        operator = as_operator(data["L"], (dim_h, dim_u), "field 'L'") if "L" in data else None
+        gram_matrix = as_operator(data["Gamma"], (dim_h, dim_h), "field 'Gamma'") if "Gamma" in data else None
+        if operator is None and gram_matrix is None:
+            raise ProblemFileError("problem file needs at least one of 'L' and 'Gamma'")
 
-    constraint_obj = _require(data, "constraint")
-    if not isinstance(constraint_obj, dict) or "type" not in constraint_obj or "data" not in constraint_obj:
-        raise ProblemFileError("field 'constraint' must be an object with 'type' and 'data'")
-    ctype = constraint_obj["type"]
-    cdata = constraint_obj["data"]
-    if ctype == "projector_basis":
-        try:
-            vectors = [np.asarray(v, dtype=float) for v in cdata]
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ProblemFileError(f"field 'constraint.data' is not a list of vectors: {exc}") from exc
-        for i, v in enumerate(vectors):
-            if v.shape != (dim_h,):
-                raise ProblemFileError(
-                    f"constraint basis vector {i} has shape {v.shape}, expected ({dim_h},)"
-                )
-            if not np.all(np.isfinite(v)):
-                raise ProblemFileError(f"constraint basis vector {i} contains non-finite entries")
-        try:
-            constraint: Union[Projector, np.ndarray] = make_projector(vectors, dim=dim_h, tols=tols)
-        except ValidationError as exc:
-            raise ProblemFileError(f"field 'constraint' is invalid: {exc}") from exc
-    elif ctype == "raw":
-        constraint = _matrix(cdata, (dim_h, dim_h), "constraint.data")
-    else:
-        raise ProblemFileError(
-            f"field 'constraint.type' must be 'projector_basis' or 'raw', got {ctype!r}"
-        )
+        constraint_obj = _require(data, "constraint")
+        if not isinstance(constraint_obj, dict) or "type" not in constraint_obj or "data" not in constraint_obj:
+            raise ProblemFileError("field 'constraint' must be an object with 'type' and 'data'")
+        ctype = constraint_obj["type"]
+        cdata = constraint_obj["data"]
+        if ctype == "projector_basis":
+            if not isinstance(cdata, list):
+                raise ProblemFileError("field 'constraint.data' must be a list of vectors")
+            try:
+                constraint: Union[Projector, np.ndarray] = make_projector(cdata, dim=dim_h, tols=tols)
+            except ValidationError as exc:
+                raise ProblemFileError(f"field 'constraint.data' is invalid: {exc}") from exc
+        elif ctype == "raw":
+            constraint = as_operator(cdata, (dim_h, dim_h), "field 'constraint.data'")
+        else:
+            raise ProblemFileError(
+                f"field 'constraint.type' must be 'projector_basis' or 'raw', got {ctype!r}"
+            )
 
-    h_value = _require(data, "h")
-    try:
-        rhs = np.asarray(h_value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ProblemFileError(f"field 'h' is not a numeric vector: {exc}") from exc
-    if rhs.shape != (dim_h,):
-        raise ProblemFileError(f"field 'h' has shape {rhs.shape}, expected ({dim_h},)")
-    if not np.all(np.isfinite(rhs)):
-        raise ProblemFileError("field 'h' contains non-finite entries")
+        rhs = as_vector(_require(data, "h"), dim_h, "field 'h'")
+    except ValidationError as exc:
+        raise ProblemFileError(str(exc)) from exc
 
     try:
         return make_problem(

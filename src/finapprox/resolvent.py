@@ -75,9 +75,10 @@ class SingularSystem:
     Because G is positive semidefinite, the system is singular at every
     alpha exactly when that value is at most ``singular_tol`` times the
     largest eigenvalue of G, so such reports do not depend on alpha. For raw
-    constraint matrices it is the smallest eigenvalue of the assembled
-    system when that passes the projector checks, and its smallest singular
-    value otherwise.
+    constraint matrices it is the smallest singular value of the assembled
+    system T, read from the SVD that finds the kernel. When the matrix passes
+    the projector checks, T is symmetric positive semidefinite, so that value
+    is its smallest eigenvalue to rounding.
     """
 
     alpha: float
@@ -291,11 +292,7 @@ def _singular_report(
     _u, s, vt = np.linalg.svd(t)
     null_basis = vt[_numerical_rank(s, problem.tols.singular_tol):].T
     kernel = _kernel_vector(null_basis, vt[-1], h)
-    if problem.constraint_is_projector:
-        smallest = float(np.linalg.eigvalsh(t)[0])
-    else:
-        smallest = float(s[-1]) if s.size else 0.0
-    return SingularSystem(alpha=float(alpha), kernel_vector=kernel, smallest_eigenvalue=smallest)
+    return SingularSystem(alpha=float(alpha), kernel_vector=kernel, smallest_eigenvalue=float(s[-1]))
 
 
 def identity_residuals(solution: RegularizedSolution, problem: ProblemInstance) -> IdentityReport:

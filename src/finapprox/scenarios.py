@@ -16,14 +16,13 @@ import numpy as np
 
 from .galerkin import SubspaceFamily, family_projector, sample_midpoint, sine_family, midpoint_grid
 from .hilbert import (
-    DEFAULT_TOLERANCES, ProblemInstance, Tolerances, ValidationError, make_problem, make_projector,
+    DEFAULT_TOLERANCES, ProblemInstance, Tolerances, ValidationError, _int_at_least, make_problem,
+    make_projector,
 )
 
 __all__ = [
     "ScenarioSpec",
     "Scenario",
-    "SCENARIO_DESCRIPTIONS",
-    "SCENARIO_PARAMS",
     "EXPECTED_VERDICTS",
     "scenario_names",
     "build_scenario",
@@ -67,7 +66,7 @@ def _diagonal_unsolvable(tols):
 
 
 def _truncated_shift(tols, *, N):
-    if not (isinstance(N, (int, np.integer)) and N >= 3):
+    if not _int_at_least(N, 3):
         raise ValidationError(f"truncated_shift needs integer N >= 3, got {N!r}")
     n = int(N)
     operator = np.zeros((n, 1))
@@ -79,7 +78,7 @@ def _truncated_shift(tols, *, N):
 
 
 def _rank_deficient_gamma(tols, *, dimU):
-    if not (isinstance(dimU, (int, np.integer)) and dimU >= 1):
+    if not _int_at_least(dimU, 1):
         raise ValidationError(f"rank_deficient_gamma needs integer dimU >= 1, got {dimU!r}")
     return make_problem(
         gram_matrix=np.diag([1.0, 1.0, 0.0]),
@@ -100,7 +99,7 @@ def _nilpotent_pi(tols):
 
 
 def _function_space_galerkin(tols, *, M, operator):
-    if not (isinstance(M, (int, np.integer)) and M >= 4):
+    if not _int_at_least(M, 4):
         raise ValidationError(f"function_space_galerkin needs integer M >= 4, got {M!r}")
     m = int(M)
     if operator == "identity":

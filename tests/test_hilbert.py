@@ -6,13 +6,18 @@ from numpy.testing import assert_allclose
 
 from finapprox import (
     DEFAULT_TOLERANCES,
+    AlphaSchedule,
     Projector,
     Tolerances,
     ValidationError,
+    build_scenario,
+    coordinate_family,
+    family_projector,
     gram,
     gram_representable,
     make_problem,
     make_projector,
+    midpoint_grid,
     orthonormal_columns,
     projector_defects,
 )
@@ -413,6 +418,39 @@ def test_make_problem_rejects_nonfinite():
     h = np.array([1.0, np.nan])
     with pytest.raises(ValidationError):
         make_problem(operator=np.eye(2), constraint=proj, rhs=h)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: make_problem(operator=np.eye(2), constraint=make_projector([[1.0, 0.0]]), rhs="abc"),
+        lambda: make_problem(operator=np.eye(2), constraint=make_projector([[1.0, 0.0]]), rhs=[[1], [2, 3]]),
+        lambda: make_projector([["a", "b"]]),
+    ],
+    ids=["string-rhs", "ragged-rhs", "string-basis"],
+)
+def test_non_numeric_input_raises_validation_error(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gram_representable(np.eye(1), control_dim=True),
+        lambda: make_problem(gram_matrix=np.eye(1), constraint=np.eye(1), rhs=np.ones(1), control_dim=True),
+        lambda: coordinate_family(True),
+        lambda: family_projector(coordinate_family(2), True),
+        lambda: midpoint_grid(True),
+        lambda: AlphaSchedule(count=True),
+        lambda: build_scenario("rank_deficient_gamma", dimU=True),
+    ],
+    ids=["gram_representable", "make_problem", "coordinate_family", "family_projector",
+         "midpoint_grid", "AlphaSchedule", "build_scenario"],
+)
+def test_bool_is_not_a_positive_integer(call):
+    with pytest.raises(ValidationError, match="True"):
+        call()
 
 
 def test_constrained_reposes_constraint():

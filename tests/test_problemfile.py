@@ -115,6 +115,7 @@ def test_tolerance_overrides():
     "mutate,needle",
     [
         (lambda d: d.pop("dimH"), "dimH"),
+        (lambda d: d.pop("dimU"), "dimU"),
         (lambda d: d.pop("constraint"), "constraint"),
         (lambda d: d.pop("h"), "h"),
         (lambda d: d.update(L=None) or d.pop("L"), "L.*Gamma"),

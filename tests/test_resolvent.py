@@ -13,8 +13,10 @@ from finapprox import (
     make_problem,
     make_projector,
     regularized_operator,
+    save_problem,
     solve_regularized,
 )
+from finapprox.cli import EXIT_SINGULAR, main
 
 
 def random_projector_problem(rng, dim=None, full_rank=True):
@@ -211,6 +213,28 @@ def test_singular_kernel_vector_is_scale_invariant():
         sol = solve_regularized(0.5, problem)
         assert isinstance(sol, SingularSystem)
         assert_allclose(sol.kernel_vector, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "operator, raw, rhs, kernel",
+    [
+        # not a projector: T = [[0, -alpha], [0, 1]], kernel e1
+        ([[0.0], [1.0]], [[1.0, 1.0], [0.0, 1.0]], [1.0, 1.0], [1.0, 0.0]),
+        # a true projector given raw: T = diag(1 + alpha, 0), kernel e2
+        ([[1.0], [0.0]], [[0.0, 0.0], [0.0, 1.0]], [0.0, 1.0], [0.0, 1.0]),
+    ],
+)
+def test_raw_constraint_singular_report(tmp_path, capsys, operator, raw, rhs, kernel):
+    """A raw constraint's singular alpha reports the kernel and a zero smallest value."""
+    problem = make_problem(operator=np.array(operator), constraint=np.array(raw), rhs=np.array(rhs))
+    sol = solve_regularized(0.5, problem)
+    assert isinstance(sol, SingularSystem)
+    assert_allclose(sol.kernel_vector, kernel, rtol=0, atol=1e-15)
+    assert sol.smallest_eigenvalue == 0.0
+    path = tmp_path / "raw.json"
+    save_problem(problem, path)
+    assert main(["sweep", "--input", str(path)]) == EXIT_SINGULAR
+    assert capsys.readouterr().err == ""
 
 
 def test_costate_refinement_tightens_solve():
