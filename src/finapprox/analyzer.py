@@ -18,8 +18,10 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .hilbert import ProblemInstance, Projector, ValidationError, _int_at_least, _numerical_rank, as_vector
-from .resolvent import RegularizedSolution, SingularSystem, _check_alpha, factor_regularized
+from .hilbert import (
+    ProblemInstance, Projector, ValidationError, _int_at_least, _numerical_rank, _positive_real, as_vector,
+)
+from .resolvent import RegularizedSolution, SingularSystem, factor_regularized
 
 __all__ = [
     "AlphaSchedule",
@@ -47,10 +49,8 @@ class AlphaSchedule:
     count: int = 8
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.alpha0) and self.alpha0 > 0):
-            raise ValidationError(f"alpha0 must be positive, got {self.alpha0!r}")
-        if not (np.isfinite(self.ratio) and 0 < self.ratio < 1):
-            raise ValidationError(f"ratio must lie strictly between 0 and 1, got {self.ratio!r}")
+        _positive_real(self.alpha0, "alpha0")
+        _positive_real(self.ratio, "ratio", below=1)
         if not _int_at_least(self.count, 1):
             raise ValidationError(f"count must be a positive integer, got {self.count!r}")
 
@@ -157,8 +157,7 @@ def decide(report: SweepReport, decision_tol: Optional[float] = None) -> Decisio
     scheduled alpha was singular, INCONCLUSIVE otherwise.
     """
     tol = decision_tol if decision_tol is not None else report.problem.tols.decision_tol
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValidationError(f"decision_tol must be positive, got {tol!r}")
+    _positive_real(tol, "decision_tol")
     h_norm = report.rhs_norm
     threshold = tol * h_norm
     nonsingular = report.nonsingular_records()
@@ -261,11 +260,6 @@ class OracleDecision:
     control: Optional[np.ndarray]
 
 
-def _noise_floor(a: np.ndarray, scale: float) -> float:
-    """Singular values of ``a`` at or below this are rounding noise of an operator of norm ``scale``."""
-    return max(a.shape) * np.finfo(float).eps * scale
-
-
 def range_oracle(problem: ProblemInstance, oracle_tol: Optional[float] = None) -> OracleDecision:
     """Decide solvability directly from the operator, independent of sweeps.
 
@@ -284,14 +278,14 @@ def range_oracle(problem: ProblemInstance, oracle_tol: Optional[float] = None) -
             "range oracle needs the operator; this instance only carries a gram matrix"
         )
     tol = oracle_tol if oracle_tol is not None else problem.tols.oracle_tol
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValidationError(f"oracle_tol must be positive, got {tol!r}")
+    _positive_real(tol, "oracle_tol")
 
     l, h = problem.operator, problem.rhs
     threshold = tol * float(np.linalg.norm(h))
     spectrum = problem.spectrum
-    floor = _noise_floor(l, float(np.max(spectrum.singular_values, initial=0.0)))  # ||L||_2
-    r = int(np.sum(spectrum.singular_values > floor))
+    # Singular values at or below max(m, n) eps ||L||_2 are the operator's rounding noise.
+    noise, norm = max(l.shape) * np.finfo(float).eps, float(np.max(spectrum.singular_values, initial=0.0))
+    r = _numerical_rank(spectrum.singular_values, noise, norm)
     u_r = spectrum.vectors[:, :r]
     s_r = spectrum.singular_values[:r]
 
@@ -313,7 +307,7 @@ def range_oracle(problem: ProblemInstance, oracle_tol: Optional[float] = None) -
     m *= s_r
     z, t = np.linalg.qr(m.T)
     w, sv, yt = np.linalg.svd(t, full_matrices=False)
-    rank = int(np.sum(sv > floor))
+    rank = _numerical_rank(sv, noise, norm)
     right = z @ w[:, :rank]
     del m, z
     w_particular = right @ ((yt[:rank] @ b) / sv[:rank])
@@ -362,7 +356,7 @@ def factor_invertibility(alpha: float, problem: ProblemInstance) -> Invertibilit
     alpha I + G is always invertible for alpha > 0, so invertibility of the
     factor certifies invertibility of the whole regularized system.
     """
-    _check_alpha(alpha)
+    _positive_real(alpha, "alpha")
     n = problem.ambient_dim
     shifted = alpha * np.eye(n) + problem.gram
     applied = np.linalg.solve(shifted, problem.constraint_matrix)

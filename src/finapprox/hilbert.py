@@ -37,13 +37,28 @@ class ValidationError(ValueError):
     """An operator, projector, or problem instance failed its structural checks."""
 
 
+def _int_at_least(value, low: int) -> bool:
+    """The one integer-parameter rule: an int or numpy integer, not a bool, at least ``low``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low
+
+
+def _positive_real(value, name: str, below: float = math.inf) -> None:
+    """The one real-parameter rule: a real number, not a bool, in (0, ``below``), so never NaN or inf."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (real and 0 < value < below):
+        bound = "positive and finite" if below == math.inf else f"strictly between 0 and {below:g}"
+        raise ValidationError(f"{name} must be {bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical tolerances used across construction, solving, and decisions.
 
     Every tolerance is applied relative to the natural scale of the quantity
     it guards (Frobenius norm, right-hand-side norm, largest singular value)
-    whenever such a scale exists.
+    whenever such a scale exists: a rank or singularity decision counts a
+    value as nonzero only when it is strictly above tolerance times scale.
+    Each tolerance must be a positive finite real number, not a bool.
 
     Attributes
     ----------
@@ -76,9 +91,7 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and np.isfinite(value) and value > 0):
-                raise ValidationError(f"tolerance {name} must be a positive finite number, got {value!r}")
+            _positive_real(getattr(self, name), f"tolerance {name}")
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -88,11 +101,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out.setflags(write=False)
     return out
-
-
-def _int_at_least(value, low: int) -> bool:
-    """The one integer-parameter rule: an int or numpy integer, not a bool, at least ``low``."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low
 
 
 def _as_array(x, ndim: int, name: str) -> np.ndarray:
@@ -158,10 +166,15 @@ class Projector:
         return self.basis @ (self.basis.T @ x)
 
 
-def _numerical_rank(values: np.ndarray, rel_tol: float) -> int:
-    """Count of ``values`` above ``rel_tol`` times the largest; 0 when none is positive."""
-    top = float(np.max(values)) if values.size else 0.0
-    return int(np.sum(values > rel_tol * top)) if top > 0 else 0
+def _numerical_rank(values, rel_tol: float, scale: Optional[float] = None) -> int:
+    """The one numerically-zero rule: the count of ``values`` strictly above ``rel_tol * scale``.
+
+    ``values`` is an array or a single number. ``scale`` defaults to the
+    largest value; nothing counts when the scale is not positive.
+    """
+    if scale is None:
+        scale = float(np.max(values)) if np.size(values) else 0.0
+    return int(np.sum(values > rel_tol * scale)) if scale > 0 else 0
 
 
 def _idempotency_defect(basis: np.ndarray) -> float:
@@ -196,7 +209,7 @@ def orthonormal_columns(columns: np.ndarray, rank_tol: float) -> tuple[np.ndarra
         return np.zeros((dim, 0)), []
     peak = float(np.max(np.abs(columns)))
     columns = np.ldexp(columns, -math.frexp(peak)[1])
-    threshold = rank_tol * float(np.max(np.linalg.norm(columns, axis=0)))
+    top = float(np.max(np.linalg.norm(columns, axis=0)))
     w = np.array(columns, dtype=float, order="F")  # kept columns are packed to its front
     rank = 0
     dropped: list[int] = []
@@ -207,7 +220,7 @@ def orthonormal_columns(columns: np.ndarray, rank_tol: float) -> tuple[np.ndarra
             for _ in range(2):
                 v -= q @ (q.T @ v)
         norm = float(np.linalg.norm(v))
-        if norm > threshold and norm > 0.0:
+        if _numerical_rank(norm, rank_tol, top):
             w[:, rank] = v / norm
             rank += 1
         else:
@@ -230,6 +243,10 @@ def make_projector(
     verbatim, which makes the construction idempotent: feeding a projector's
     basis back in reproduces the projector bit for bit.
     """
+    if dim is not None and not _int_at_least(dim, 1):
+        raise ValidationError(f"dim must be a positive integer, got {dim!r}")
+    if not np.iterable(vectors):
+        raise ValidationError(f"basis vectors must be a sequence of vectors, got {vectors!r}")
     vecs = [as_vector(v, name=f"basis vector {i}") for i, v in enumerate(vectors)]
     if vecs:
         lengths = {v.shape[0] for v in vecs}
@@ -244,8 +261,8 @@ def make_projector(
         if dim is None:
             raise ValidationError("an empty basis needs an explicit dim")
         columns = np.zeros((dim, 0))
-    if dim <= 0:
-        raise ValidationError(f"dim must be positive, got {dim}")
+    if dim == 0:
+        raise ValidationError("basis vectors have length 0")
 
     defect = np.inf
     if columns.shape[1] and columns.shape[1] <= dim:
@@ -370,12 +387,11 @@ def _gram_spectrum(g: np.ndarray, control_dim, tols: Tolerances):
 
 @dataclass(frozen=True)
 class ValidationRecord:
-    """Defect norms and flags recorded while assembling a problem instance.
+    """Defect norms and flags of a problem instance; see :attr:`ProblemInstance.validation`.
 
-    ``gram_min_eigenvalue``, ``representable_rank`` and ``operator_norm`` are
-    read from the problem's :class:`Spectrum`. Given the operator,
-    ``gram_symmetry_defect`` is 0 (L L^T is exactly symmetric) and
-    ``operator_norm`` is ||L||_2; it is ``None`` for Gram-only instances.
+    Given the operator, ``gram_symmetry_defect`` is 0 (L L^T is exactly
+    symmetric) and ``operator_norm`` is ||L||_2; it is ``None`` for
+    Gram-only instances.
     """
 
     gram_symmetry_defect: float
@@ -411,24 +427,6 @@ class Spectrum:
         for a in (self.vectors, self.gram_values, self.singular_values, self.right):
             if a is not None:
                 a.setflags(write=False)
-
-
-# The record's constraint fields for a Projector, whose idempotency defect is read on demand.
-_PROJECTOR_CHECKS = {
-    "constraint_symmetry_defect": 0.0,
-    "constraint_is_projector": True,
-    "constraint_supplied_raw": False,
-}
-
-
-def _spectral_facts(spectrum: Spectrum, rank_tol: float) -> dict:
-    """The :class:`ValidationRecord` fields read from a problem's spectrum."""
-    lam, s = spectrum.gram_values, spectrum.singular_values
-    return {
-        "gram_min_eigenvalue": float(np.min(lam)) if lam.size else 0.0,
-        "representable_rank": _numerical_rank(lam if s is None else s, rank_tol),
-        "operator_norm": None if s is None else (float(s[0]) if s.size else 0.0),
-    }
 
 
 class _Decomposition:
@@ -479,7 +477,7 @@ class ProblemInstance:
     ambient_dim: int
     control_dim: int
     tols: Tolerances
-    _checks: Mapping[str, object] = field(repr=False)  # the record's fields not read on demand
+    _checks: Mapping[str, object] = field(repr=False)  # the record's Gram defects, found at build
     _decomposition: _Decomposition = field(repr=False)
 
     @property
@@ -488,12 +486,29 @@ class ProblemInstance:
 
     @property
     def validation(self) -> ValidationRecord:
-        """The construction checks plus the facts read on demand: the spectral
-        ones and, for a projector constraint, its O(n k^2) idempotency defect."""
-        checks = dict(self._checks)
+        """The Gram defects found at build plus the facts measured on read: rank,
+        norm, smallest eigenvalue and ``representable_rank <= control_dim``
+        from the :class:`Spectrum`, and the constraint's projector checks, from
+        the basis in O(n k^2) for a :class:`Projector` (symmetric by
+        construction) and by :func:`projector_defects` for a raw matrix."""
+        lam, s = self.spectrum.gram_values, self.spectrum.singular_values
+        rank = _numerical_rank(lam if s is None else s, self.tols.rank_tol)
         if isinstance(self.constraint, Projector):
-            checks["constraint_idempotency_defect"] = _idempotency_defect(self.constraint.basis)
-        return ValidationRecord(**checks, **_spectral_facts(self.spectrum, self.tols.rank_tol))
+            idempotency = _idempotency_defect(self.constraint.basis)
+            constraint = ProjectorReport(idempotency, 0.0, self.constraint.rank, True)
+        else:
+            constraint = projector_defects(self.constraint, self.tols)
+        return ValidationRecord(
+            **self._checks,
+            gram_min_eigenvalue=float(np.min(lam)) if lam.size else 0.0,
+            constraint_symmetry_defect=constraint.symmetry_defect,
+            constraint_idempotency_defect=constraint.idempotency_defect,
+            constraint_is_projector=constraint.is_orthogonal_projector,
+            constraint_supplied_raw=not isinstance(self.constraint, Projector),
+            representable=rank <= self.control_dim,
+            representable_rank=rank,
+            operator_norm=None if s is None else (float(s[0]) if s.size else 0.0),
+        )
 
     @property
     def constraint_matrix(self) -> np.ndarray:
@@ -504,7 +519,10 @@ class ProblemInstance:
 
     @property
     def constraint_is_projector(self) -> bool:
-        return self._checks["constraint_is_projector"]
+        """True for a :class:`Projector`; a raw matrix is measured on read."""
+        if isinstance(self.constraint, Projector):
+            return True
+        return projector_defects(self.constraint, self.tols).is_orthogonal_projector
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Apply the constraint map to ``x``: Q (Q^T x) for a projector, P x for a raw matrix."""
@@ -522,7 +540,7 @@ class ProblemInstance:
             raise ValidationError(
                 f"replacement projector acts on dimension {projector.dim}, expected {self.ambient_dim}"
             )
-        return replace(self, constraint=projector, _checks={**self._checks, **_PROJECTOR_CHECKS})
+        return replace(self, constraint=projector)
 
     def gram_view(self) -> "ProblemInstance":
         """The same equation posed on G alone, decomposed by one ``eigh(G)``.
@@ -550,25 +568,23 @@ def make_problem(
 
     At least one of ``operator`` and ``gram_matrix`` must be given. When both
     are given they must agree (``||L L^T - G||_F <= tol_gram`` relative).
-    When only the Gram operator is given, ``control_dim`` must be declared
-    and the instance records whether the Gram operator is representable at
-    that control dimension; a non-representable instance is still built, the
-    flag is how downstream consumers learn that no operator exists.
+    When only the Gram operator is given, ``control_dim`` must be declared.
+    A Gram operator that is not representable at that control dimension is
+    still admitted: ``validation.representable`` is how downstream consumers
+    learn that no operator exists.
 
-    Every check runs here. The instance's :class:`Spectrum` is the SVD of L,
-    run on first use, or else ``eigh(G)``, run here for the PSD check; the
-    record's rank, norm and smallest Gram eigenvalue are read from it. A
-    Gram operator that overflows is rejected (given L, by the bound
+    This function only rejects; every fact it does not reject on is measured
+    when ``validation`` is read. The instance's :class:`Spectrum` is the SVD
+    of L, run on first use, or else ``eigh(G)``, run here for the PSD check.
+    A Gram operator that overflows is rejected (given L, by the bound
     lambda_max(G) <= max_i sum_j |G_ij|, which needs no decomposition), and
     so is a right-hand side whose norm overflows.
 
-    A :class:`Projector` constraint is recorded from its basis alone: its
-    symmetry defect is 0 by construction, and its idempotency defect is
-    computed, in O(n k^2), when ``validation`` is read. A raw
-    (non-:class:`Projector`) constraint matrix is admitted but flagged:
-    ``validation.constraint_supplied_raw`` is set, and
-    ``validation.constraint_is_projector`` records whether it happens to pass
-    the projector checks (:func:`projector_defects`) anyway.
+    A :class:`Projector` constraint is kept as its basis. A raw
+    (non-:class:`Projector`) square constraint matrix is admitted as it is:
+    ``validation.constraint_supplied_raw`` flags it, and
+    ``validation.constraint_is_projector`` says whether it happens to pass
+    the projector checks (:func:`projector_defects`), run when read.
     """
     if operator is None and gram_matrix is None:
         raise ValidationError("a problem needs an operator, a gram matrix, or both")
@@ -601,19 +617,17 @@ def make_problem(
                     f"(defect {gram_factor_defect:.3e} exceeds tol_gram)"
                 )
         gram_sym_defect = 0.0
-        representable = True
         if not math.isfinite(row_sum_bound):
             raise ValidationError("the gram operator overflows: its entries or spectrum are not finite")
     else:
         if control_dim is None:
             raise ValidationError("control_dim must be declared when no operator is given")
         g = as_operator(gram_matrix, name="gram matrix")
-        g, lam, vectors, gram_sym_defect, rank, fault = _gram_spectrum(g, control_dim, tols)
+        g, lam, vectors, gram_sym_defect, _rank, fault = _gram_spectrum(g, control_dim, tols)
         ambient_dim = g.shape[0]
         if fault:
             raise ValidationError(fault)
         decomposition = _Decomposition(spectrum=Spectrum(vectors=vectors, gram_values=lam))
-        representable = rank <= control_dim
 
     if isinstance(constraint, Projector):
         if constraint.dim != ambient_dim:
@@ -621,17 +635,8 @@ def make_problem(
                 f"constraint projector acts on dimension {constraint.dim}, expected {ambient_dim}"
             )
         p = constraint
-        constraint_checks = _PROJECTOR_CHECKS
     else:
-        raw = as_operator(constraint, shape=(ambient_dim, ambient_dim), name="constraint matrix")
-        p = _readonly(raw)
-        c_report = projector_defects(raw, tols=tols)
-        constraint_checks = {
-            "constraint_symmetry_defect": c_report.symmetry_defect,
-            "constraint_idempotency_defect": c_report.idempotency_defect,
-            "constraint_is_projector": c_report.is_orthogonal_projector,
-            "constraint_supplied_raw": True,
-        }
+        p = _readonly(as_operator(constraint, shape=(ambient_dim, ambient_dim), name="constraint matrix"))
 
     h = as_vector(rhs, dim=ambient_dim, name="rhs")
     with np.errstate(over="ignore"):  # every threshold scales with ||h||
@@ -639,12 +644,7 @@ def make_problem(
             raise ValidationError("rhs is too large: its norm overflows")
     g.setflags(write=False)
 
-    checks = {
-        "gram_symmetry_defect": gram_sym_defect,
-        "gram_factor_defect": gram_factor_defect,
-        **constraint_checks,
-        "representable": representable,
-    }
+    checks = {"gram_symmetry_defect": gram_sym_defect, "gram_factor_defect": gram_factor_defect}
     return ProblemInstance(
         operator=l,
         gram=g,

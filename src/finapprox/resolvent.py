@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .hilbert import ProblemInstance, Projector, ValidationError, _numerical_rank
+from .hilbert import ProblemInstance, Projector, ValidationError, _numerical_rank, _positive_real
 
 __all__ = [
     "RegularizedSolution",
@@ -104,18 +104,13 @@ class IdentityReport:
     constraint_defect: float
 
 
-def _check_alpha(alpha: float) -> None:
-    if not (np.isfinite(alpha) and alpha > 0):
-        raise ValidationError(f"alpha must be positive and finite, got {alpha!r}")
-
-
 def regularized_operator(alpha: float, problem: ProblemInstance) -> np.ndarray:
     """Assemble alpha * (I - P) + G.
 
     Exactly symmetric whenever the constraint is a true projector, because
     both stored factors are exactly symmetric.
     """
-    _check_alpha(alpha)
+    _positive_real(alpha, "alpha")
     identity = np.eye(problem.ambient_dim)
     return alpha * (identity - problem.constraint_matrix) + problem.gram
 
@@ -164,7 +159,7 @@ class RegularizedFactor:
 
     def solve(self, alpha: float) -> Union[RegularizedSolution, SingularSystem]:
         """Regularized solve at ``alpha``, with one step of iterative refinement."""
-        _check_alpha(alpha)
+        _positive_real(alpha, "alpha")
         if self.eigenvalues is None:
             return _solve_generic(alpha, self.problem)
         if self.kernel_vector is not None:
@@ -215,10 +210,9 @@ def factor_regularized(problem: ProblemInstance) -> RegularizedFactor:
     if q.shape[1]:
         mu, v = np.linalg.eigh((b.T * lam) @ b)
         smallest = float(mu[0])
-        cutoff = problem.tols.singular_tol * float(np.max(lam))
-        if smallest <= cutoff:
-            null_basis = q @ v[:, mu <= cutoff]
-            kernel = _kernel_vector(null_basis, q @ v[:, 0], problem.rhs)
+        nullity = mu.size - _numerical_rank(mu, problem.tols.singular_tol, float(np.max(lam)))
+        if nullity:  # mu ascends, so the kernel is its leading columns
+            kernel = _kernel_vector(q @ v[:, :nullity], q @ v[:, 0], problem.rhs)
     return RegularizedFactor(
         problem=problem,
         eigenvalues=lam,
@@ -237,7 +231,7 @@ def _kernel_vector(null_basis: np.ndarray, fallback: np.ndarray, h: np.ndarray) 
     """
     kernel_component = null_basis @ (null_basis.T @ h)
     component_norm = float(np.linalg.norm(kernel_component))
-    if component_norm > 1e-12 * float(np.linalg.norm(h)):
+    if _numerical_rank(component_norm, 1e-12, float(np.linalg.norm(h))):
         return kernel_component / component_norm
     return fallback
 

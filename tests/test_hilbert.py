@@ -10,8 +10,11 @@ from finapprox import (
     Projector,
     Tolerances,
     ValidationError,
+    alpha_sweep,
     build_scenario,
     coordinate_family,
+    decide,
+    diagonal_steps,
     family_projector,
     gram,
     gram_representable,
@@ -20,8 +23,14 @@ from finapprox import (
     midpoint_grid,
     orthonormal_columns,
     projector_defects,
+    range_oracle,
+    solve_regularized,
 )
 from helpers import record_linalg_calls
+
+
+def small_problem():
+    return make_problem(operator=np.eye(2), constraint=make_projector([[1.0, 0.0]]), rhs=np.ones(2))
 
 
 def random_projector(rng, dim, rank):
@@ -413,6 +422,25 @@ def test_make_problem_raw_constraint_flagged():
     assert_allclose(np.eye(2) - problem.constraint_matrix, np.eye(2) - raw, atol=0)
 
 
+def test_raw_constraint_is_measured_when_validation_is_read(monkeypatch):
+    """make_problem runs no projector check on a raw constraint; validation measures it on read."""
+    calls = record_linalg_calls(monkeypatch)
+    for raw, is_projector in ((np.array([[0.0, 1.0], [0.0, 0.0]]), False), (np.diag([1.0, 0.0]), True)):
+        for source in ({"operator": np.diag([2.0, 1.0])}, {"gram_matrix": np.diag([4.0, 1.0]), "control_dim": 2}):
+            calls.clear()
+            problem = make_problem(constraint=raw, rhs=np.ones(2), **source)
+            assert not [name for name, _shape in calls if name.endswith("svd")]
+            expected = projector_defects(raw)
+            record = problem.validation
+            assert record.constraint_symmetry_defect == expected.symmetry_defect
+            assert record.constraint_idempotency_defect == expected.idempotency_defect
+            assert record.constraint_is_projector is expected.is_orthogonal_projector is is_projector
+            assert record.constraint_supplied_raw
+            assert problem.constraint_is_projector is is_projector
+            posed = problem.constrained(make_projector([[1.0, 0.0]])).validation
+            assert posed.constraint_is_projector and not posed.constraint_supplied_raw
+
+
 def test_make_problem_rejects_nonfinite():
     proj = make_projector([np.eye(2)[:, 0]])
     h = np.array([1.0, np.nan])
@@ -426,8 +454,16 @@ def test_make_problem_rejects_nonfinite():
         lambda: make_problem(operator=np.eye(2), constraint=make_projector([[1.0, 0.0]]), rhs="abc"),
         lambda: make_problem(operator=np.eye(2), constraint=make_projector([[1.0, 0.0]]), rhs=[[1], [2, 3]]),
         lambda: make_projector([["a", "b"]]),
+        lambda: make_projector(5),
+        lambda: make_projector([], dim=2.5),
+        lambda: AlphaSchedule(alpha0="x"),
+        lambda: AlphaSchedule(ratio="x"),
+        lambda: range_oracle(small_problem(), oracle_tol="x"),
+        lambda: solve_regularized("x", small_problem()),
+        lambda: diagonal_steps(alpha0="x"),
     ],
-    ids=["string-rhs", "ragged-rhs", "string-basis"],
+    ids=["string-rhs", "ragged-rhs", "string-basis", "int-basis", "float-dim", "string-alpha0",
+         "string-ratio", "string-oracle_tol", "string-alpha", "string-diagonal-alpha0"],
 )
 def test_non_numeric_input_raises_validation_error(call):
     with pytest.raises(ValidationError):
@@ -444,9 +480,14 @@ def test_non_numeric_input_raises_validation_error(call):
         lambda: midpoint_grid(True),
         lambda: AlphaSchedule(count=True),
         lambda: build_scenario("rank_deficient_gamma", dimU=True),
+        lambda: make_projector([], dim=True),
+        lambda: Tolerances(rank_tol=True),
+        lambda: AlphaSchedule(alpha0=True),
+        lambda: decide(alpha_sweep(small_problem()), decision_tol=True),
     ],
     ids=["gram_representable", "make_problem", "coordinate_family", "family_projector",
-         "midpoint_grid", "AlphaSchedule", "build_scenario"],
+         "midpoint_grid", "AlphaSchedule", "build_scenario", "make_projector", "Tolerances",
+         "AlphaSchedule-alpha0", "decide"],
 )
 def test_bool_is_not_a_positive_integer(call):
     with pytest.raises(ValidationError, match="True"):
