@@ -145,9 +145,10 @@ class Decision:
     diagnostics: Mapping[str, float]
 
 
-def decide(report: SweepReport, decision_tol: Optional[float] = None) -> Decision:
+def decide(report: SweepReport) -> Decision:
     """Map sweep behavior to a verdict.
 
+    ``decision_tol`` is read from the problem's :class:`Tolerances`.
     SOLVABLE when the indicator norm at the smallest nonsingular alpha is at
     most ``decision_tol * ||h||`` and the last three indicator norms are
     non-increasing within ten percent. NOT_SOLVABLE when the last two
@@ -156,8 +157,7 @@ def decide(report: SweepReport, decision_tol: Optional[float] = None) -> Decisio
     threshold; the witness is that outside component. SINGULAR when every
     scheduled alpha was singular, INCONCLUSIVE otherwise.
     """
-    tol = decision_tol if decision_tol is not None else report.problem.tols.decision_tol
-    _positive_real(tol, "decision_tol")
+    tol = report.problem.tols.decision_tol
     h_norm = report.rhs_norm
     threshold = tol * h_norm
     nonsingular = report.nonsingular_records()
@@ -194,7 +194,7 @@ def decide(report: SweepReport, decision_tol: Optional[float] = None) -> Decisio
     return Decision(Verdict.INCONCLUSIVE, None, None, diagnostics)
 
 
-def extract_witness(report: SweepReport, decision_tol: Optional[float] = None) -> np.ndarray:
+def extract_witness(report: SweepReport) -> np.ndarray:
     """Witness vector of a NOT_SOLVABLE sweep.
 
     The witness is v = (I - P) y for the stable indicator limit y. It is
@@ -203,7 +203,7 @@ def extract_witness(report: SweepReport, decision_tol: Optional[float] = None) -
     constraint-respecting approximation can reach h. Raises when the sweep
     does not have a stable nonzero limit.
     """
-    decision = decide(report, decision_tol=decision_tol)
+    decision = decide(report)
     if decision.verdict is not Verdict.NOT_SOLVABLE or decision.witness is None:
         raise ValidationError(
             f"witness extraction needs a stable nonzero indicator limit, verdict was {decision.verdict.value}"
@@ -260,7 +260,7 @@ class OracleDecision:
     control: Optional[np.ndarray]
 
 
-def range_oracle(problem: ProblemInstance, oracle_tol: Optional[float] = None) -> OracleDecision:
+def range_oracle(problem: ProblemInstance) -> OracleDecision:
     """Decide solvability directly from the operator, independent of sweeps.
 
     Works in the singular coordinates of the problem's SVD L = U S V^T,
@@ -268,6 +268,8 @@ def range_oracle(problem: ProblemInstance, oracle_tol: Optional[float] = None) -
     u reaches L u = U_r c with c = S_r V_r^T u, the free part is tested by
     ||(I - U_r U_r^T)(I - P) h||, and the constrained route minimizes
     ||c - U_r^T h|| under the constraint rows; the control is V_r (c / S_r).
+    Every residual is held to ``oracle_tol * ||h||``, with ``oracle_tol``
+    read from the problem's :class:`Tolerances`.
 
     Needs the operator; raises on Gram-only instances (a Gram operator alone
     does not determine what the equation can reach jointly with the
@@ -277,11 +279,8 @@ def range_oracle(problem: ProblemInstance, oracle_tol: Optional[float] = None) -
         raise ValidationError(
             "range oracle needs the operator; this instance only carries a gram matrix"
         )
-    tol = oracle_tol if oracle_tol is not None else problem.tols.oracle_tol
-    _positive_real(tol, "oracle_tol")
-
     l, h = problem.operator, problem.rhs
-    threshold = tol * float(np.linalg.norm(h))
+    threshold = problem.tols.oracle_tol * float(np.linalg.norm(h))
     spectrum = problem.spectrum
     # Singular values at or below max(m, n) eps ||L||_2 are the operator's rounding noise.
     noise, norm = max(l.shape) * np.finfo(float).eps, float(np.max(spectrum.singular_values, initial=0.0))

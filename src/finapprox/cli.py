@@ -172,21 +172,27 @@ def _sweep_table(report: SweepReport) -> list[tuple]:
     return [tuple(getattr(r, column) for column in SWEEP_COLUMNS) for r in report.records]
 
 
+def _exit_code(records) -> int:
+    """The exit code of a sweep, alpha or Galerkin: EXIT_SINGULAR when every step was singular."""
+    return EXIT_SINGULAR if all(r.singular for r in records) else EXIT_OK
+
+
 def _cmd_sweep(args) -> int:
     problem, _family, source = _load(args)
     report = alpha_sweep(problem, _schedule(args))
     rows = _sweep_table(report)
     fields = {"schedule": vars(report.schedule), "records": _records(SWEEP_COLUMNS, rows)}
     _emit(args, "sweep", source, fields, {}, SWEEP_COLUMNS, rows)
-    if not report.nonsingular_records():
-        return EXIT_SINGULAR
-    return EXIT_OK
+    return _exit_code(report.records)
 
 
 def _cmd_analyze(args) -> int:
     problem, _family, source = _load(args)
+    if args.tol_decision is not None:
+        tols = dataclasses.replace(problem.tols, decision_tol=args.tol_decision)
+        problem = dataclasses.replace(problem, tols=tols)
     report = alpha_sweep(problem, _schedule(args))
-    decision = decide(report, decision_tol=args.tol_decision)
+    decision = decide(report)
     oracle = range_oracle(problem) if problem.operator is not None else None
     agreement: Optional[bool] = None
     if oracle is not None and decision.verdict in (Verdict.SOLVABLE, Verdict.NOT_SOLVABLE):
@@ -207,9 +213,7 @@ def _cmd_analyze(args) -> int:
             notes[f"oracle_{name}"] = getattr(oracle, name)
     notes["agreement"] = agreement
     _emit(args, "analyze", source, fields, notes, SWEEP_COLUMNS, rows)
-    if decision.verdict is Verdict.SINGULAR:
-        return EXIT_SINGULAR
-    return EXIT_OK
+    return _exit_code(report.records)
 
 
 def _cmd_oracle(args) -> int:
@@ -245,9 +249,7 @@ def _cmd_galerkin(args) -> int:
     ]
     fields = {"family": chosen.description, "records": _records(GALERKIN_COLUMNS, rows)}
     _emit(args, "galerkin", source, fields, {"family": chosen.description}, GALERKIN_COLUMNS, rows)
-    if all(r.singular for r in report.records):
-        return EXIT_SINGULAR
-    return EXIT_OK
+    return _exit_code(report.records)
 
 
 def _cmd_validate(args) -> int:

@@ -9,11 +9,11 @@ schedule. Each step still matches its own finite constraint exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .analyzer import AlphaSchedule
+from .analyzer import AlphaSchedule, _record
 from .hilbert import (
     ProblemInstance,
     Projector,
@@ -23,7 +23,7 @@ from .hilbert import (
     as_operator,
     as_vector,
 )
-from .resolvent import RegularizedSolution, SingularSystem, factor_regularized
+from .resolvent import factor_regularized
 
 __all__ = [
     "SubspaceFamily",
@@ -237,7 +237,8 @@ def galerkin_sweep(
     Each step (n, alpha) solves the problem under the level-n projector, so
     the level-n component of the equation is matched exactly at every step.
     When the problem's own constraint is a projector, the residual is also
-    measured under it.
+    measured under it. A step is the alpha sweep's solve with the level-n
+    projector in place of P, so it is recorded by the sweep's own rule.
 
     The levels read the equation through G alone, so they are posed on the
     problem's Gram-only view (:meth:`ProblemInstance.gram_view`): one
@@ -255,37 +256,19 @@ def galerkin_sweep(
     records = []
     for index, (n, alpha) in enumerate(steps, start=1):
         n, alpha = int(n), float(alpha)
-        factor = factor_regularized(view.constrained(family_projector(family, n)))
-        records.append(_galerkin_record(index, n, alpha, factor.solve(alpha), target))
-    return GalerkinReport(records=tuple(records), rhs_norm=float(np.linalg.norm(problem.rhs)))
-
-
-def _galerkin_record(
-    index: int,
-    n: int,
-    alpha: float,
-    solution: Union[RegularizedSolution, SingularSystem],
-    target: Optional[Projector],
-) -> GalerkinRecord:
-    if isinstance(solution, SingularSystem):
-        return GalerkinRecord(
+        solution = factor_regularized(view.constrained(family_projector(family, n))).solve(alpha)
+        record = _record(solution)
+        target_norm = None
+        if target is not None and not record.singular:
+            target_norm = float(np.linalg.norm(target.apply(solution.residual)))
+        records.append(GalerkinRecord(
             step=index,
             n=n,
-            alpha=alpha,
-            singular=True,
-            norm_residual=float("nan"),
-            norm_constraint_residual=float("nan"),
-            norm_constraint_residual_target=None,
-        )
-    target_norm = (
-        float(np.linalg.norm(target.apply(solution.residual))) if target is not None else None
-    )
-    return GalerkinRecord(
-        step=index,
-        n=n,
-        alpha=alpha,
-        singular=False,
-        norm_residual=float(np.linalg.norm(solution.residual)),
-        norm_constraint_residual=float(np.linalg.norm(solution.constraint_residual)),
-        norm_constraint_residual_target=target_norm,
-    )
+            alpha=record.alpha,
+            singular=record.singular,
+            norm_residual=record.norm_residual,
+            norm_constraint_residual=record.norm_constraint_residual,
+            norm_constraint_residual_target=target_norm,
+        ))
+    return GalerkinReport(records=tuple(records), rhs_norm=float(np.linalg.norm(problem.rhs)))
+

@@ -298,12 +298,18 @@ def projector_defects(matrix, tols: Tolerances = DEFAULT_TOLERANCES) -> Projecto
     n, m = p.shape
     if n != m:
         raise ValidationError(f"candidate projector must be square, got shape {p.shape}")
+    idem, sym, ok = _projector_checks(p, tols)
+    rank = _numerical_rank(np.linalg.svd(p, compute_uv=False), tols.rank_tol)
+    return ProjectorReport(idempotency_defect=idem, symmetry_defect=sym, rank=rank, is_orthogonal_projector=ok)
+
+
+def _projector_checks(p: np.ndarray, tols: Tolerances) -> tuple[float, float, bool]:
+    """The rank-free part of :func:`projector_defects` for a square float matrix:
+    the idempotency and symmetry defects, and ``is_orthogonal_projector``."""
     idem = float(np.linalg.norm(p @ p - p))
     sym = float(np.linalg.norm(p - p.T))
     scale = max(1.0, float(np.linalg.norm(p)))
-    rank = _numerical_rank(np.linalg.svd(p, compute_uv=False), tols.rank_tol)
-    ok = idem <= tols.tol_proj * scale and sym <= tols.tol_proj * scale
-    return ProjectorReport(idempotency_defect=idem, symmetry_defect=sym, rank=rank, is_orthogonal_projector=ok)
+    return idem, sym, idem <= tols.tol_proj * scale and sym <= tols.tol_proj * scale
 
 
 def gram(operator) -> np.ndarray:
@@ -490,20 +496,20 @@ class ProblemInstance:
         norm, smallest eigenvalue and ``representable_rank <= control_dim``
         from the :class:`Spectrum`, and the constraint's projector checks, from
         the basis in O(n k^2) for a :class:`Projector` (symmetric by
-        construction) and by :func:`projector_defects` for a raw matrix."""
+        construction) and for a raw matrix by the checks of
+        :func:`projector_defects` less its rank, so no SVD runs."""
         lam, s = self.spectrum.gram_values, self.spectrum.singular_values
         rank = _numerical_rank(lam if s is None else s, self.tols.rank_tol)
         if isinstance(self.constraint, Projector):
-            idempotency = _idempotency_defect(self.constraint.basis)
-            constraint = ProjectorReport(idempotency, 0.0, self.constraint.rank, True)
+            idempotency, symmetry, is_projector = _idempotency_defect(self.constraint.basis), 0.0, True
         else:
-            constraint = projector_defects(self.constraint, self.tols)
+            idempotency, symmetry, is_projector = _projector_checks(self.constraint, self.tols)
         return ValidationRecord(
             **self._checks,
             gram_min_eigenvalue=float(np.min(lam)) if lam.size else 0.0,
-            constraint_symmetry_defect=constraint.symmetry_defect,
-            constraint_idempotency_defect=constraint.idempotency_defect,
-            constraint_is_projector=constraint.is_orthogonal_projector,
+            constraint_symmetry_defect=symmetry,
+            constraint_idempotency_defect=idempotency,
+            constraint_is_projector=is_projector,
             constraint_supplied_raw=not isinstance(self.constraint, Projector),
             representable=rank <= self.control_dim,
             representable_rank=rank,
@@ -522,7 +528,7 @@ class ProblemInstance:
         """True for a :class:`Projector`; a raw matrix is measured on read."""
         if isinstance(self.constraint, Projector):
             return True
-        return projector_defects(self.constraint, self.tols).is_orthogonal_projector
+        return _projector_checks(self.constraint, self.tols)[2]
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Apply the constraint map to ``x``: Q (Q^T x) for a projector, P x for a raw matrix."""
@@ -584,7 +590,7 @@ def make_problem(
     (non-:class:`Projector`) square constraint matrix is admitted as it is:
     ``validation.constraint_supplied_raw`` flags it, and
     ``validation.constraint_is_projector`` says whether it happens to pass
-    the projector checks (:func:`projector_defects`), run when read.
+    the projector checks of :func:`projector_defects`, run when read.
     """
     if operator is None and gram_matrix is None:
         raise ValidationError("a problem needs an operator, a gram matrix, or both")

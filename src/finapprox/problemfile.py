@@ -84,9 +84,11 @@ def problem_from_dict(data: dict, tols: Optional[Tolerances] = None) -> ProblemI
             raise ProblemFileError(
                 f"field 'tolerances' has unknown entries {bad}; known: {list(_TOLERANCE_FIELDS)}"
             )
-        try:
-            tols = Tolerances(**{k: float(v) for k, v in overrides.items()})
-        except (TypeError, ValueError, OverflowError) as exc:
+        try:  # the raw values meet the real-parameter rule first, so a bool or string is refused
+            tols = dataclasses.replace(
+                Tolerances(**overrides), **{k: float(v) for k, v in overrides.items()}
+            )
+        except (ValueError, OverflowError) as exc:
             raise ProblemFileError(f"field 'tolerances' is invalid: {exc}") from exc
 
     try:  # the numeric fields get the library's own checks, named by field

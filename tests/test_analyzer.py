@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from finapprox import (
     AlphaSchedule,
+    Tolerances,
     ValidationError,
     Verdict,
     alpha_sweep,
@@ -122,13 +123,13 @@ def test_decide_inconclusive_on_short_slow_schedule():
 
 
 def test_decide_tol_override():
-    problem = build_scenario("diagonal_solvable").problem
-    report = alpha_sweep(problem)
+    """decide reads decision_tol from the problem's Tolerances, the one place it is set."""
+    problem = build_scenario("diagonal_solvable", tols=Tolerances(decision_tol=1e-12)).problem
     # final indicator norm is about 1e-7 * sqrt(2); a brutal tolerance flips it
-    strict = decide(report, decision_tol=1e-12)
+    strict = decide(alpha_sweep(problem))
     assert strict.verdict is Verdict.INCONCLUSIVE
     with pytest.raises(ValidationError):
-        decide(report, decision_tol=0.0)
+        Tolerances(decision_tol=0.0)
 
 
 def test_decide_mixed_kernel_and_range():

@@ -75,6 +75,39 @@ def test_singular_exit_code(capsys):
     assert "true" in out  # singular rows are still reported
 
 
+def test_tol_decision_overrides_only_the_decision_threshold(capsys, tmp_path):
+    """--tol-decision replaces the problem's decision_tol and keeps the file's other overrides.
+
+    h = (1, 1e-5) is 1e-5 away from Range L, so the verdict turns on decision_tol
+    and the oracle on the file's oracle_tol = 1e-3; at the default 1e-8 it says false.
+    """
+    data = {
+        "dimH": 2,
+        "dimU": 1,
+        "L": [[1.0], [0.0]],
+        "constraint": {"type": "projector_basis", "data": [[1.0, 0.0]]},
+        "h": [1.0, 1e-5],
+        "tolerances": {"oracle_tol": 1e-3},
+    }
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    for tol, verdict, agreement in (("1e-6", "NOT_SOLVABLE", "false"), ("1e-4", "SOLVABLE", "true")):
+        code, out, _ = run(capsys, "analyze", "--input", str(path), "--tol-decision", tol)
+        assert code == 0
+        lines = out.splitlines()
+        assert f"# verdict={verdict}" in lines
+        assert "# oracle_constrained_solvable=true" in lines
+        assert f"# agreement={agreement}" in lines
+    code, out, err = run(capsys, "analyze", "--input", str(path), "--tol-decision", "0")
+    assert (code, out) == (2, "")
+    assert "decision_tol" in err
+    del data["tolerances"]
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "analyze", "--input", str(path), "--tol-decision", "1e-6")
+    assert code == 0
+    assert "# oracle_constrained_solvable=false" in out.splitlines()
+
+
 def test_oracle_command(capsys):
     code, out, _ = run(capsys, "oracle", "--scenario", "diagonal_unsolvable")
     assert code == 0

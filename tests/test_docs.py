@@ -1,6 +1,7 @@
-"""The README's Python examples run, its scenario table matches the catalog, and the
-benchmark's tracer finds every name it wraps."""
+"""The README's Python examples run, its scenario table matches the catalog and its
+command-line section names every option, and the benchmark's tracer finds every name it wraps."""
 
+import argparse
 import importlib
 import importlib.util
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from finapprox import EXPECTED_VERDICTS, scenario_names
+from finapprox.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -37,6 +39,25 @@ def test_readme_scenario_table_matches_catalog():
     assert rows
     assert {name: verdict for name, verdict in rows} == EXPECTED_VERDICTS
     assert sorted(name for name, _ in rows) == list(scenario_names())
+
+
+def test_readme_documents_every_cli_option():
+    """Each long option of the parser and of every subcommand appears in "Command line"."""
+    section = README.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    parser = build_parser()
+    parsers = [parser]
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            parsers.extend(action.choices.values())
+    options = {
+        option
+        for p in parsers
+        for action in p._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert options
+    assert sorted(o for o in options if not re.search(rf"{o}(?![\w-])", section)) == []
 
 
 def test_tracer_layers_resolve():

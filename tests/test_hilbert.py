@@ -10,10 +10,8 @@ from finapprox import (
     Projector,
     Tolerances,
     ValidationError,
-    alpha_sweep,
     build_scenario,
     coordinate_family,
-    decide,
     diagonal_steps,
     family_projector,
     gram,
@@ -23,7 +21,6 @@ from finapprox import (
     midpoint_grid,
     orthonormal_columns,
     projector_defects,
-    range_oracle,
     solve_regularized,
 )
 from helpers import record_linalg_calls
@@ -441,6 +438,18 @@ def test_raw_constraint_is_measured_when_validation_is_read(monkeypatch):
             assert posed.constraint_is_projector and not posed.constraint_supplied_raw
 
 
+def test_raw_constraint_checks_run_no_svd(monkeypatch):
+    """Reading validation or constraint_is_projector on a raw constraint decomposes nothing:
+    no field reads the constraint's rank, the one fact of projector_defects that needs an SVD."""
+    raw = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
+    problem = make_problem(operator=np.diag([3.0, 2.0, 1.0]), constraint=raw, rhs=np.ones(3))
+    problem.spectrum
+    calls = record_linalg_calls(monkeypatch)
+    record = problem.validation
+    assert problem.constraint_is_projector and record.constraint_is_projector
+    assert calls == []
+
+
 def test_make_problem_rejects_nonfinite():
     proj = make_projector([np.eye(2)[:, 0]])
     h = np.array([1.0, np.nan])
@@ -458,7 +467,7 @@ def test_make_problem_rejects_nonfinite():
         lambda: make_projector([], dim=2.5),
         lambda: AlphaSchedule(alpha0="x"),
         lambda: AlphaSchedule(ratio="x"),
-        lambda: range_oracle(small_problem(), oracle_tol="x"),
+        lambda: Tolerances(oracle_tol="x"),
         lambda: solve_regularized("x", small_problem()),
         lambda: diagonal_steps(alpha0="x"),
     ],
@@ -483,7 +492,7 @@ def test_non_numeric_input_raises_validation_error(call):
         lambda: make_projector([], dim=True),
         lambda: Tolerances(rank_tol=True),
         lambda: AlphaSchedule(alpha0=True),
-        lambda: decide(alpha_sweep(small_problem()), decision_tol=True),
+        lambda: Tolerances(decision_tol=True),
     ],
     ids=["gram_representable", "make_problem", "coordinate_family", "family_projector",
          "midpoint_grid", "AlphaSchedule", "build_scenario", "make_projector", "Tolerances",

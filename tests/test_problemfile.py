@@ -124,6 +124,8 @@ def test_tolerance_overrides():
         (lambda d: d.update(h=[1.0]), "h"),
         (lambda d: d.update(constraint={"type": "mystery", "data": []}), "mystery"),
         (lambda d: d.update(constraint={"type": "raw"}), "data"),
+        (lambda d: d.update(tolerances={"decision_tol": True}), "decision_tol.*True"),
+        (lambda d: d.update(tolerances={"rank_tol": "1e-3"}), "rank_tol.*'1e-3'"),
     ],
 )
 def test_schema_violations(mutate, needle):
