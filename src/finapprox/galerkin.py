@@ -242,8 +242,8 @@ def galerkin_sweep(
 
     The levels read the equation through G alone, so they are posed on the
     problem's Gram-only view (:meth:`ProblemInstance.gram_view`): one
-    ``eigh(G)`` serves every level, the operator's SVD never runs, and no
-    control is formed. Only the constraint changes between levels; each
+    decomposition of G serves every level, the operator's SVD never runs,
+    and no control is formed. Only the constraint changes between levels; each
     level re-poses that view (:meth:`ProblemInstance.constrained`), which
     keeps its spectrum, so a level costs O(n^2 k).
     """

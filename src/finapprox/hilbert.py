@@ -177,6 +177,43 @@ def _numerical_rank(values, rel_tol: float, scale: Optional[float] = None) -> in
     return int(np.sum(values > rel_tol * scale)) if scale > 0 else 0
 
 
+def _svd(l: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.linalg.svd(l, full_matrices=m > n)``, exact and O(mn) when every row and
+    column of ``l`` has at most one nonzero: s is the entries' magnitudes sorted
+    descending (stably, so ties keep row order), U has the unit columns of their
+    rows and V^T the rows sign(v) e_j of their columns, each followed by the
+    unused rows or columns in ascending order. Any other ``l`` goes to LAPACK.
+    """
+    m, n = l.shape
+    if np.any(np.count_nonzero(l, axis=0) > 1) or np.any(np.count_nonzero(l, axis=1) > 1):
+        return np.linalg.svd(l, full_matrices=m > n)
+    k = min(m, n)
+    i, j = np.nonzero(l)
+    v = l[i, j]
+    order = np.argsort(-np.abs(v), kind="stable")
+    s = np.zeros(k)
+    s[: v.size] = np.abs(v[order])
+    u = np.zeros((m, m))  # scattered, not indexed from np.eye, to keep no n x n temporary
+    u[np.concatenate([i[order], np.setdiff1d(np.arange(m), i)]), np.arange(m)] = 1.0
+    vt = np.zeros((k, n))
+    right = np.concatenate([j[order], np.setdiff1d(np.arange(n), j)])[:k]
+    vt[np.arange(k), right] = np.concatenate([np.sign(v[order]), np.ones(k - v.size)])
+    return u, s, vt
+
+
+def _eigh(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(g)``, read off the diagonal in O(n^2) when ``g`` is
+    diagonal: the diagonal sorted ascending (stably) and the matching unit
+    vectors, both exact. Any other ``g`` goes to LAPACK."""
+    d = np.diagonal(g)
+    if np.count_nonzero(g) > np.count_nonzero(d):
+        return np.linalg.eigh(g)
+    order = np.argsort(d, kind="stable")
+    vectors = np.zeros(g.shape)
+    vectors[order, np.arange(d.size)] = 1.0
+    return d[order], vectors
+
+
 def _idempotency_defect(basis: np.ndarray) -> float:
     """||P^2 - P||_F of P = Q Q^T, computed from the basis Q in O(n k^2).
 
@@ -380,7 +417,7 @@ def _gram_spectrum(g: np.ndarray, control_dim, tols: Tolerances):
     sym_defect = float(np.linalg.norm(g - g.T))
     scale = max(1.0, float(np.linalg.norm(g)))
     part = (g + g.T) / 2.0
-    lam, vectors = np.linalg.eigh(part)
+    lam, vectors = _eigh(part)
     fault = None
     if sym_defect > tols.tol_sym * scale:
         fault = f"gram matrix symmetry defect {sym_defect:.3e} exceeds tol_sym"
@@ -414,14 +451,15 @@ class ValidationRecord:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """The one O(n^3) decomposition of a problem: G = vectors diag(gram_values) vectors^T.
+    """The one decomposition of a problem: G = vectors diag(gram_values) vectors^T.
 
     With the operator known it is the SVD L = U diag(singular_values) V^T in
     descending order: ``vectors`` is the square U, ``gram_values`` the squared
     singular values zero-padded to the ambient dimension, ``right`` is V^T.
-    For Gram-only input, and for :meth:`ProblemInstance.gram_view`, it is
-    ``eigh(G)``, without ``singular_values`` and ``right``. The arrays are
-    made read-only.
+    For Gram-only input, and for :meth:`ProblemInstance.gram_view`, it is the
+    eigendecomposition of G, without ``singular_values`` and ``right``. It is
+    read off the entries of a monomial L or a diagonal G (:func:`_svd`,
+    :func:`_eigh`), else made by LAPACK. The arrays are made read-only.
     """
 
     vectors: np.ndarray
@@ -436,12 +474,12 @@ class Spectrum:
 
 
 class _Decomposition:
-    """A problem's one O(n^3) decomposition, made on first read.
+    """A problem's one decomposition, made on first read.
 
-    Built from an operator, it runs the SVD the first time :attr:`spectrum`
-    is read; Gram-only input hands in its ``eigh(G)``. Every instance that
-    :meth:`ProblemInstance.constrained` derives holds the same object, so the
-    decomposition runs at most once per problem.
+    Built from an operator, it runs :func:`_svd` the first time
+    :attr:`spectrum` is read; Gram-only input hands in the :func:`_eigh` of its
+    PSD check. Every instance that :meth:`ProblemInstance.constrained` derives
+    holds the same object, so the decomposition runs at most once per problem.
     """
 
     def __init__(self, operator: Optional[np.ndarray] = None, spectrum: Optional[Spectrum] = None):
@@ -451,9 +489,8 @@ class _Decomposition:
     @property
     def spectrum(self) -> Spectrum:
         if self._spectrum is None:
-            rows, cols = self._operator.shape
-            u, s, vt = np.linalg.svd(self._operator, full_matrices=rows > cols)
-            lam = np.zeros(rows)  # s^2 zero-padded to the ambient dimension
+            u, s, vt = _svd(self._operator)
+            lam = np.zeros(self._operator.shape[0])  # s^2 zero-padded to the ambient dimension
             lam[: s.size] = s * s
             self._spectrum = Spectrum(vectors=u, gram_values=lam, singular_values=s, right=vt)
         return self._spectrum
@@ -549,7 +586,7 @@ class ProblemInstance:
         return replace(self, constraint=projector)
 
     def gram_view(self) -> "ProblemInstance":
-        """The same equation posed on G alone, decomposed by one ``eigh(G)``.
+        """The same equation posed on G alone, decomposed by one :func:`_eigh` of G.
 
         It has no operator, and shares G and h with this instance. Solves that
         read only G can use it instead of the operator's SVD; a Gram-only
@@ -557,7 +594,7 @@ class ProblemInstance:
         """
         if self.operator is None:
             return self
-        lam, vectors = np.linalg.eigh(self.gram)
+        lam, vectors = _eigh(self.gram)
         spectrum = Spectrum(vectors=vectors, gram_values=lam)
         return replace(self, operator=None, _decomposition=_Decomposition(spectrum=spectrum))
 
@@ -581,7 +618,8 @@ def make_problem(
 
     This function only rejects; every fact it does not reject on is measured
     when ``validation`` is read. The instance's :class:`Spectrum` is the SVD
-    of L, run on first use, or else ``eigh(G)``, run here for the PSD check.
+    of L, run on first use, or else the eigendecomposition of G, run here for
+    the PSD check; a monomial L or a diagonal G is read off its entries.
     A Gram operator that overflows is rejected (given L, by the bound
     lambda_max(G) <= max_i sum_j |G_ij|, which needs no decomposition), and
     so is a right-hand side whose norm overflows.

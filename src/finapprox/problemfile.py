@@ -64,7 +64,8 @@ def _positive_int(value, field: str) -> int:
 
 
 def problem_from_dict(data: dict, tols: Optional[Tolerances] = None) -> ProblemInstance:
-    """Build a validated problem instance from a parsed problem-file object."""
+    """Build a validated problem instance from a parsed problem-file object. The
+    file's ``tolerances`` field is always checked; a given ``tols`` then wins."""
     if not isinstance(data, dict):
         raise ProblemFileError(f"problem file must hold a JSON object, got {type(data).__name__}")
     known = {"dimH", "dimU", "L", "Gamma", "constraint", "h", "tolerances"}
@@ -75,21 +76,21 @@ def problem_from_dict(data: dict, tols: Optional[Tolerances] = None) -> ProblemI
     dim_h = _positive_int(_require(data, "dimH"), "dimH")
     dim_u = _positive_int(_require(data, "dimU"), "dimU")
 
-    if tols is None:
-        overrides = data.get("tolerances", {})
-        if not isinstance(overrides, dict):
-            raise ProblemFileError("field 'tolerances' must be an object")
-        bad = sorted(set(overrides) - set(_TOLERANCE_FIELDS))
-        if bad:
-            raise ProblemFileError(
-                f"field 'tolerances' has unknown entries {bad}; known: {list(_TOLERANCE_FIELDS)}"
-            )
-        try:  # the raw values meet the real-parameter rule first, so a bool or string is refused
-            tols = dataclasses.replace(
-                Tolerances(**overrides), **{k: float(v) for k, v in overrides.items()}
-            )
-        except (ValueError, OverflowError) as exc:
-            raise ProblemFileError(f"field 'tolerances' is invalid: {exc}") from exc
+    overrides = data.get("tolerances", {})
+    if not isinstance(overrides, dict):
+        raise ProblemFileError("field 'tolerances' must be an object")
+    bad = sorted(set(overrides) - set(_TOLERANCE_FIELDS))
+    if bad:
+        raise ProblemFileError(
+            f"field 'tolerances' has unknown entries {bad}; known: {list(_TOLERANCE_FIELDS)}"
+        )
+    try:  # the raw values meet the real-parameter rule first, so a bool or string is refused
+        file_tols = dataclasses.replace(
+            Tolerances(**overrides), **{k: float(v) for k, v in overrides.items()}
+        )
+    except (ValueError, OverflowError) as exc:
+        raise ProblemFileError(f"field 'tolerances' is invalid: {exc}") from exc
+    tols = file_tols if tols is None else tols
 
     try:  # the numeric fields get the library's own checks, named by field
         operator = as_operator(data["L"], (dim_h, dim_u), "field 'L'") if "L" in data else None
@@ -134,7 +135,7 @@ def problem_from_dict(data: dict, tols: Optional[Tolerances] = None) -> ProblemI
 
 
 def load_problem(path, tols: Optional[Tolerances] = None) -> ProblemInstance:
-    """Load and validate a problem file.
+    """Load and validate a problem file; ``tols`` is as in :func:`problem_from_dict`.
 
     Parse errors carry the line and column from the JSON decoder; validation
     errors name the offending field.

@@ -122,9 +122,10 @@ class RegularizedFactor:
     For a :class:`Projector` constraint with orthonormal basis Q of rank k,
     the eigendecomposition G = U diag(lam) U^T that the problem's
     :class:`~finapprox.hilbert.Spectrum` holds serves the whole schedule:
-    the SVD of L, computed on the problem's first use, or ``eigh(G)`` for
-    Gram-only input and for the Gram-only view that Galerkin levels are
-    posed on. Either order of the eigenpairs serves. With A = G + alpha I
+    the SVD of L, computed on the problem's first use, or the
+    eigendecomposition of G for Gram-only input and for the Gram-only view
+    that Galerkin levels are posed on. Both are read off the entries for a
+    monomial L or a diagonal G. Either order of the eigenpairs serves. With A = G + alpha I
     and B = U^T Q, the Woodbury identity gives
 
         T_alpha^{-1} = A^{-1} + A^{-1} Q C_alpha^{-1} Q^T A^{-1},

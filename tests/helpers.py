@@ -30,6 +30,28 @@ def random_operator(rng, dim, dim_u, rank):
     return u @ (s[:, None] * v.T)
 
 
+def rotate_problem(problem, r):
+    """``problem`` with H rotated by the orthogonal ``r``.
+
+    The operator becomes R L (a Gram-only G becomes R G R^T), a projector
+    basis R Q, a raw constraint R P R^T, and the right-hand side R h. A
+    monomial L or a diagonal G rotated by a dense R is dense.
+    """
+    if isinstance(problem.constraint, Projector):
+        constraint = make_projector(list((r @ problem.constraint.basis).T), dim=problem.ambient_dim)
+    else:
+        constraint = r @ problem.constraint @ r.T
+    if problem.operator is None:
+        return make_problem(
+            gram_matrix=r @ problem.gram @ r.T,
+            constraint=constraint,
+            rhs=r @ problem.rhs,
+            control_dim=problem.control_dim,
+            tols=problem.tols,
+        )
+    return make_problem(operator=r @ problem.operator, constraint=constraint, rhs=r @ problem.rhs, tols=problem.tols)
+
+
 def transversal_projector(rng, operator, max_rank=3, floor=TRANSVERSALITY_FLOOR):
     """Random projector whose range meets the Gram kernel only at zero.
 

@@ -2,7 +2,8 @@
 
 The problem's one decomposition (the SVD of L, read as the eigenpairs of
 the Gram operator) serves every alpha, and one eigh of the Gram operator
-serves every Galerkin level; these tests hold the factor to a dense
+serves every Galerkin level; a monomial L or a diagonal G is decomposed
+from its entries, with no LAPACK call; these tests hold the factor to a dense
 reference solve, to the alpha-independent SINGULAR test, and to its
 factorization count.
 """
@@ -14,6 +15,7 @@ from finapprox import (
     AlphaSchedule,
     RegularizedSolution,
     SingularSystem,
+    SubspaceFamily,
     alpha_sweep,
     build_scenario,
     diagonal_steps,
@@ -25,7 +27,7 @@ from finapprox import (
     range_oracle,
     regularized_operator,
 )
-from helpers import random_operator, random_orthonormal, reachable_rhs, record_linalg_calls
+from helpers import random_operator, random_orthonormal, reachable_rhs, record_linalg_calls, rotate_problem
 
 EPS = np.finfo(float).eps
 ALPHAS = [10.0**-k for k in range(8)]
@@ -164,42 +166,68 @@ def _capacitance_solves(k, records):
     return [("numpy.solve", (k, k))] * (2 * nonsingular) if k else []
 
 
-def test_alpha_sweep_factors_once(linalg_calls):
-    """Building the problem and an 8-alpha sweep take one n x n decomposition: the SVD of L.
+def _monomial_and_rotated():
+    """``function_space_galerkin`` at M=64 with the damping diagonal, and a seeded
+    orthogonal R that makes it dense under :func:`rotate_problem`."""
+    scenario = build_scenario("function_space_galerkin", M=64, operator="damping")
+    return scenario, random_orthonormal(np.random.default_rng(64), 64, 64)
 
-    Each alpha adds only its k x k capacitance solves; no factorization of
-    any other kind or size runs.
+
+def test_alpha_sweep_factors_once(linalg_calls):
+    """Building the problem and an 8-alpha sweep take one n x n decomposition, the
+    SVD of L, when L is dense, and none when L is monomial.
+
+    The dense problem is the monomial scenario with H rotated. Each alpha
+    adds only its k x k capacitance solves; no factorization of any other
+    kind or size runs.
     """
-    problem = build_scenario("function_space_galerkin", M=64, operator="damping").problem
-    n, k = problem.ambient_dim, problem.constraint.rank
+    scenario, r = _monomial_and_rotated()
+    monomial = scenario.problem
+    n, k = monomial.ambient_dim, monomial.constraint.rank
     assert 0 < k < n
-    report = alpha_sweep(problem, AlphaSchedule(count=8))
-    assert len(report.records) == 8
-    assert _square_calls(linalg_calls, n) == [("numpy.svd", (n, n))]
-    expected = _capacitance_solves(k, report.records)
-    assert expected
-    assert [c for c in linalg_calls if c[0] not in ("numpy.svd", "numpy.eigh")] == expected
-    before = len(linalg_calls)
-    range_oracle(problem)
-    assert _square_calls(linalg_calls[before:], n) == []
+    for rotated, decompositions in ((True, [("numpy.svd", (n, n))]), (False, [])):
+        linalg_calls.clear()
+        if rotated:
+            problem = rotate_problem(monomial, r)
+        else:
+            problem = build_scenario("function_space_galerkin", M=64, operator="damping").problem
+        report = alpha_sweep(problem, AlphaSchedule(count=8))
+        assert len(report.records) == 8
+        assert _square_calls(linalg_calls, n) == decompositions
+        expected = _capacitance_solves(k, report.records)
+        assert expected
+        assert [c for c in linalg_calls if c[0] not in ("numpy.svd", "numpy.eigh")] == expected
+        before = len(linalg_calls)
+        range_oracle(problem)
+        assert _square_calls(linalg_calls[before:], n) == []
 
 
 def test_galerkin_sweep_factors_once(linalg_calls):
-    """Building the problem and an 8-level Galerkin sweep take one n x n decomposition: eigh(G).
+    """Building the problem and an 8-level Galerkin sweep take one n x n decomposition,
+    eigh(G), when G is dense, and none when G is diagonal.
 
-    The levels read G alone, so the operator's SVD never runs. Each level
-    adds only its k_n x k_n capacitance solves.
+    The dense problem is the monomial scenario with H rotated, and so is its
+    family. The levels read G alone, so the operator's SVD never runs. Each
+    level adds only its k_n x k_n capacitance solves.
     """
-    scenario = build_scenario("function_space_galerkin", M=64, operator="damping")
-    problem = scenario.problem
-    n = problem.ambient_dim
-    report = galerkin_sweep(problem, scenario.family, diagonal_steps(8, max_n=scenario.family.max_n))
-    assert len(report.records) == 8
-    calls = list(linalg_calls)
-    assert _square_calls(calls, n) == [("numpy.eigh", (n, n))]
-    assert not [c for c in calls if c[0] == "numpy.svd"]
-    expected = []
-    for record in report.records:
-        expected += _capacitance_solves(scenario.family.sizes[record.n - 1], [record])
-    assert expected
-    assert [c for c in calls if c[0] != "numpy.eigh"] == expected
+    scenario, r = _monomial_and_rotated()
+    n = scenario.problem.ambient_dim
+    rotated_family = SubspaceFamily(r @ scenario.family.basis, scenario.family.sizes, "rotated sine")
+    steps = diagonal_steps(8, max_n=scenario.family.max_n)
+    for rotated, decompositions in ((True, [("numpy.eigh", (n, n))]), (False, [])):
+        linalg_calls.clear()
+        if rotated:
+            problem, family = rotate_problem(scenario.problem, r), rotated_family
+        else:
+            built = build_scenario("function_space_galerkin", M=64, operator="damping")
+            problem, family = built.problem, built.family
+        report = galerkin_sweep(problem, family, steps)
+        assert len(report.records) == 8
+        calls = list(linalg_calls)
+        assert _square_calls(calls, n) == decompositions
+        assert not [c for c in calls if c[0] == "numpy.svd"]
+        expected = []
+        for record in report.records:
+            expected += _capacitance_solves(family.sizes[record.n - 1], [record])
+        assert expected
+        assert [c for c in calls if c[0] != "numpy.eigh"] == expected

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from finapprox import (
     ProblemFileError,
+    Tolerances,
     build_scenario,
     load_problem,
     problem_from_dict,
@@ -109,6 +110,26 @@ def test_tolerance_overrides():
     data["tolerances"] = {"no_such_tol": 1.0}
     with pytest.raises(ProblemFileError, match="no_such_tol"):
         problem_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "tolerances,needle",
+    [({"decision_tol": True}, "decision_tol.*True"), ({"bogus": "x"}, "bogus")],
+)
+def test_file_tolerances_checked_when_tols_given(tolerances, needle):
+    """An explicit ``tols`` wins over the file's field, but the field is still checked."""
+    data = {
+        "dimH": 2,
+        "dimU": 2,
+        "L": [[1.0, 0.0], [0.0, 1.0]],
+        "constraint": {"type": "projector_basis", "data": [[1.0, 0.0]]},
+        "h": [1.0, 1.0],
+        "tolerances": {"decision_tol": 1e-3},
+    }
+    assert problem_from_dict(data, tols=Tolerances()).tols == Tolerances()
+    data["tolerances"] = tolerances
+    with pytest.raises(ProblemFileError, match=needle):
+        problem_from_dict(data, tols=Tolerances())
 
 
 @pytest.mark.parametrize(
