@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
@@ -40,9 +41,17 @@ __all__ = [
 ]
 
 
+# Below sqrt(tiny) alpha**2 is subnormal, and at lam = 0 the solve's lam / alpha**2 turns 0 / 0.
+_SMALLEST_ALPHA = math.sqrt(np.finfo(float).tiny)
+
+
 @dataclass(frozen=True)
 class AlphaSchedule:
-    """Geometric schedule alpha_k = alpha0 * ratio**k for k = 0..count-1."""
+    """Geometric schedule alpha_k = alpha0 * ratio**k for k = 0..count-1.
+
+    Its smallest alpha, alpha0 * ratio**(count - 1), must be at least
+    sqrt(tiny), about 1.49e-154, the smallest float whose square is normal.
+    """
 
     alpha0: float = 1.0
     ratio: float = 0.1
@@ -53,6 +62,13 @@ class AlphaSchedule:
         _positive_real(self.ratio, "ratio", below=1)
         if not _int_at_least(self.count, 1):
             raise ValidationError(f"count must be a positive integer, got {self.count!r}")
+        # min() keeps a count beyond the float range from overflowing the power
+        smallest = self.alpha0 * self.ratio ** min(self.count - 1, sys.float_info.max)
+        if smallest < _SMALLEST_ALPHA:
+            raise ValidationError(
+                f"alpha schedule underflows: its smallest alpha {smallest:.3g} "
+                f"is below sqrt(tiny) = {_SMALLEST_ALPHA:.3g}, where alpha**2 is subnormal"
+            )
 
     def values(self) -> list[float]:
         """Alphas in decreasing order."""

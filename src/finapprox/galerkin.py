@@ -8,7 +8,7 @@ schedule. Each step still matches its own finite constraint exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -196,13 +196,15 @@ def diagonal_steps(
     alpha0: float = 1.0,
     ratio: float = 0.1,
 ) -> list[tuple[int, float]]:
-    """Default diagonal schedule: step k pairs level min(k, max_n) with alpha0 * ratio**k."""
-    AlphaSchedule(alpha0=alpha0, ratio=ratio, count=count)  # validates the three arguments
-    steps = []
-    for k in range(1, int(count) + 1):
-        n = k if max_n is None else min(k, int(max_n))
-        steps.append((n, alpha0 * ratio**k))
-    return steps
+    """Default diagonal schedule: step k pairs level min(k, max_n) with alpha0 * ratio**k.
+
+    Its last alpha, alpha0 * ratio**count, one power past the
+    :class:`AlphaSchedule` of the same arguments, is held to that schedule's
+    smallest-alpha bound.
+    """
+    schedule = AlphaSchedule(alpha0=alpha0, ratio=ratio, count=count)  # validates the three arguments
+    alphas = replace(schedule, count=count + 1).values()[1:]  # and the last alpha
+    return [(k if max_n is None else min(k, int(max_n)), alpha) for k, alpha in enumerate(alphas, 1)]
 
 
 @dataclass(frozen=True)

@@ -177,12 +177,88 @@ def _numerical_rank(values, rel_tol: float, scale: Optional[float] = None) -> in
     return int(np.sum(values > rel_tol * scale)) if scale > 0 else 0
 
 
-def _svd(l: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class _SignedPermutation:
+    """A signed partial permutation matrix P, n x c with c <= n: P[rows[j], j] =
+    signs[j] and zeros elsewhere, or its transpose.
+
+    The orthogonal factors of a closed-form :class:`Spectrum` take this form.
+    A product with it is a gather or a scatter of rows or columns times +-1,
+    so it is exact, and no n x n array is formed. It supports what the
+    spectrum's readers use: ``shape``, ``.T``, ``@`` on either side with a
+    1-D or 2-D array, and a column slice ``P[:, :r]`` (a row slice
+    ``P.T[:r]`` of the transpose). ``np.asarray`` materializes it.
+    """
+
+    __array_ufunc__ = None  # ndarray @ P defers to P.__rmatmul__
+
+    def __init__(self, rows: np.ndarray, signs: np.ndarray, height: int, transposed: bool = False):
+        self.rows, self.signs = rows, signs
+        rows.setflags(write=False)
+        signs.setflags(write=False)
+        self._height = height
+        self._transposed = transposed
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        shape = (self._height, self.rows.size)
+        return shape[::-1] if self._transposed else shape
+
+    @property
+    def T(self) -> "_SignedPermutation":
+        return _SignedPermutation(self.rows, self.signs, self._height, not self._transposed)
+
+    def __getitem__(self, key) -> "_SignedPermutation":
+        everything, columns = (slice(None), key) if self._transposed else key
+        if everything != slice(None) or not isinstance(columns, slice):
+            raise IndexError(f"a signed permutation takes only a slice of the columns of P, got {key!r}")
+        picked = _SignedPermutation(self.rows[columns], self.signs[columns], self._height)
+        return picked.T if self._transposed else picked
+
+    def _product(self, x, axis: int, gather: bool) -> np.ndarray:
+        """P^T x (gather) or P x (scatter) along ``axis`` of a 1-D or 2-D ``x``.
+
+        Zeros come out as +0.0, as they do from a BLAS product with the
+        dense matrix, so the two agree bit for bit on finite ``x``.
+        """
+        x = np.asarray(x, dtype=float)
+        inner = self._height if gather else self.rows.size
+        if x.ndim not in (1, 2) or x.shape[axis] != inner:
+            raise ValueError(f"matmul: shapes {self.shape} and {x.shape} do not align")
+        signs = self.signs[:, None] if axis == 0 and x.ndim == 2 else self.signs
+        if gather:
+            out = np.take(x, self.rows, axis=axis)
+            out *= signs
+            out += 0.0  # -0.0 becomes +0.0
+            return out
+        shape = list(x.shape)
+        shape[axis] = self._height
+        out = np.zeros(shape)
+        np.moveaxis(out, axis, 0)[self.rows] = np.moveaxis(x * signs + 0.0, axis, 0)
+        return out
+
+    def __matmul__(self, x) -> np.ndarray:
+        return self._product(x, 0, gather=self._transposed)
+
+    def __rmatmul__(self, x) -> np.ndarray:
+        return self._product(x, -1, gather=not self._transposed)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:  # always a new array
+        dense = np.zeros((self._height, self.rows.size), dtype=dtype)
+        dense[self.rows, np.arange(self.rows.size)] = self.signs
+        return dense.T if self._transposed else dense
+
+
+_Orthogonal = Union[np.ndarray, _SignedPermutation]  # an orthogonal factor of a Spectrum
+
+
+def _svd(l: np.ndarray) -> tuple[_Orthogonal, np.ndarray, _Orthogonal]:
     """``np.linalg.svd(l, full_matrices=m > n)``, exact and O(mn) when every row and
     column of ``l`` has at most one nonzero: s is the entries' magnitudes sorted
-    descending (stably, so ties keep row order), U has the unit columns of their
-    rows and V^T the rows sign(v) e_j of their columns, each followed by the
-    unused rows or columns in ascending order. Any other ``l`` goes to LAPACK.
+    descending (stably, so ties keep row order), U is the permutation of the
+    unit columns of their rows and V^T the signed permutation of the rows
+    sign(v) e_j of their columns, each followed by the unused rows or columns
+    in ascending order; both are :class:`_SignedPermutation`. Any other ``l``
+    goes to LAPACK, and its U and V^T are arrays.
     """
     m, n = l.shape
     if np.any(np.count_nonzero(l, axis=0) > 1) or np.any(np.count_nonzero(l, axis=1) > 1):
@@ -193,25 +269,22 @@ def _svd(l: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     order = np.argsort(-np.abs(v), kind="stable")
     s = np.zeros(k)
     s[: v.size] = np.abs(v[order])
-    u = np.zeros((m, m))  # scattered, not indexed from np.eye, to keep no n x n temporary
-    u[np.concatenate([i[order], np.setdiff1d(np.arange(m), i)]), np.arange(m)] = 1.0
-    vt = np.zeros((k, n))
+    u = _SignedPermutation(np.concatenate([i[order], np.setdiff1d(np.arange(m), i)]), np.ones(m), m)
     right = np.concatenate([j[order], np.setdiff1d(np.arange(n), j)])[:k]
-    vt[np.arange(k), right] = np.concatenate([np.sign(v[order]), np.ones(k - v.size)])
+    vt = _SignedPermutation(right, np.concatenate([np.sign(v[order]), np.ones(k - v.size)]), n).T
     return u, s, vt
 
 
-def _eigh(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _eigh(g: np.ndarray) -> tuple[np.ndarray, _Orthogonal]:
     """``np.linalg.eigh(g)``, read off the diagonal in O(n^2) when ``g`` is
-    diagonal: the diagonal sorted ascending (stably) and the matching unit
-    vectors, both exact. Any other ``g`` goes to LAPACK."""
+    diagonal: the diagonal sorted ascending (stably), both exact, and the
+    matching unit vectors as a :class:`_SignedPermutation`. Any other ``g``
+    goes to LAPACK."""
     d = np.diagonal(g)
     if np.count_nonzero(g) > np.count_nonzero(d):
         return np.linalg.eigh(g)
     order = np.argsort(d, kind="stable")
-    vectors = np.zeros(g.shape)
-    vectors[order, np.arange(d.size)] = 1.0
-    return d[order], vectors
+    return d[order], _SignedPermutation(order, np.ones(d.size), d.size)
 
 
 def _idempotency_defect(basis: np.ndarray) -> float:
@@ -388,6 +461,7 @@ def gram_representable(
     ok = fault is None and rank <= control_dim
     factor = None
     if ok:
+        vectors = np.asarray(vectors)  # read by single columns
         factor = np.zeros((g.shape[0], control_dim))
         for k in range(rank):  # leading eigenpairs first; eigh's order is ascending
             factor[:, k] = np.sqrt(max(lam[-1 - k], 0.0)) * vectors[:, -1 - k]
@@ -459,17 +533,21 @@ class Spectrum:
     For Gram-only input, and for :meth:`ProblemInstance.gram_view`, it is the
     eigendecomposition of G, without ``singular_values`` and ``right``. It is
     read off the entries of a monomial L or a diagonal G (:func:`_svd`,
-    :func:`_eigh`), else made by LAPACK. The arrays are made read-only.
+    :func:`_eigh`), and then ``vectors`` and ``right`` are signed
+    permutations, kept as their index arrays and signs and applied by
+    indexing (:class:`_SignedPermutation`); else LAPACK makes it, and they
+    are arrays. Either way they support ``@``, ``.T`` and column slices, and
+    every array, index arrays included, is made read-only.
     """
 
-    vectors: np.ndarray
+    vectors: _Orthogonal
     gram_values: np.ndarray
     singular_values: Optional[np.ndarray] = None
-    right: Optional[np.ndarray] = None
+    right: Optional[_Orthogonal] = None
 
     def __post_init__(self) -> None:
         for a in (self.vectors, self.gram_values, self.singular_values, self.right):
-            if a is not None:
+            if isinstance(a, np.ndarray):  # a _SignedPermutation's index arrays are read-only already
                 a.setflags(write=False)
 
 

@@ -125,7 +125,9 @@ class RegularizedFactor:
     the SVD of L, computed on the problem's first use, or the
     eigendecomposition of G for Gram-only input and for the Gram-only view
     that Galerkin levels are posed on. Both are read off the entries for a
-    monomial L or a diagonal G. Either order of the eigenpairs serves. With A = G + alpha I
+    monomial L or a diagonal G, and then U is a permutation kept as its index
+    array, so B = U^T Q and every product with U or U^T below is a row gather
+    or scatter. Either order of the eigenpairs serves. With A = G + alpha I
     and B = U^T Q, the Woodbury identity gives
 
         T_alpha^{-1} = A^{-1} + A^{-1} Q C_alpha^{-1} Q^T A^{-1},
@@ -143,7 +145,8 @@ class RegularizedFactor:
     ----------
     problem : the problem this factor solves.
     eigenvalues : eigenvalues of G, clamped at zero, in the spectrum's order.
-    eigenvectors : the matching orthonormal eigenvectors U.
+    eigenvectors : the matching orthonormal eigenvectors U, an array or a
+        permutation (see :class:`~finapprox.hilbert.Spectrum`).
     basis_coords : B = U^T Q, the constraint basis in G's eigenbasis.
     smallest_eigenvalue : smallest eigenvalue of G_QQ (infinite for the zero
         projector, whose system is never singular).

@@ -68,6 +68,19 @@ def test_schedule_validation_and_values():
         AlphaSchedule(count=0)
 
 
+def test_schedule_smallest_alpha_keeps_its_square_normal():
+    """The smallest alpha must be at least sqrt(tiny), about 1.49e-154: below it alpha**2
+    is subnormal and the solve divides 0 by 0."""
+    assert AlphaSchedule(count=154).values()[-1] > 1e-153 > np.sqrt(np.finfo(float).tiny)
+    for schedule in (
+        lambda: AlphaSchedule(count=155),
+        lambda: AlphaSchedule(alpha0=1e-155, count=1),
+        lambda: AlphaSchedule(ratio=0.5, count=10**400),  # beyond the float range
+    ):
+        with pytest.raises(ValidationError, match="alpha schedule underflows"):
+            schedule()
+
+
 def test_sweep_records_closed_form():
     problem = build_scenario("diagonal_unsolvable").problem
     report = alpha_sweep(problem)

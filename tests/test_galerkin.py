@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from finapprox import (
     DEFAULT_TOLERANCES,
+    AlphaSchedule,
     ValidationError,
     coordinate_family,
     diagonal_steps,
@@ -201,6 +202,10 @@ def test_diagonal_steps_schedule():
         diagonal_steps(count=0)
     with pytest.raises(ValidationError):
         diagonal_steps(ratio=1.5)
+    # the last alpha, alpha0 * ratio**count, is one power past AlphaSchedule(count=count)'s
+    assert diagonal_steps(count=153)[-1] == (153, AlphaSchedule(count=154).values()[-1])
+    with pytest.raises(ValidationError, match="alpha schedule underflows"):
+        diagonal_steps(count=154)
 
 
 def test_galerkin_sweep_closed_form():

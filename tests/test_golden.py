@@ -1,4 +1,5 @@
-"""Golden reports: every CLI report of the small bundled scenarios, and the
+"""Golden reports: every CLI report of the small bundled scenarios, of
+``function_space_galerkin`` at M=16 with the damping operator, and the
 scenario catalog, byte for byte.
 
 Each case runs one command on one scenario and compares stdout with
@@ -25,20 +26,22 @@ SCENARIOS = (
     "nilpotent_pi",
 )
 REPORTS = ("sweep", "analyze", "oracle", "galerkin")
+# the function-space scenario, small, with its monomial damping operator and its own sine family
+FUNCTION_SPACE = ("function_space_galerkin.M16-damping", ["--param", "M=16", "--param", "operator=damping"])
 
 
 def _cases() -> list[tuple[str, list[str]]]:
     cases = []
-    for scenario in SCENARIOS:
+    sources = [(scenario, ["--scenario", scenario], ["--family", "coordinate"]) for scenario in SCENARIOS]
+    sources.append((FUNCTION_SPACE[0], ["--scenario", "function_space_galerkin", *FUNCTION_SPACE[1]], []))
+    for name, source, family in sources:
         for command in REPORTS:
-            extra = ["--family", "coordinate"] if command == "galerkin" else []
+            extra = family if command == "galerkin" else []
             for fmt in ("csv", "json"):
-                argv = [command, "--scenario", scenario, *extra, "--format", fmt]
-                cases.append((f"{scenario}.{command}.{fmt}", argv))
-        cases.append((f"{scenario}.validate.csv", ["validate", "--scenario", scenario]))
-        cases.append(
-            (f"{scenario}.validate.json", ["validate", "--scenario", scenario, "--format", "json"])
-        )
+                argv = [command, *source, *extra, "--format", fmt]
+                cases.append((f"{name}.{command}.{fmt}", argv))
+        cases.append((f"{name}.validate.csv", ["validate", *source]))
+        cases.append((f"{name}.validate.json", ["validate", *source, "--format", "json"]))
     cases.append(("scenarios-list.txt", ["scenarios-list"]))
     return cases
 

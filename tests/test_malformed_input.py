@@ -3,6 +3,7 @@
 Each example takes a valid problem file and applies one to three mutations:
 a value anywhere in the document is swapped for one of the wrong type, shape
 or size (huge integers, overflowing floats), or a key or list entry is dropped.
+An alpha schedule that underflows is bad input too.
 """
 
 import contextlib
@@ -85,3 +86,35 @@ def _exit_codes(path, problem) -> list[int]:
 @given(problem=malformed_problems(), allowed=st.just({EXIT_OK, EXIT_BAD_INPUT, EXIT_SINGULAR}))
 def test_malformed_problem_file_never_exits_four(problem_path, problem, allowed):
     assert set(_exit_codes(problem_path, problem)) <= allowed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--count", "170"],
+        ["sweep", "--count", "163"],
+        ["sweep", "--count", "155"],  # the first count whose smallest alpha, 1e-154, is below 1.49e-154
+        ["galerkin", "--family", "coordinate", "--count", "154"],  # its last alpha is 0.1**154
+        ["analyze", "--alpha0", "1e-160", "--count", "1"],
+        ["sweep", "--count", "1" + "0" * 400],
+    ],
+)
+def test_underflowing_alpha_schedule_exits_two(capsys, argv):
+    """Below sqrt(tiny), about 1.49e-154, alpha**2 is subnormal and a zero Gram eigenvalue
+    gives 0 / 0: such a schedule is refused, not reported as NaN rows or a changed verdict."""
+    assert main([*argv, "--scenario", "diagonal_unsolvable"]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and "alpha schedule underflows" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["analyze", "--count", "154"], "# verdict=NOT_SOLVABLE\n"),
+        (["galerkin", "--family", "coordinate", "--count", "153"], "\n153,2,1.0000000000000085e-153,"),
+    ],
+)
+def test_smallest_accepted_alpha_schedule_runs(capsys, argv, expected):
+    assert main([*argv, "--scenario", "diagonal_unsolvable"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert expected in captured.out and captured.err == ""

@@ -2,9 +2,13 @@
 
 The closed forms are exact, so they are held to exact orthogonality and
 exact reconstruction, and to LAPACK's singular values within its own
-accuracy. One entry off the pattern sends the input to LAPACK. End to end,
-every catalog scenario (each takes a closed form) must answer as its copy
-with H rotated by a dense orthogonal R does (that copy takes LAPACK).
+accuracy. Their orthogonal factors are signed permutations, kept as index
+arrays: they are read here through ``np.asarray``, every product the solvers
+take with them must equal the product with that dense matrix bit for bit,
+and the reports must run without ever making it. One entry off the pattern
+sends the input to LAPACK. End to end, every catalog scenario (each takes a
+closed form) must answer as its copy with H rotated by a dense orthogonal R
+does (that copy takes LAPACK).
 """
 
 import numpy as np
@@ -23,6 +27,8 @@ from finapprox import (
     range_oracle,
     scenario_names,
 )
+from finapprox.cli import main
+from finapprox.hilbert import _SignedPermutation
 from helpers import random_orthonormal, record_linalg_calls, rotate_problem
 
 EPS = np.finfo(float).eps
@@ -67,7 +73,9 @@ def test_monomial_svd_is_exact(l):
     k = min(m, n)
     spectrum, calls = _spectrum_calls(_problem(l))
     assert calls == []
-    u, s, vt = spectrum.vectors, spectrum.singular_values, spectrum.right
+    assert isinstance(spectrum.vectors, _SignedPermutation) and isinstance(spectrum.right, _SignedPermutation)
+    u, s, vt = np.asarray(spectrum.vectors), spectrum.singular_values, np.asarray(spectrum.right)
+    assert (u.shape, vt.shape) == (spectrum.vectors.shape, spectrum.right.shape)
     reference = np.linalg.svd(l, full_matrices=m > n)
     assert (u.shape, s.shape, vt.shape) == tuple(a.shape for a in reference)
     assert np.array_equal(u.T @ u, np.eye(m))
@@ -77,6 +85,58 @@ def test_monomial_svd_is_exact(l):
     # LAPACK's small singular values are accurate relative to the largest only
     assert np.all(np.abs(s - reference.S) <= 4 * EPS * s[0])
     assert np.array_equal(spectrum.gram_values[:k], s * s)
+    for factor in (spectrum.vectors, spectrum.right):
+        for index in (factor.rows, factor.signs):
+            with pytest.raises(ValueError):
+                index[0] = 0
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+# finite entries with signed zeros, so a product's zeros must come out as the dense product's
+ENTRIES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e300, 1e300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomial_matrices(), st.integers(1, 3), st.lists(ENTRIES, min_size=24, max_size=24), st.data())
+def test_signed_permutation_products_match_dense_bit_for_bit(l, width, entries, data):
+    """Every product the solvers and the oracle take with a closed-form factor, U, U^T,
+    V^T, V and their column prefixes, on either side of a 1-D or 2-D operand, equals
+    the product with its dense matrix bit for bit. The operands are prefixes of one
+    drawn list of entries."""
+    spectrum = _problem(l).spectrum
+    r = data.draw(st.integers(0, min(l.shape)))
+    u, vt = spectrum.vectors, spectrum.right
+    for factor, dense in ((u.T, np.asarray(u).T), (u[:, :r], np.asarray(u)[:, :r]), (vt[:r], np.asarray(vt)[:r])):
+        assert np.array_equal(np.asarray(factor), dense)
+    for factor in (u, u.T, vt, vt.T, u[:, :r], u[:, :r].T, vt[:r], vt[:r].T):
+        dense = np.asarray(factor)
+        rows, columns = factor.shape
+        for shape in ((columns,), (columns, width)):
+            x = np.array(entries[: int(np.prod(shape))]).reshape(shape)
+            assert _bits(factor @ x) == _bits(dense @ x)
+        for shape in ((rows,), (width, rows)):
+            x = np.array(entries[: int(np.prod(shape))]).reshape(shape)
+            assert _bits(x @ factor) == _bits(x @ dense)
+        with pytest.raises(ValueError):
+            factor @ np.ones(columns + 1)
+
+
+def test_reports_run_without_densifying(monkeypatch, capsys):
+    """analyze, oracle and galerkin on the function-space scenario never materialize
+    a closed-form factor: every product with it is a gather or a scatter."""
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a signed permutation was materialized")
+
+    monkeypatch.setattr(_SignedPermutation, "__array__", refuse)
+    source = ["--scenario", "function_space_galerkin", "--param", "M=64", "--param", "operator=damping"]
+    for command in ("analyze", "oracle", "galerkin"):
+        assert main([command, *source]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("# finapprox v1") and captured.err == ""
 
 
 def test_monomial_svd_order_is_stable():
@@ -84,14 +144,15 @@ def test_monomial_svd_order_is_stable():
     l = np.array([[0.0, 0.0, -1.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
     spectrum = _problem(l).spectrum
     assert spectrum.singular_values.tolist() == [2.0, 1.0, 1.0]
-    assert np.array_equal(spectrum.vectors, np.eye(5)[:, [1, 0, 3, 2, 4]])
-    assert np.array_equal(spectrum.right, [[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+    assert np.array_equal(np.asarray(spectrum.vectors), np.eye(5)[:, [1, 0, 3, 2, 4]])
+    assert np.array_equal(np.asarray(spectrum.right), [[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
     wide = np.zeros((3, 4))
     wide[1, 2] = -7.0
     spectrum = _problem(wide).spectrum
     assert spectrum.singular_values.tolist() == [7.0, 0.0, 0.0]
-    assert np.array_equal(spectrum.vectors, np.eye(3)[:, [1, 0, 2]])
-    assert np.array_equal(spectrum.right, [[0.0, 0.0, -1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    assert np.array_equal(np.asarray(spectrum.vectors), np.eye(3)[:, [1, 0, 2]])
+    right = np.asarray(spectrum.right)
+    assert np.array_equal(right, [[0.0, 0.0, -1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
 
 
 @settings(max_examples=200, deadline=None)
@@ -123,7 +184,8 @@ def test_diagonal_gram_eigh_is_exact(d):
         spectra = (gram_only.spectrum, view.spectrum)
     assert calls == []
     for spectrum, gram_matrix in zip(spectra, (g, d @ d.T)):
-        u, lam = spectrum.vectors, spectrum.gram_values
+        assert isinstance(spectrum.vectors, _SignedPermutation)
+        u, lam = np.asarray(spectrum.vectors), spectrum.gram_values
         assert np.all(np.diff(lam) >= 0)
         assert np.array_equal(u.T @ u, np.eye(n))
         assert np.array_equal((u * lam) @ u.T, gram_matrix)
