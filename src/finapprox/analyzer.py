@@ -43,6 +43,8 @@ __all__ = [
 
 # Below sqrt(tiny) alpha**2 is subnormal, and at lam = 0 the solve's lam / alpha**2 turns 0 / 0.
 _SMALLEST_ALPHA = math.sqrt(np.finfo(float).tiny)
+# Above sqrt(max) alpha**2 overflows, and the solve's lam / (alpha (lam + alpha)) becomes 0 for every lam.
+_LARGEST_ALPHA = math.sqrt(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,9 @@ class AlphaSchedule:
     """Geometric schedule alpha_k = alpha0 * ratio**k for k = 0..count-1.
 
     Its smallest alpha, alpha0 * ratio**(count - 1), must be at least
-    sqrt(tiny), about 1.49e-154, the smallest float whose square is normal.
+    sqrt(tiny), about 1.49e-154, the smallest float whose square is normal,
+    and its largest, alpha0, at most sqrt(max), about 1.34e154, the largest
+    float whose square is finite.
     """
 
     alpha0: float = 1.0
@@ -62,6 +66,11 @@ class AlphaSchedule:
         _positive_real(self.ratio, "ratio", below=1)
         if not _int_at_least(self.count, 1):
             raise ValidationError(f"count must be a positive integer, got {self.count!r}")
+        if self.alpha0 > _LARGEST_ALPHA:
+            raise ValidationError(
+                f"alpha schedule overflows: its largest alpha {self.alpha0:.3g} "
+                f"is above sqrt(max) = {_LARGEST_ALPHA:.3g}, where alpha**2 overflows"
+            )
         # min() keeps a count beyond the float range from overflowing the power
         smallest = self.alpha0 * self.ratio ** min(self.count - 1, sys.float_info.max)
         if smallest < _SMALLEST_ALPHA:

@@ -249,23 +249,49 @@ class _SignedPermutation:
 
 
 _Orthogonal = Union[np.ndarray, _SignedPermutation]  # an orthogonal factor of a Spectrum
+_Entries = Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]  # rows, cols, values of a monomial L
 
 
-def _svd(l: np.ndarray) -> tuple[_Orthogonal, np.ndarray, _Orthogonal]:
-    """``np.linalg.svd(l, full_matrices=m > n)``, exact and O(mn) when every row and
-    column of ``l`` has at most one nonzero: s is the entries' magnitudes sorted
-    descending (stably, so ties keep row order), U is the permutation of the
-    unit columns of their rows and V^T the signed permutation of the rows
-    sign(v) e_j of their columns, each followed by the unused rows or columns
-    in ascending order; both are :class:`_SignedPermutation`. Any other ``l``
-    goes to LAPACK, and its U and V^T are arrays.
+def _monomial_entries(l: np.ndarray) -> _Entries:
+    """The one monomial rule: the nonzero entries ``(rows, cols, values)`` of ``l``
+    in row-major order when every row and column holds at most one, else None."""
+    if np.count_nonzero(l) > min(l.shape):  # a dense l makes no index arrays
+        return None
+    i, j = np.nonzero(l)
+    if np.any(np.bincount(i) > 1) or np.any(np.bincount(j) > 1):
+        return None
+    return i, j, l[i, j]
+
+
+def _gram(l: np.ndarray, entries: _Entries) -> np.ndarray:
+    """L L^T, exactly symmetric. For a monomial L (``entries`` from
+    :func:`_monomial_entries`) it is read off the entries in O(m^2): zeros with
+    the squares v*v on the diagonal, bit for bit the BLAS product. Else numpy
+    evaluates it by a symmetric rank-k update, for which a strided L is copied."""
+    if entries is not None:
+        rows, _cols, values = entries
+        g = np.zeros((l.shape[0], l.shape[0]))
+        g[rows, rows] = values * values
+        return g
+    if not (l.flags.c_contiguous or l.flags.f_contiguous):
+        l = np.ascontiguousarray(l)
+    return l @ l.T
+
+
+def _svd(l: np.ndarray, entries: _Entries) -> tuple[_Orthogonal, np.ndarray, _Orthogonal]:
+    """``np.linalg.svd(l, full_matrices=m > n)``, exact and O(mn) when ``l`` has
+    monomial ``entries``: s is the entries' magnitudes sorted descending
+    (stably, so ties keep row order), U is the permutation of the unit columns
+    of their rows and V^T the signed permutation of the rows sign(v) e_j of
+    their columns, each followed by the unused rows or columns in ascending
+    order; both are :class:`_SignedPermutation`. Any other ``l`` goes to
+    LAPACK, and its U and V^T are arrays.
     """
     m, n = l.shape
-    if np.any(np.count_nonzero(l, axis=0) > 1) or np.any(np.count_nonzero(l, axis=1) > 1):
+    if entries is None:
         return np.linalg.svd(l, full_matrices=m > n)
     k = min(m, n)
-    i, j = np.nonzero(l)
-    v = l[i, j]
+    i, j, v = entries
     order = np.argsort(-np.abs(v), kind="stable")
     s = np.zeros(k)
     s[: v.size] = np.abs(v[order])
@@ -423,12 +449,12 @@ def _projector_checks(p: np.ndarray, tols: Tolerances) -> tuple[float, float, bo
 
 
 def gram(operator) -> np.ndarray:
-    """Gram operator L L^T of a linear map, exactly symmetric: numpy evaluates
-    it for a contiguous L by a symmetric rank-k update, so strided L is copied."""
+    """Gram operator L L^T of a linear map, exactly symmetric. A monomial L, with at
+    most one nonzero per row and column, has it read off its entries, bit for
+    bit the BLAS product; any other L gets the product, a symmetric rank-k
+    update."""
     l = as_operator(operator, name="operator")
-    if not (l.flags.c_contiguous or l.flags.f_contiguous):
-        l = np.ascontiguousarray(l)
-    return l @ l.T
+    return _gram(l, _monomial_entries(l))
 
 
 @dataclass(frozen=True)
@@ -555,19 +581,23 @@ class _Decomposition:
     """A problem's one decomposition, made on first read.
 
     Built from an operator, it runs :func:`_svd` the first time
-    :attr:`spectrum` is read; Gram-only input hands in the :func:`_eigh` of its
-    PSD check. Every instance that :meth:`ProblemInstance.constrained` derives
-    holds the same object, so the decomposition runs at most once per problem.
+    :attr:`spectrum` is read, on the monomial entries the build found, if any;
+    Gram-only input hands in the :func:`_eigh` of its PSD check. Every instance
+    that :meth:`ProblemInstance.constrained` derives holds the same object, so
+    the decomposition runs at most once per problem.
     """
 
-    def __init__(self, operator: Optional[np.ndarray] = None, spectrum: Optional[Spectrum] = None):
+    def __init__(
+        self, operator: Optional[np.ndarray] = None, spectrum: Optional[Spectrum] = None, entries: _Entries = None
+    ):
         self._operator = operator
         self._spectrum = spectrum
+        self._entries = entries
 
     @property
     def spectrum(self) -> Spectrum:
         if self._spectrum is None:
-            u, s, vt = _svd(self._operator)
+            u, s, vt = _svd(self._operator, self._entries)
             lam = np.zeros(self._operator.shape[0])  # s^2 zero-padded to the ambient dimension
             lam[: s.size] = s * s
             self._spectrum = Spectrum(vectors=u, gram_values=lam, singular_values=s, right=vt)
@@ -700,7 +730,10 @@ def make_problem(
     the PSD check; a monomial L or a diagonal G is read off its entries.
     A Gram operator that overflows is rejected (given L, by the bound
     lambda_max(G) <= max_i sum_j |G_ij|, which needs no decomposition), and
-    so is a right-hand side whose norm overflows.
+    so is a right-hand side whose norm overflows. For a monomial L, with at
+    most one nonzero v per row and column, G = L L^T and that bound, max(v*v),
+    are read off the entries too, and the SVD reuses them: building runs no
+    O(n^3) product.
 
     A :class:`Projector` constraint is kept as its basis. A raw
     (non-:class:`Projector`) square constraint matrix is admitted as it is:
@@ -725,10 +758,14 @@ def make_problem(
             )
         ambient_dim, control_dim = l.shape
         l = _readonly(l)  # contiguous, so its Gram product is exactly symmetric
+        entries = _monomial_entries(l)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
-            g = gram(l)
-            row_sum_bound = float(np.linalg.norm(g, np.inf))
-        decomposition = _Decomposition(operator=l)
+            g = _gram(l, entries)
+            if entries is None:
+                row_sum_bound = float(np.linalg.norm(g, np.inf))
+            else:  # the same number, as G is diagonal and nonnegative
+                row_sum_bound = float(np.max(np.diagonal(g), initial=0.0))
+        decomposition = _Decomposition(operator=l, entries=entries)
         if gram_matrix is not None:
             g_given = as_operator(gram_matrix, shape=(ambient_dim, ambient_dim), name="gram matrix")
             gram_factor_defect = float(np.linalg.norm(g - g_given))

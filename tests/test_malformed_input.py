@@ -3,7 +3,7 @@
 Each example takes a valid problem file and applies one to three mutations:
 a value anywhere in the document is swapped for one of the wrong type, shape
 or size (huge integers, overflowing floats), or a key or list entry is dropped.
-An alpha schedule that underflows is bad input too.
+An alpha schedule that underflows or overflows is bad input too.
 """
 
 import contextlib
@@ -118,3 +118,21 @@ def test_smallest_accepted_alpha_schedule_runs(capsys, argv, expected):
     assert main([*argv, "--scenario", "diagonal_unsolvable"]) == EXIT_OK
     captured = capsys.readouterr()
     assert expected in captured.out and captured.err == ""
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["sweep"], ["galerkin", "--family", "coordinate"]])
+@pytest.mark.parametrize("alpha0", ["1e155", "1.3407807929942599e154"])  # the second is the float after sqrt(max)
+def test_overflowing_alpha_schedule_exits_two(capsys, command, alpha0):
+    """Above sqrt(max), about 1.34e154, alpha**2 overflows and every capacitance entry
+    lam / (alpha (lam + alpha)) is 0: such a schedule is refused, not reported as an internal error."""
+    assert main([*command, "--scenario", "diagonal_unsolvable", "--alpha0", alpha0]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and "alpha schedule overflows" in captured.err
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["sweep"], ["galerkin", "--family", "coordinate"]])
+@pytest.mark.parametrize("alpha0", ["1e150", "1.3407807929942596e154"])  # the second is sqrt(max)
+def test_largest_accepted_alpha_schedule_runs(capsys, command, alpha0):
+    assert main([*command, "--scenario", "diagonal_unsolvable", "--alpha0", alpha0]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out and captured.err == ""

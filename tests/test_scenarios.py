@@ -1,5 +1,7 @@
 """Bundled scenario catalog: construction, parameters, expected verdicts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -140,3 +142,18 @@ def test_scenarios_decide_verdicts_under_param_changes():
     for n in (3, 6, 12):
         report = alpha_sweep(build_scenario("truncated_shift", N=n).problem)
         assert decide(report).verdict is Verdict.SINGULAR
+
+
+def test_building_a_monomial_problem_holds_one_transient_array():
+    """Building function_space_galerkin with the damping diagonal reads G = L L^T and its
+    overflow bound off L's entries: beyond what the problem keeps, the only n x n array
+    in flight is the scenario's L before the problem copies it."""
+    m = 256
+    tracemalloc.start()
+    try:
+        scenario = build_scenario("function_space_galerkin", M=m, operator="damping")
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert scenario.problem.gram.shape == (m, m)
+    assert peak - retained <= 1.25 * 8 * m * m

@@ -13,7 +13,7 @@ does (that copy takes LAPACK).
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from finapprox import (
@@ -21,6 +21,7 @@ from finapprox import (
     alpha_sweep,
     build_scenario,
     decide,
+    gram,
     gram_representable,
     make_problem,
     make_projector,
@@ -34,20 +35,22 @@ from helpers import random_orthonormal, record_linalg_calls, rotate_problem
 EPS = np.finfo(float).eps
 # a pool of repeated magnitudes makes ties; the range keeps every square finite and normal
 MAGNITUDES = st.one_of(st.sampled_from([1e-150, 1.0, 3.0, 1e150]), st.floats(1e-150, 1e150))
+# and squares that overflow to inf, are subnormal, or underflow to zero
+EXTREME_MAGNITUDES = st.one_of(MAGNITUDES, st.sampled_from([1e160, 1e-160, 1e-170]), st.floats(1e-170, 1e170))
 
 
 @st.composite
-def monomial_matrices(draw, square=False, min_rank=0):
-    """An m x n matrix, m and n from 1 to 8, whose nonzeros sit on a random partial
-    permutation: signed values with ties, and zero rows and columns. A square
-    draw is diagonal."""
-    m = draw(st.integers(1, 8))
-    n = m if square else draw(st.integers(1, 8))
+def monomial_matrices(draw, square=False, min_rank=0, max_dim=8, magnitudes=MAGNITUDES):
+    """An m x n matrix, m and n from 1 to ``max_dim``, whose nonzeros sit on a random
+    partial permutation: signed values with ties, and zero rows and columns. A
+    square draw is diagonal."""
+    m = draw(st.integers(1, max_dim))
+    n = m if square else draw(st.integers(1, max_dim))
     rank = draw(st.integers(min(min_rank, m, n), min(m, n)))
     rows = draw(st.permutations(range(m)))[:rank]
     cols = rows if square else draw(st.permutations(range(n)))[:rank]
     signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=rank, max_size=rank))
-    values = draw(st.lists(MAGNITUDES, min_size=rank, max_size=rank))
+    values = draw(st.lists(magnitudes, min_size=rank, max_size=rank))
     matrix = np.zeros((m, n))
     matrix[list(rows), list(cols)] = np.multiply(signs, values)
     return matrix
@@ -93,6 +96,26 @@ def test_monomial_svd_is_exact(l):
 
 def _bits(a):
     return a.dtype, a.shape, a.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@example(l=np.diag([1e200, 1.0]), fortran=False)
+@given(monomial_matrices(max_dim=80, magnitudes=EXTREME_MAGNITUDES), st.booleans())
+def test_monomial_gram_is_the_blas_product_bit_for_bit(l, fortran):
+    """G = L L^T read off a monomial L's entries equals the BLAS product bit for bit,
+    sign bits, inf and subnormals included, in gram() and in the built problem; the
+    problem is rejected, with the same message, exactly when that product overflows."""
+    if fortran:
+        l = np.asfortranarray(l)
+    with np.errstate(over="ignore"):
+        reference = l @ l.T
+        assert _bits(gram(l)) == _bits(reference)
+    if np.all(np.isfinite(reference)):
+        assert _bits(_problem(l).gram) == _bits(reference)
+    else:
+        with pytest.raises(ValidationError) as rejected:
+            _problem(l)
+        assert str(rejected.value) == "the gram operator overflows: its entries or spectrum are not finite"
 
 
 # finite entries with signed zeros, so a product's zeros must come out as the dense product's
