@@ -145,13 +145,15 @@ def alpha_sweep(
 ) -> SweepReport:
     """Run the regularized solve at every alpha of the schedule.
 
-    The problem is factored once (:func:`factor_regularized`) and every alpha
-    is solved from that factor.
+    The problem is factored once (:func:`factor_regularized`) and the whole
+    schedule is solved from that factor in one
+    :meth:`~finapprox.resolvent.RegularizedFactor.solve_all`, whose stacked
+    calls give each alpha the bits a solve of that alpha alone gives. A record
+    keeps the indicator and three norms; the control is never formed.
     """
     if schedule is None:
         schedule = AlphaSchedule()
-    factor = factor_regularized(problem)
-    records = [_record(factor.solve(a)) for a in schedule.values()]
+    records = [_record(solution) for solution in factor_regularized(problem).solve_all(schedule.values())]
     return SweepReport(problem=problem, schedule=schedule, records=tuple(records))
 
 
@@ -250,14 +252,8 @@ def witness_correlation(
     if schedule is None:
         schedule = AlphaSchedule()
     v = as_vector(witness, dim=problem.ambient_dim, name="witness")
-    factor = factor_regularized(problem)
-    out: list[tuple[float, float]] = []
-    for alpha in schedule.values():
-        solution = factor.solve(alpha)
-        if isinstance(solution, SingularSystem):
-            continue
-        out.append((float(alpha), float(solution.residual @ v)))
-    return out
+    solutions = factor_regularized(problem).solve_all(schedule.values())
+    return [(s.alpha, float(s.residual @ v)) for s in solutions if not isinstance(s, SingularSystem)]
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import logging
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -123,31 +123,56 @@ def _csv_value(value) -> str:
     return str(value)
 
 
-def _json_value(value):
-    """The JSON rule, applied through the envelope: non-finite floats are null, vectors lists."""
-    if isinstance(value, dict):
-        return {key: _json_value(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_json_value(item) for item in value]
+def _json(value, indent: str = "") -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it, under the JSON rule:
+    non-finite floats are null, arrays and tuples lists.
+
+    ``indent`` is the indentation of the line ``value`` starts on. Strings go
+    through the encoder ``json.dumps`` itself uses, numbers through
+    ``int.__repr__`` and ``float.__repr__``, as there.
+    """
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
     if isinstance(value, np.ndarray):
-        return [_json_value(float(x)) for x in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
+        items = [float.__repr__(x) if math.isfinite(x) else "null" for x in value.astype(float).tolist()]
+        opening, closing = "[", "]"
+    elif isinstance(value, (list, tuple)):
+        items = [_json(item, inner) for item in value]
+        opening, closing = "[", "]"
+    elif isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(key)}: {_json(value[key], inner)}" for key in sorted(value)]
+        opening, closing = "{", "}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return opening + closing
+    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
 
 
 def _emit(args, command: str, source: dict, fields: dict, notes: dict, columns, rows) -> None:
     """Write a report in the v1 envelope: JSON ``fields`` or CSV ``notes`` and table.
 
-    JSON gains the ``version``, ``command`` and ``source`` keys. CSV starts
-    with the header and one ``# key=value`` note each for the command, the
-    source tags and ``notes``, leaving out a note whose value is None; then
-    come the ``columns`` line and one line per row.
+    JSON gains the ``version``, ``command`` and ``source`` keys and is written
+    in one pass by :func:`_json`, byte for byte what ``json.dumps`` with
+    ``indent=2, sort_keys=True`` writes. CSV starts with the header and one
+    ``# key=value`` note each for the command, the source tags and ``notes``,
+    leaving out a note whose value is None; then come the ``columns`` line and
+    one line per row.
     """
     if args.format == "json":
         envelope = {"version": "finapprox v1", "command": command, "source": source, **fields}
-        text = json.dumps(_json_value(envelope), indent=2, sort_keys=True, allow_nan=False)
-        _write(text + "\n", args.output)
+        _write(_json(envelope) + "\n", args.output)
     else:
         notes = {"command": command, **source, **notes}
         lines = [

@@ -184,9 +184,10 @@ class _SignedPermutation:
     The orthogonal factors of a closed-form :class:`Spectrum` take this form.
     A product with it is a gather or a scatter of rows or columns times +-1,
     so it is exact, and no n x n array is formed. It supports what the
-    spectrum's readers use: ``shape``, ``.T``, ``@`` on either side with a
-    1-D or 2-D array, and a column slice ``P[:, :r]`` (a row slice
-    ``P.T[:r]`` of the transpose). ``np.asarray`` materializes it.
+    spectrum's readers use: ``shape``, ``.T``, ``@`` on either side with an
+    array of any dimension, stacked as ``np.matmul`` stacks, and a column
+    slice ``P[:, :r]`` (a row slice ``P.T[:r]`` of the transpose).
+    ``np.asarray`` materializes it.
     """
 
     __array_ufunc__ = None  # ndarray @ P defers to P.__rmatmul__
@@ -215,16 +216,16 @@ class _SignedPermutation:
         return picked.T if self._transposed else picked
 
     def _product(self, x, axis: int, gather: bool) -> np.ndarray:
-        """P^T x (gather) or P x (scatter) along ``axis`` of a 1-D or 2-D ``x``.
+        """P^T x (gather) or P x (scatter) along ``axis`` of ``x``, -1 or -2 as in ``np.matmul``.
 
         Zeros come out as +0.0, as they do from a BLAS product with the
         dense matrix, so the two agree bit for bit on finite ``x``.
         """
         x = np.asarray(x, dtype=float)
         inner = self._height if gather else self.rows.size
-        if x.ndim not in (1, 2) or x.shape[axis] != inner:
+        if x.ndim < -axis or x.shape[axis] != inner:
             raise ValueError(f"matmul: shapes {self.shape} and {x.shape} do not align")
-        signs = self.signs[:, None] if axis == 0 and x.ndim == 2 else self.signs
+        signs = self.signs[:, None] if axis == -2 else self.signs
         if gather:
             out = np.take(x, self.rows, axis=axis)
             out *= signs
@@ -237,7 +238,7 @@ class _SignedPermutation:
         return out
 
     def __matmul__(self, x) -> np.ndarray:
-        return self._product(x, 0, gather=self._transposed)
+        return self._product(x, -1 if np.ndim(x) == 1 else -2, gather=self._transposed)
 
     def __rmatmul__(self, x) -> np.ndarray:
         return self._product(x, -1, gather=not self._transposed)

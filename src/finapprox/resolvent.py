@@ -9,14 +9,15 @@ Its solution carries the canonical control (operator^T costate), the vector
 that control reaches (G costate), and the indicator alpha * costate whose
 small-alpha limit decides solvability. Only alpha changes along a sweep, so
 :func:`factor_regularized` factors the problem once and every alpha is then a
-small capacitance solve. Singular systems are reported as values, not raised.
+small capacitance solve, all alphas of a schedule in the same stacked calls.
+Singular systems are reported as values, not raised.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, field
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -53,11 +54,16 @@ class RegularizedSolution:
 
     alpha: float
     costate: np.ndarray
-    control: Optional[np.ndarray]
     image: np.ndarray
     indicator: np.ndarray
     residual: np.ndarray
     constraint_residual: np.ndarray
+    _operator: Optional[np.ndarray] = field(repr=False)
+
+    @property
+    def control(self) -> Optional[np.ndarray]:
+        """operator^T costate, formed on read; None for a Gram-only problem."""
+        return None if self._operator is None else self._operator.T @ self.costate
 
 
 @dataclass(frozen=True)
@@ -111,8 +117,12 @@ def regularized_operator(alpha: float, problem: ProblemInstance) -> np.ndarray:
     both stored factors are exactly symmetric.
     """
     _positive_real(alpha, "alpha")
-    identity = np.eye(problem.ambient_dim)
-    return alpha * (identity - problem.constraint_matrix) + problem.gram
+    return _assemble(alpha, problem)
+
+
+def _assemble(alpha, problem: ProblemInstance) -> np.ndarray:
+    """alpha * (I - P) + G for a float alpha, or the stack of them for an (s, 1, 1) array of alphas."""
+    return alpha * (np.eye(problem.ambient_dim) - problem.constraint_matrix) + problem.gram
 
 
 @dataclass(frozen=True)
@@ -139,7 +149,15 @@ class RegularizedFactor:
     kernel is Q ker G_QQ; that test runs once, here, instead of once per alpha.
 
     Raw constraint matrices keep the generic path: ``eigenvalues`` is None
-    and :meth:`solve` factors the assembled matrix at each alpha.
+    and the assembled matrix T_alpha is factored at each alpha.
+
+    :meth:`solve_all` solves a list of s alphas at once. The vectors of all
+    alphas are one (s, n, 1) stack, their capacitance matrices one (s, k, k)
+    stack (their assembled T_alpha one (s, n, n) stack on the raw path), and
+    each step is one stacked ``np.matmul``, ``np.linalg.solve`` or
+    ``np.linalg.svd``. Each slice of a stacked call is the BLAS or LAPACK call
+    that one alpha alone makes, so an alpha's result does not depend on the
+    alphas solved with it; :meth:`solve` is :meth:`solve_all` with one alpha.
 
     Attributes
     ----------
@@ -163,35 +181,64 @@ class RegularizedFactor:
 
     def solve(self, alpha: float) -> Union[RegularizedSolution, SingularSystem]:
         """Regularized solve at ``alpha``, with one step of iterative refinement."""
-        _positive_real(alpha, "alpha")
+        return self.solve_all([alpha])[0]
+
+    def solve_all(self, alphas: Sequence[float]) -> list[Union[RegularizedSolution, SingularSystem]]:
+        """Regularized solves at every alpha of ``alphas``, in order, each with one refinement step.
+
+        Raises :class:`~finapprox.hilbert.ValidationError` for an alpha at
+        which the capacitance weight of G's largest eigenvalue overflows or
+        underflows to zero: C_alpha would be the zero matrix.
+        """
+        for alpha in alphas:
+            _positive_real(alpha, "alpha")
         if self.eigenvalues is None:
-            return _solve_generic(alpha, self.problem)
+            return _solve_generic(alphas, self.problem)
         if self.kernel_vector is not None:
-            return SingularSystem(
-                alpha=float(alpha),
-                kernel_vector=self.kernel_vector,
-                smallest_eigenvalue=self.smallest_eigenvalue,
-            )
+            return [SingularSystem(float(alpha), self.kernel_vector, self.smallest_eigenvalue) for alpha in alphas]
         lam, u, b = self.eigenvalues, self.eigenvectors, self.basis_coords
-        shifted = lam + alpha
+        # Each alpha's vectors are one (n, 1) column of an (s, n, 1) stack.
+        alpha = np.array(alphas, dtype=float)[:, None, None]
+        shifted = lam[:, None] + alpha
         capacitance = None
         if b.shape[1]:
-            capacitance = (b.T * (lam / (alpha * shifted))) @ b
+            _check_capacitance(alphas, float(np.max(lam)))
+            weights = lam[:, None] / (alpha * shifted)
+            capacitance = np.empty((len(alphas), b.shape[1], b.shape[1]))
+            for c, w in zip(capacitance, weights[..., 0]):
+                c[...] = (b.T * w) @ b
 
-        def apply_inverse(r: np.ndarray) -> np.ndarray:
-            y = (u.T @ r) / shifted
+        def apply_inverse(coords: np.ndarray) -> np.ndarray:
+            """T_alpha^{-1} r for every alpha, from the coordinates U^T r."""
+            y = coords / shifted
             if capacitance is not None:
                 y += (b @ np.linalg.solve(capacitance, b.T @ y)) / shifted
             return u @ y
 
         problem = self.problem
-        h = problem.rhs
-        z = apply_inverse(h)
+        h = problem.rhs[:, None]
+        z = apply_inverse(u.T @ h)  # U^T h is the same for every alpha
         # One refinement step against the matrix-free T_alpha tightens the
         # residual of ill-conditioned solves at small alpha.
         applied = problem.gram @ z + alpha * (z - problem.project(z))
-        z = z + apply_inverse(h - applied)
-        return _solution(alpha, z, problem)
+        z = z + apply_inverse(u.T @ (h - applied))
+        return _solutions(alpha, z, problem)
+
+
+def _check_capacitance(alphas: Sequence[float], lam_max: float) -> None:
+    """Refuse an alpha whose capacitance weight lam_max / (alpha (lam_max + alpha)) is 0.
+
+    Every weight is at most that of the largest eigenvalue, so C_alpha is
+    then the zero matrix. Python floats overflow to inf and underflow to 0
+    without a warning.
+    """
+    for alpha in map(float, alphas):
+        denominator = alpha * (lam_max + alpha)
+        if denominator > 0.0 and lam_max / denominator == 0.0:
+            raise ValidationError(
+                f"alpha {alpha:.3g} is out of range for this problem: with the largest Gram "
+                f"eigenvalue {lam_max:.3g}, the weight lam / (alpha (lam + alpha)) is 0"
+            )
 
 
 def factor_regularized(problem: ProblemInstance) -> RegularizedFactor:
@@ -251,37 +298,51 @@ def solve_regularized(
     return factor_regularized(problem).solve(alpha)
 
 
-def _solution(alpha: float, z: np.ndarray, problem: ProblemInstance) -> RegularizedSolution:
+def _solutions(alpha: np.ndarray, z: np.ndarray, problem: ProblemInstance) -> list[RegularizedSolution]:
+    """One solution per alpha from the (s, 1, 1) alphas and the (s, n, 1) costates."""
     image = problem.gram @ z
-    residual = image - problem.rhs
-    control = problem.operator.T @ z if problem.operator is not None else None
-    return RegularizedSolution(
-        alpha=float(alpha),
-        costate=z,
-        control=control,
-        image=image,
-        indicator=alpha * z,
-        residual=residual,
-        constraint_residual=problem.project(residual),
-    )
+    residual = image - problem.rhs[:, None]
+    constraint_residual = problem.project(residual)
+    indicator = alpha * z
+    return [
+        RegularizedSolution(
+            alpha=float(alpha[i, 0, 0]),
+            costate=z[i, :, 0],
+            image=image[i, :, 0],
+            indicator=indicator[i, :, 0],
+            residual=residual[i, :, 0],
+            constraint_residual=constraint_residual[i, :, 0],
+            _operator=problem.operator,
+        )
+        for i in range(alpha.shape[0])
+    ]
 
 
 def _solve_generic(
-    alpha: float, problem: ProblemInstance
-) -> Union[RegularizedSolution, SingularSystem]:
+    alphas: Sequence[float], problem: ProblemInstance
+) -> list[Union[RegularizedSolution, SingularSystem]]:
     """Dense route for raw constraints: SVD guard, one LU solve, one refinement.
 
-    Returns a :class:`SingularSystem` when the smallest singular value falls
-    below ``singular_tol`` times the largest.
+    The s matrices T_alpha are one stack, and the guard, the solve and the
+    refinement one stacked call each. An alpha whose smallest singular value
+    falls below ``singular_tol`` times the largest gets a :class:`SingularSystem`.
     """
-    t = regularized_operator(alpha, problem)
-    h = problem.rhs
-    s = np.linalg.svd(t, compute_uv=False)
-    if _numerical_rank(s, problem.tols.singular_tol) < s.size:
-        return _singular_report(alpha, t, h, problem)
-    z = np.linalg.solve(t, h)
-    z = z + np.linalg.solve(t, h - t @ z)
-    return _solution(alpha, z, problem)
+    alpha = np.array(alphas, dtype=float)[:, None, None]
+    t = _assemble(alpha, problem)
+    h = problem.rhs[:, None]
+    tol = problem.tols.singular_tol
+    singular = [_numerical_rank(s, tol) < s.size for s in np.linalg.svd(t, compute_uv=False)]
+    regular = [i for i, flag in enumerate(singular) if not flag]
+    solved = iter(())
+    if regular:
+        t_regular = t[regular]
+        z = np.linalg.solve(t_regular, h)
+        z = z + np.linalg.solve(t_regular, h - t_regular @ z)
+        solved = iter(_solutions(alpha[regular], z, problem))
+    return [
+        _singular_report(alphas[i], t[i], problem.rhs, problem) if flag else next(solved)
+        for i, flag in enumerate(singular)
+    ]
 
 
 def _singular_report(

@@ -1,12 +1,16 @@
 """Command line interface: subcommands, formats, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import finapprox
 from finapprox import cli
@@ -463,3 +467,41 @@ def test_requests_load_no_second_blas():
     result = json.loads(child.stdout.splitlines()[-1])
     assert result["codes"] == [0] * 6
     assert result["scipy"] == []
+
+
+def _json_rule(value):
+    """The JSON rule of the reports, as a pass before ``json.dumps``: non-finite
+    floats become None, arrays and tuples lists."""
+    if isinstance(value, dict):
+        return {key: _json_rule(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_rule(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return [_json_rule(float(x)) for x in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan]),
+)
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), FLOATS, FLOATS.map(np.float64), st.text())
+JSON_VALUES = st.recursive(
+    st.one_of(SCALARS, st.lists(FLOATS, max_size=4).map(np.array)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(), children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(JSON_VALUES)
+def test_report_writer_matches_json_dumps(value):
+    """The one-pass writer gives the bytes of ``json.dumps(indent=2, sort_keys=True)`` under the JSON rule."""
+    expected = json.dumps(_json_rule(value), indent=2, sort_keys=True, allow_nan=False)
+    assert cli._json(value) == expected

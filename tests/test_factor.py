@@ -161,9 +161,10 @@ def _square_calls(calls, n):
 
 
 def _capacitance_solves(k, records):
-    """Two k x k solves per nonsingular alpha: the solve and its refinement step."""
+    """Two stacked solves with the k x k capacitance matrices of every nonsingular alpha
+    solved together: the solve and its refinement step."""
     nonsingular = sum(not r.singular for r in records)
-    return [("numpy.solve", (k, k))] * (2 * nonsingular) if k else []
+    return [("numpy.solve", (nonsingular, k, k))] * 2 if k and nonsingular else []
 
 
 def _monomial_and_rotated():
@@ -177,9 +178,9 @@ def test_alpha_sweep_factors_once(linalg_calls):
     """Building the problem and an 8-alpha sweep take one n x n decomposition, the
     SVD of L, when L is dense, and none when L is monomial.
 
-    The dense problem is the monomial scenario with H rotated. Each alpha
-    adds only its k x k capacitance solves; no factorization of any other
-    kind or size runs.
+    The dense problem is the monomial scenario with H rotated. The alphas
+    add only their k x k capacitance solves, stacked; no factorization of
+    any other kind or size runs.
     """
     scenario, r = _monomial_and_rotated()
     monomial = scenario.problem

@@ -136,3 +136,32 @@ def test_largest_accepted_alpha_schedule_runs(capsys, command, alpha0):
     assert main([*command, "--scenario", "diagonal_unsolvable", "--alpha0", alpha0]) == EXIT_OK
     captured = capsys.readouterr()
     assert captured.out and captured.err == ""
+
+
+def _scaled_unsolvable(tmp_path, entry):
+    """``diagonal_unsolvable`` with L = [[entry], [0]]: G's largest eigenvalue is entry**2."""
+    problem = {"dimH": 2, "dimU": 1, "L": [[entry], [0.0]], "h": [0.0, 1.0]}
+    problem["constraint"] = {"type": "projector_basis", "data": [[1.0, 0.0]]}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["sweep"], ["galerkin", "--family", "coordinate"]])
+@pytest.mark.parametrize("entry,alpha0", [(1e150, "1e10"), (1e150, "1e150"), (1e-153, "1e12")])
+def test_zero_capacitance_weight_exits_two(capsys, tmp_path, command, entry, alpha0):
+    """With lam_max = 1e300, alpha (lam_max + alpha) overflows; with lam_max = 1e-306,
+    lam_max / (alpha (lam_max + alpha)) underflows. Either way every capacitance weight
+    is 0, and the alpha is refused as bad input rather than reported as an internal error."""
+    assert main([*command, "--input", _scaled_unsolvable(tmp_path, entry), "--alpha0", alpha0]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and "is out of range for this problem" in captured.err
+    assert f"largest Gram eigenvalue {entry * entry:.3g}," in captured.err
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["sweep"], ["galerkin", "--family", "coordinate"]])
+@pytest.mark.parametrize("entry", [1e150, 1e-153])
+def test_extreme_gram_scale_runs_at_the_default_schedule(capsys, tmp_path, command, entry):
+    assert main([*command, "--input", _scaled_unsolvable(tmp_path, entry)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out and captured.err == ""

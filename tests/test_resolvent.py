@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from finapprox import (
+    AlphaSchedule,
     RegularizedSolution,
     SingularSystem,
     ValidationError,
+    alpha_sweep,
     build_scenario,
+    factor_regularized,
     identity_residuals,
     make_problem,
     make_projector,
@@ -16,6 +21,7 @@ from finapprox import (
     save_problem,
     solve_regularized,
 )
+from finapprox.analyzer import _record
 from finapprox.cli import EXIT_SINGULAR, main
 
 
@@ -246,3 +252,81 @@ def test_costate_refinement_tightens_solve():
         sol = solve_regularized(1e-7, problem)
         defect = np.linalg.norm(t @ sol.costate - problem.rhs)
         assert defect <= 1e-11 * np.linalg.norm(problem.rhs)
+
+
+@st.composite
+def sweep_problems(draw):
+    """A problem of one of five kinds and a schedule for it.
+
+    "projector": dense L, projector of any rank. "raw": dense L under a raw
+    constraint that is no projector, solved by the generic path. "singular":
+    a raw P = diag(0, .., 0, 1 - c) with G = diag(1, .., 1, 0), so T_alpha is
+    singular at the alphas below about 1e-12 / c and nowhere else; with a
+    projector onto that last coordinate instead, singular at every alpha.
+    "gram_only": a dense G alone. "monomial": a scaled signed partial
+    permutation L, whose spectrum is read off the entries. Any L may be
+    given as a strided view.
+    """
+    kind = draw(st.sampled_from(["projector", "raw", "singular", "gram_only", "monomial"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 7))
+    if kind == "singular":
+        l = np.diag(np.r_[rng.uniform(0.5, 2.0, dim), 0.0])
+        if draw(st.booleans()):
+            constraint = np.zeros((dim + 1, dim + 1))
+            constraint[-1, -1] = 1.0 - draw(st.sampled_from([0.0, 1e-3, 1e-6, 1e-9]))
+        else:
+            constraint = make_projector([np.eye(dim + 1)[-1]])
+    else:
+        l = rng.standard_normal((dim, dim + draw(st.integers(-1, 2)) or 1))
+        if kind == "monomial":
+            l = np.zeros(l.shape)
+            picked = rng.permutation(min(l.shape))[: draw(st.integers(0, min(l.shape)))]
+            l[picked, rng.permutation(l.shape[1])[: picked.size]] = rng.uniform(-3.0, 3.0, picked.size)
+        if kind == "raw":
+            constraint = rng.standard_normal((dim, dim))
+        else:
+            rank = draw(st.integers(0, dim))
+            constraint = make_projector(list(rng.standard_normal((rank, dim))), dim=dim)
+    if draw(st.booleans()):  # the same entries, every other column of a wider array
+        wide = np.zeros((l.shape[0], 2 * l.shape[1]))
+        wide[:, ::2] = l
+        l = wide[:, ::2]
+    rhs = rng.standard_normal(l.shape[0])
+    if kind == "gram_only":
+        problem = make_problem(gram_matrix=l @ l.T, constraint=constraint, rhs=rhs, control_dim=l.shape[1])
+    else:
+        problem = make_problem(operator=l, constraint=constraint, rhs=rhs)
+    schedule = AlphaSchedule(
+        alpha0=draw(st.sampled_from([1e3, 1.0, 0.3])),
+        ratio=draw(st.sampled_from([0.1, 0.5, 1e-2, 1e-3])),
+        count=draw(st.integers(1, 12)),
+    )
+    return problem, schedule
+
+
+def _bits(record):
+    return (
+        np.float64(record.alpha).tobytes(),
+        record.singular,
+        np.float64(record.norm_indicator).tobytes(),
+        np.float64(record.norm_residual).tobytes(),
+        np.float64(record.norm_constraint_residual).tobytes(),
+        None if record.indicator is None else record.indicator.tobytes(),
+    )
+
+
+# raw P = diag(0, 0, 1 - 1e-6) with G = diag(1, 1, 0): singular from alpha = 1e-6 on
+MIXED = make_problem(operator=np.diag([1.0, 1.0, 0.0]), constraint=np.diag([0.0, 0.0, 1.0 - 1e-6]), rhs=np.ones(3))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@example((MIXED, AlphaSchedule(count=12)))
+@given(sweep_problems())
+def test_stacked_sweep_matches_single_alpha_solves_bit_for_bit(case):
+    """Solving the schedule in stacked calls gives each alpha the bits of a solve of it alone."""
+    problem, schedule = case
+    report = alpha_sweep(problem, schedule)
+    factor = factor_regularized(problem)
+    alone = [_record(factor.solve(alpha)) for alpha in schedule.values()]
+    assert [_bits(r) for r in report.records] == [_bits(r) for r in alone]
