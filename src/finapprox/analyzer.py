@@ -295,12 +295,13 @@ def range_oracle(problem: ProblemInstance) -> OracleDecision:
     Needs the operator; raises on Gram-only instances (a Gram operator alone
     does not determine what the equation can reach jointly with the
     constraint, which is what non-representable instances demonstrate).
+    Also raises when the constraint rows times the singular values overflow.
     """
-    if problem.operator is None:
+    if problem._operator is None:
         raise ValidationError(
             "range oracle needs the operator; this instance only carries a gram matrix"
         )
-    l, h = problem.operator, problem.rhs
+    l, h = problem._operator, problem.rhs
     threshold = problem.tols.oracle_tol * float(np.linalg.norm(h))
     spectrum = problem.spectrum
     # Singular values at or below max(m, n) eps ||L||_2 are the operator's rounding noise.
@@ -324,12 +325,16 @@ def range_oracle(problem: ProblemInstance) -> OracleDecision:
         rows = problem.constraint
     b = rows @ h
     m = rows @ u_r
-    m *= s_r
+    with np.errstate(over="ignore"):
+        m *= s_r
+    if not np.all(np.isfinite(m)):
+        raise ValidationError("range oracle overflows: the constraint rows times the singular values are not finite")
     z, t = np.linalg.qr(m.T)
+    del m  # freed before the SVD's workspace is taken
     w, sv, yt = np.linalg.svd(t, full_matrices=False)
     rank = _numerical_rank(sv, noise, norm)
     right = z @ w[:, :rank]
-    del m, z
+    del z, t, w
     w_particular = right @ ((yt[:rank] @ b) / sv[:rank])
     exact_residual = float(np.linalg.norm(rows @ (u_r @ (s_r * w_particular)) - b))
     feasible = exact_residual <= threshold

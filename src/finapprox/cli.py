@@ -218,7 +218,7 @@ def _cmd_analyze(args) -> int:
         problem = dataclasses.replace(problem, tols=tols)
     report = alpha_sweep(problem, _schedule(args))
     decision = decide(report)
-    oracle = range_oracle(problem) if problem.operator is not None else None
+    oracle = range_oracle(problem) if problem._operator is not None else None
     agreement: Optional[bool] = None
     if oracle is not None and decision.verdict in (Verdict.SOLVABLE, Verdict.NOT_SOLVABLE):
         agreement = oracle.constrained_solvable == (decision.verdict is Verdict.SOLVABLE)
@@ -282,7 +282,7 @@ def _cmd_validate(args) -> int:
     fields = {
         "ambient_dim": problem.ambient_dim,
         "control_dim": problem.control_dim,
-        "operator_present": problem.operator is not None,
+        "operator_present": problem._operator is not None,
         **_fields(problem.validation, skip="operator_norm"),
     }
     _emit(args, "validate", source, fields, {}, ("key", "value"), fields.items())

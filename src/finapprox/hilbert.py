@@ -177,141 +177,157 @@ def _numerical_rank(values, rel_tol: float, scale: Optional[float] = None) -> in
     return int(np.sum(values > rel_tol * scale)) if scale > 0 else 0
 
 
-class _SignedPermutation:
-    """A signed partial permutation matrix P, n x c with c <= n: P[rows[j], j] =
-    signs[j] and zeros elsewhere, or its transpose.
+class _Monomial:
+    """A monomial matrix A, m x n with at most one nonzero per row and column,
+    kept as its entries: A[rows[k], cols[k]] = values[k], zeros elsewhere.
 
-    The orthogonal factors of a closed-form :class:`Spectrum` take this form.
-    A product with it is a gather or a scatter of rows or columns times +-1,
-    so it is exact, and no n x n array is formed. It supports what the
-    spectrum's readers use: ``shape``, ``.T``, ``@`` on either side with an
-    array of any dimension, stacked as ``np.matmul`` stacks, and a column
-    slice ``P[:, :r]`` (a row slice ``P.T[:r]`` of the transpose).
-    ``np.asarray`` materializes it.
+    A monomial operator L and its diagonal Gram matrix L L^T take this form,
+    and so do the orthogonal factors of a closed-form :class:`Spectrum`,
+    signed permutations. A product with it gathers the operand's entries at
+    ``cols`` and multiplies them by ``values``, then scatters them to
+    ``rows`` of a zero array unless those are every row in order; no
+    m x n array is formed, and on a finite operand the result is the BLAS
+    product with the dense matrix bit for bit, but for the sign of a zero
+    that a nonzero product underflows to, which an FMA kernel keeps and
+    this product makes +0.0. It supports what its readers
+    use: ``shape``, ``.T``, ``@`` on either side with an array of any
+    dimension, stacked as ``np.matmul`` stacks, and a slice of the columns
+    ``A[:, s]`` or of the rows ``A[s]``. ``np.asarray`` materializes it, and
+    :attr:`dense` does so once and keeps the read-only result. Its three
+    arrays are read-only.
     """
 
-    __array_ufunc__ = None  # ndarray @ P defers to P.__rmatmul__
+    __array_ufunc__ = None  # ndarray @ A defers to A.__rmatmul__
 
-    def __init__(self, rows: np.ndarray, signs: np.ndarray, height: int, transposed: bool = False):
-        self.rows, self.signs = rows, signs
-        rows.setflags(write=False)
-        signs.setflags(write=False)
-        self._height = height
-        self._transposed = transposed
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shape: tuple[int, int]):
+        for a in (rows, cols, values):
+            a.setflags(write=False)
+        self.rows, self.cols, self.values, self.shape = rows, cols, values, shape
+        self._dense: Optional[np.ndarray] = None
+
+    @classmethod
+    def of(cls, a: np.ndarray) -> Optional["_Monomial"]:
+        """The one monomial rule: ``a`` as its nonzero entries, in row-major order,
+        when every row and column holds at most one, else None."""
+        if np.count_nonzero(a) > min(a.shape):  # a dense a makes no index arrays
+            return None
+        i, j = np.nonzero(a)
+        if np.any(np.bincount(i) > 1) or np.any(np.bincount(j) > 1):
+            return None
+        return cls(i, j, a[i, j], a.shape)
 
     @property
-    def shape(self) -> tuple[int, int]:
-        shape = (self._height, self.rows.size)
-        return shape[::-1] if self._transposed else shape
+    def T(self) -> "_Monomial":
+        return _Monomial(self.cols, self.rows, self.values, self.shape[::-1])
 
-    @property
-    def T(self) -> "_SignedPermutation":
-        return _SignedPermutation(self.rows, self.signs, self._height, not self._transposed)
+    def __getitem__(self, key) -> "_Monomial":
+        rows, columns = key if isinstance(key, tuple) else (key, slice(None))
+        if not (isinstance(rows, slice) and isinstance(columns, slice) and slice(None) in (rows, columns)):
+            raise IndexError(f"a monomial matrix takes only a slice of its rows or of its columns, got {key!r}")
+        if rows != slice(None):
+            return self.T[:, rows].T
+        kept = np.arange(self.shape[1])[columns]
+        position = np.full(self.shape[1], -1)
+        position[kept] = np.arange(kept.size)
+        cols = position[self.cols]
+        keep = cols >= 0
+        return _Monomial(self.rows[keep], cols[keep], self.values[keep], (self.shape[0], kept.size))
 
-    def __getitem__(self, key) -> "_SignedPermutation":
-        everything, columns = (slice(None), key) if self._transposed else key
-        if everything != slice(None) or not isinstance(columns, slice):
-            raise IndexError(f"a signed permutation takes only a slice of the columns of P, got {key!r}")
-        picked = _SignedPermutation(self.rows[columns], self.signs[columns], self._height)
-        return picked.T if self._transposed else picked
+    def _product(self, x, axis: int) -> np.ndarray:
+        """A x along ``axis`` of ``x``, -1 or -2 as in ``np.matmul``.
 
-    def _product(self, x, axis: int, gather: bool) -> np.ndarray:
-        """P^T x (gather) or P x (scatter) along ``axis`` of ``x``, -1 or -2 as in ``np.matmul``.
-
-        Zeros come out as +0.0, as they do from a BLAS product with the
-        dense matrix, so the two agree bit for bit on finite ``x``.
+        Zeros come out as +0.0, and an overflow as inf without a warning, as
+        they do from a BLAS product with the dense matrix.
         """
         x = np.asarray(x, dtype=float)
-        inner = self._height if gather else self.rows.size
-        if x.ndim < -axis or x.shape[axis] != inner:
+        m, n = self.shape
+        if x.ndim < -axis or x.shape[axis] != n:
             raise ValueError(f"matmul: shapes {self.shape} and {x.shape} do not align")
-        signs = self.signs[:, None] if axis == -2 else self.signs
-        if gather:
-            out = np.take(x, self.rows, axis=axis)
-            out *= signs
-            out += 0.0  # -0.0 becomes +0.0
+        out = np.take(x, self.cols, axis=axis)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out *= self.values[:, None] if axis == -2 else self.values
+        out += 0.0  # -0.0 becomes +0.0
+        if self.rows.size == m and np.array_equal(self.rows, np.arange(m)):
             return out
         shape = list(x.shape)
-        shape[axis] = self._height
-        out = np.zeros(shape)
-        np.moveaxis(out, axis, 0)[self.rows] = np.moveaxis(x * signs + 0.0, axis, 0)
-        return out
+        shape[axis] = m
+        full = np.zeros(shape)
+        np.moveaxis(full, axis, 0)[self.rows] = np.moveaxis(out, axis, 0)
+        return full
 
     def __matmul__(self, x) -> np.ndarray:
-        return self._product(x, -1 if np.ndim(x) == 1 else -2, gather=self._transposed)
+        return self._product(x, -1 if np.ndim(x) == 1 else -2)
 
     def __rmatmul__(self, x) -> np.ndarray:
-        return self._product(x, -1, gather=not self._transposed)
+        return self.T._product(x, -1)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:  # always a new array
-        dense = np.zeros((self._height, self.rows.size), dtype=dtype)
-        dense[self.rows, np.arange(self.rows.size)] = self.signs
-        return dense.T if self._transposed else dense
+        dense = np.zeros(self.shape, dtype=dtype)
+        dense[self.rows, self.cols] = self.values
+        return dense
+
+    @property
+    def dense(self) -> np.ndarray:
+        """The dense matrix, made on first read and kept, read-only."""
+        if self._dense is None:
+            self._dense = np.asarray(self)
+            self._dense.setflags(write=False)
+        return self._dense
 
 
-_Orthogonal = Union[np.ndarray, _SignedPermutation]  # an orthogonal factor of a Spectrum
-_Entries = Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]  # rows, cols, values of a monomial L
+_Orthogonal = Union[np.ndarray, _Monomial]  # an orthogonal factor of a Spectrum
 
 
-def _monomial_entries(l: np.ndarray) -> _Entries:
-    """The one monomial rule: the nonzero entries ``(rows, cols, values)`` of ``l``
-    in row-major order when every row and column holds at most one, else None."""
-    if np.count_nonzero(l) > min(l.shape):  # a dense l makes no index arrays
-        return None
-    i, j = np.nonzero(l)
-    if np.any(np.bincount(i) > 1) or np.any(np.bincount(j) > 1):
-        return None
-    return i, j, l[i, j]
-
-
-def _gram(l: np.ndarray, entries: _Entries) -> np.ndarray:
-    """L L^T, exactly symmetric. For a monomial L (``entries`` from
-    :func:`_monomial_entries`) it is read off the entries in O(m^2): zeros with
-    the squares v*v on the diagonal, bit for bit the BLAS product. Else numpy
-    evaluates it by a symmetric rank-k update, for which a strided L is copied."""
-    if entries is not None:
-        rows, _cols, values = entries
-        g = np.zeros((l.shape[0], l.shape[0]))
-        g[rows, rows] = values * values
-        return g
+def _gram(l: Union[np.ndarray, _Monomial]) -> Union[np.ndarray, _Monomial]:
+    """L L^T, exactly symmetric. For a monomial L it is read off the entries in
+    O(m): the diagonal :class:`_Monomial` of the squares v*v, bit for bit the
+    BLAS product. Else numpy evaluates it by a symmetric rank-k update, for
+    which a strided L is copied."""
+    if isinstance(l, _Monomial):
+        return _Monomial(l.rows, l.rows, l.values * l.values, (l.shape[0], l.shape[0]))
     if not (l.flags.c_contiguous or l.flags.f_contiguous):
         l = np.ascontiguousarray(l)
     return l @ l.T
 
 
-def _svd(l: np.ndarray, entries: _Entries) -> tuple[_Orthogonal, np.ndarray, _Orthogonal]:
-    """``np.linalg.svd(l, full_matrices=m > n)``, exact and O(mn) when ``l`` has
-    monomial ``entries``: s is the entries' magnitudes sorted descending
-    (stably, so ties keep row order), U is the permutation of the unit columns
-    of their rows and V^T the signed permutation of the rows sign(v) e_j of
-    their columns, each followed by the unused rows or columns in ascending
-    order; both are :class:`_SignedPermutation`. Any other ``l`` goes to
-    LAPACK, and its U and V^T are arrays.
+def _svd(l: Union[np.ndarray, _Monomial]) -> tuple[_Orthogonal, np.ndarray, _Orthogonal]:
+    """``np.linalg.svd(l, full_matrices=m > n)``, exact and O(mn) for a monomial
+    ``l``: s is the entries' magnitudes sorted descending (stably, so ties keep
+    row order), U is the permutation of the unit columns of their rows and V^T
+    the signed permutation of the rows sign(v) e_j of their columns, each
+    followed by the unused rows or columns in ascending order; both are
+    :class:`_Monomial`. An array ``l`` goes to LAPACK, and its U and V^T are
+    arrays.
     """
     m, n = l.shape
-    if entries is None:
+    if not isinstance(l, _Monomial):
         return np.linalg.svd(l, full_matrices=m > n)
     k = min(m, n)
-    i, j, v = entries
+    i, j, v = l.rows, l.cols, l.values
     order = np.argsort(-np.abs(v), kind="stable")
     s = np.zeros(k)
     s[: v.size] = np.abs(v[order])
-    u = _SignedPermutation(np.concatenate([i[order], np.setdiff1d(np.arange(m), i)]), np.ones(m), m)
+    u = _Monomial(np.concatenate([i[order], np.setdiff1d(np.arange(m), i)]), np.arange(m), np.ones(m), (m, m))
     right = np.concatenate([j[order], np.setdiff1d(np.arange(n), j)])[:k]
-    vt = _SignedPermutation(right, np.concatenate([np.sign(v[order]), np.ones(k - v.size)]), n).T
+    vt = _Monomial(np.arange(k), right, np.concatenate([np.sign(v[order]), np.ones(k - v.size)]), (k, n))
     return u, s, vt
 
 
-def _eigh(g: np.ndarray) -> tuple[np.ndarray, _Orthogonal]:
-    """``np.linalg.eigh(g)``, read off the diagonal in O(n^2) when ``g`` is
-    diagonal: the diagonal sorted ascending (stably), both exact, and the
-    matching unit vectors as a :class:`_SignedPermutation`. Any other ``g``
-    goes to LAPACK."""
-    d = np.diagonal(g)
-    if np.count_nonzero(g) > np.count_nonzero(d):
-        return np.linalg.eigh(g)
+def _eigh(g: Union[np.ndarray, _Monomial]) -> tuple[np.ndarray, _Orthogonal]:
+    """``np.linalg.eigh(g)``, read off the diagonal when ``g`` is diagonal: the
+    diagonal sorted ascending (stably), both exact, and the matching unit
+    vectors as a permutation :class:`_Monomial`. A :class:`_Monomial` ``g``
+    is the diagonal L L^T of a monomial L, read in O(n); an array is checked
+    for entries off its diagonal in O(n^2) and goes to LAPACK if it has any."""
+    if isinstance(g, _Monomial):
+        d = np.zeros(g.shape[0])
+        d[g.rows] = g.values
+    else:
+        d = np.diagonal(g)
+        if np.count_nonzero(g) > np.count_nonzero(d):
+            return np.linalg.eigh(g)
     order = np.argsort(d, kind="stable")
-    return d[order], _SignedPermutation(order, np.ones(d.size), d.size)
+    return d[order], _Monomial(order, np.arange(d.size), np.ones(d.size), (d.size, d.size))
 
 
 def _idempotency_defect(basis: np.ndarray) -> float:
@@ -455,7 +471,8 @@ def gram(operator) -> np.ndarray:
     bit the BLAS product; any other L gets the product, a symmetric rank-k
     update."""
     l = as_operator(operator, name="operator")
-    return _gram(l, _monomial_entries(l))
+    monomial = _Monomial.of(l)
+    return np.asarray(_gram(l if monomial is None else monomial))
 
 
 @dataclass(frozen=True)
@@ -561,10 +578,10 @@ class Spectrum:
     eigendecomposition of G, without ``singular_values`` and ``right``. It is
     read off the entries of a monomial L or a diagonal G (:func:`_svd`,
     :func:`_eigh`), and then ``vectors`` and ``right`` are signed
-    permutations, kept as their index arrays and signs and applied by
-    indexing (:class:`_SignedPermutation`); else LAPACK makes it, and they
-    are arrays. Either way they support ``@``, ``.T`` and column slices, and
-    every array, index arrays included, is made read-only.
+    permutations, kept as their entries and applied by indexing
+    (:class:`_Monomial`); else LAPACK makes it, and they are arrays. Either
+    way they support ``@``, ``.T`` and column slices, and every array, index
+    arrays included, is made read-only.
     """
 
     vectors: _Orthogonal
@@ -574,31 +591,30 @@ class Spectrum:
 
     def __post_init__(self) -> None:
         for a in (self.vectors, self.gram_values, self.singular_values, self.right):
-            if isinstance(a, np.ndarray):  # a _SignedPermutation's index arrays are read-only already
+            if isinstance(a, np.ndarray):  # a _Monomial's arrays are read-only already
                 a.setflags(write=False)
 
 
 class _Decomposition:
     """A problem's one decomposition, made on first read.
 
-    Built from an operator, it runs :func:`_svd` the first time
-    :attr:`spectrum` is read, on the monomial entries the build found, if any;
-    Gram-only input hands in the :func:`_eigh` of its PSD check. Every instance
-    that :meth:`ProblemInstance.constrained` derives holds the same object, so
-    the decomposition runs at most once per problem.
+    Built from an operator, an array or a :class:`_Monomial`, it runs
+    :func:`_svd` the first time :attr:`spectrum` is read; Gram-only input
+    hands in the :func:`_eigh` of its PSD check. Every instance that
+    :meth:`ProblemInstance.constrained` derives holds the same object, so the
+    decomposition runs at most once per problem.
     """
 
     def __init__(
-        self, operator: Optional[np.ndarray] = None, spectrum: Optional[Spectrum] = None, entries: _Entries = None
+        self, operator: Union[np.ndarray, _Monomial, None] = None, spectrum: Optional[Spectrum] = None
     ):
         self._operator = operator
         self._spectrum = spectrum
-        self._entries = entries
 
     @property
     def spectrum(self) -> Spectrum:
         if self._spectrum is None:
-            u, s, vt = _svd(self._operator, self._entries)
+            u, s, vt = _svd(self._operator)
             lam = np.zeros(self._operator.shape[0])  # s^2 zero-padded to the ambient dimension
             lam[: s.size] = s * s
             self._spectrum = Spectrum(vectors=u, gram_values=lam, singular_values=s, right=vt)
@@ -617,13 +633,21 @@ class ProblemInstance:
     studies and flagged as such in ``validation``. :meth:`project` applies
     either form to a vector without building an n x n matrix for a projector.
 
+    A monomial operator (at most one nonzero per row and column) and its
+    diagonal Gram operator are held as their entries, each a
+    :class:`_Monomial` that every instance derived from this one shares, and
+    the library's products with them are gathers. :attr:`operator` and
+    :attr:`gram` are read-only arrays all the same: a :class:`_Monomial`'s is
+    built on first read and kept on it. Any other operator, and the Gram
+    operator of Gram-only input, is held as a read-only array.
+
     The problem's :class:`Spectrum` is computed on first read of
     :attr:`spectrum` or :attr:`validation` and shared with every instance
     :meth:`constrained` derives.
     """
 
-    operator: Optional[np.ndarray]
-    gram: np.ndarray
+    _operator: Union[np.ndarray, _Monomial, None]
+    _gram: Union[np.ndarray, _Monomial]
     constraint: Union[Projector, np.ndarray]
     rhs: np.ndarray
     ambient_dim: int
@@ -631,6 +655,14 @@ class ProblemInstance:
     tols: Tolerances
     _checks: Mapping[str, object] = field(repr=False)  # the record's Gram defects, found at build
     _decomposition: _Decomposition = field(repr=False)
+
+    @property
+    def operator(self) -> Optional[np.ndarray]:
+        return self._operator.dense if isinstance(self._operator, _Monomial) else self._operator
+
+    @property
+    def gram(self) -> np.ndarray:
+        return self._gram.dense if isinstance(self._gram, _Monomial) else self._gram
 
     @property
     def spectrum(self) -> Spectrum:
@@ -701,11 +733,11 @@ class ProblemInstance:
         read only G can use it instead of the operator's SVD; a Gram-only
         instance is its own view.
         """
-        if self.operator is None:
+        if self._operator is None:
             return self
-        lam, vectors = _eigh(self.gram)
+        lam, vectors = _eigh(self._gram)
         spectrum = Spectrum(vectors=vectors, gram_values=lam)
-        return replace(self, operator=None, _decomposition=_Decomposition(spectrum=spectrum))
+        return replace(self, _operator=None, _decomposition=_Decomposition(spectrum=spectrum))
 
 
 def make_problem(
@@ -731,10 +763,12 @@ def make_problem(
     the PSD check; a monomial L or a diagonal G is read off its entries.
     A Gram operator that overflows is rejected (given L, by the bound
     lambda_max(G) <= max_i sum_j |G_ij|, which needs no decomposition), and
-    so is a right-hand side whose norm overflows. For a monomial L, with at
-    most one nonzero v per row and column, G = L L^T and that bound, max(v*v),
-    are read off the entries too, and the SVD reuses them: building runs no
-    O(n^3) product.
+    so is a right-hand side whose norm overflows. A monomial L, with at most
+    one nonzero v per row and column, is kept as its entries, not as an
+    array, and so is G = L L^T, the diagonal of the squares v*v; that bound,
+    max(v*v), is read off them too, and the SVD reuses them. Building then
+    runs no O(n^3) product and keeps no n x n array. Any other L is kept as a
+    read-only copy, and G as an array.
 
     A :class:`Projector` constraint is kept as its basis. A raw
     (non-:class:`Projector`) square constraint matrix is admitted as it is:
@@ -758,18 +792,19 @@ def make_problem(
                 f"declared control_dim {control_dim} conflicts with operator shape {l.shape}"
             )
         ambient_dim, control_dim = l.shape
-        l = _readonly(l)  # contiguous, so its Gram product is exactly symmetric
-        entries = _monomial_entries(l)
+        monomial = _Monomial.of(l)
+        l = _readonly(l) if monomial is None else monomial  # contiguous, so L L^T is exactly symmetric
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
-            g = _gram(l, entries)
-            if entries is None:
+            g = _gram(l)
+            if monomial is None:
                 row_sum_bound = float(np.linalg.norm(g, np.inf))
+                g.setflags(write=False)
             else:  # the same number, as G is diagonal and nonnegative
-                row_sum_bound = float(np.max(np.diagonal(g), initial=0.0))
-        decomposition = _Decomposition(operator=l, entries=entries)
+                row_sum_bound = float(np.max(g.values, initial=0.0))
+        decomposition = _Decomposition(operator=l)
         if gram_matrix is not None:
             g_given = as_operator(gram_matrix, shape=(ambient_dim, ambient_dim), name="gram matrix")
-            gram_factor_defect = float(np.linalg.norm(g - g_given))
+            gram_factor_defect = float(np.linalg.norm(np.asarray(g) - g_given))
             scale = max(1.0, float(np.linalg.norm(g_given)))
             if gram_factor_defect > tols.tol_gram * scale:
                 raise ValidationError(
@@ -787,6 +822,7 @@ def make_problem(
         ambient_dim = g.shape[0]
         if fault:
             raise ValidationError(fault)
+        g.setflags(write=False)
         decomposition = _Decomposition(spectrum=Spectrum(vectors=vectors, gram_values=lam))
 
     if isinstance(constraint, Projector):
@@ -802,12 +838,11 @@ def make_problem(
     with np.errstate(over="ignore"):  # every threshold scales with ||h||
         if not math.isfinite(float(np.linalg.norm(h))):
             raise ValidationError("rhs is too large: its norm overflows")
-    g.setflags(write=False)
 
     checks = {"gram_symmetry_defect": gram_sym_defect, "gram_factor_defect": gram_factor_defect}
     return ProblemInstance(
-        operator=l,
-        gram=g,
+        _operator=l,
+        _gram=g,
         constraint=p,
         rhs=_readonly(h),
         ambient_dim=ambient_dim,

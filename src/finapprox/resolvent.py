@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .hilbert import ProblemInstance, Projector, ValidationError, _numerical_rank, _positive_real
+from .hilbert import ProblemInstance, Projector, ValidationError, _Monomial, _numerical_rank, _positive_real
 
 __all__ = [
     "RegularizedSolution",
@@ -58,7 +58,7 @@ class RegularizedSolution:
     indicator: np.ndarray
     residual: np.ndarray
     constraint_residual: np.ndarray
-    _operator: Optional[np.ndarray] = field(repr=False)
+    _operator: Union[np.ndarray, _Monomial, None] = field(repr=False)
 
     @property
     def control(self) -> Optional[np.ndarray]:
@@ -135,9 +135,10 @@ class RegularizedFactor:
     the SVD of L, computed on the problem's first use, or the
     eigendecomposition of G for Gram-only input and for the Gram-only view
     that Galerkin levels are posed on. Both are read off the entries for a
-    monomial L or a diagonal G, and then U is a permutation kept as its index
-    array, so B = U^T Q and every product with U or U^T below is a row gather
-    or scatter. Either order of the eigenpairs serves. With A = G + alpha I
+    monomial L or a diagonal G, and then U is a permutation kept as its
+    entries, so B = U^T Q and every product with U or U^T below is a row
+    gather or scatter; so is each product with G, kept as its diagonal
+    entries. Either order of the eigenpairs serves. With A = G + alpha I
     and B = U^T Q, the Woodbury identity gives
 
         T_alpha^{-1} = A^{-1} + A^{-1} Q C_alpha^{-1} Q^T A^{-1},
@@ -220,7 +221,7 @@ class RegularizedFactor:
         z = apply_inverse(u.T @ h)  # U^T h is the same for every alpha
         # One refinement step against the matrix-free T_alpha tightens the
         # residual of ill-conditioned solves at small alpha.
-        applied = problem.gram @ z + alpha * (z - problem.project(z))
+        applied = problem._gram @ z + alpha * (z - problem.project(z))
         z = z + apply_inverse(u.T @ (h - applied))
         return _solutions(alpha, z, problem)
 
@@ -300,7 +301,7 @@ def solve_regularized(
 
 def _solutions(alpha: np.ndarray, z: np.ndarray, problem: ProblemInstance) -> list[RegularizedSolution]:
     """One solution per alpha from the (s, 1, 1) alphas and the (s, n, 1) costates."""
-    image = problem.gram @ z
+    image = problem._gram @ z
     residual = image - problem.rhs[:, None]
     constraint_residual = problem.project(residual)
     indicator = alpha * z
@@ -312,7 +313,7 @@ def _solutions(alpha: np.ndarray, z: np.ndarray, problem: ProblemInstance) -> li
             indicator=indicator[i, :, 0],
             residual=residual[i, :, 0],
             constraint_residual=constraint_residual[i, :, 0],
-            _operator=problem.operator,
+            _operator=problem._operator,
         )
         for i in range(alpha.shape[0])
     ]
@@ -361,7 +362,7 @@ def identity_residuals(solution: RegularizedSolution, problem: ProblemInstance) 
     z = solution.costate
     y = solution.indicator
     h = problem.rhs
-    basic = np.linalg.norm(problem.gram @ z - (h - solution.alpha * (z - problem.project(z))))
+    basic = np.linalg.norm(problem._gram @ z - (h - solution.alpha * (z - problem.project(z))))
     error_form = np.linalg.norm(solution.residual + (y - problem.project(y)))
     constraint = np.linalg.norm(problem.project(solution.image - h))
     return IdentityReport(

@@ -102,18 +102,15 @@ def _function_space_galerkin(tols, *, M, operator):
     if not _int_at_least(M, 4):
         raise ValidationError(f"function_space_galerkin needs integer M >= 4, got {M!r}")
     m = int(M)
-    if operator == "identity":
-        matrix = np.eye(m)
-    elif operator == "damping":
-        matrix = np.diag(1.0 / (1.0 + midpoint_grid(m)))
-    else:
+    if operator not in ("identity", "damping"):
         raise ValidationError(
             f"unknown operator {operator!r} for function_space_galerkin "
             "(choose 'identity' or 'damping')"
         )
-    family = sine_family(m)
+    family = sine_family(m)  # before L, so the family's temporaries and L are never held together
     target = family_projector(family, family.max_n)
     rhs = sample_midpoint(lambda x: x, m)
+    matrix = np.eye(m) if operator == "identity" else np.diag(1.0 / (1.0 + midpoint_grid(m)))
     return make_problem(operator=matrix, constraint=target, rhs=rhs, tols=tols), family
 
 

@@ -241,6 +241,34 @@ def test_rhs_with_overflowing_norm_exits_two(capsys, tmp_path, command):
     assert "rhs" in err
 
 
+@pytest.mark.parametrize("command", ["oracle", "analyze"])
+def test_oracle_overflowing_constraint_rows_exit_two(tmp_path, command):
+    """The oracle's constraint rows times the singular values can overflow for finite
+    input, whose Gram product and rhs norm pass their checks; that is malformed input,
+    not an internal error. Run as users run it, so numpy's warnings stay warnings."""
+    path = tmp_path / "overflow.json"
+    path.write_text(
+        json.dumps(
+            {
+                "dimH": 2,
+                "dimU": 2,
+                "L": [[1e100, 3e99], [2e99, 1e80]],
+                "constraint": {"type": "raw", "data": [[4e299, 4e299], [4e299, 1.0]]},
+                "h": [1.0, 2.0],
+            }
+        )
+    )
+    src = str(Path(finapprox.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-m", "finapprox.cli", command, "--input", str(path), "--format", "json"],
+        env=env, capture_output=True, text=True,
+    )
+    assert child.returncode == 2
+    assert child.stdout == ""
+    assert "error: range oracle overflows" in child.stderr
+
+
 def test_large_finite_rhs_keeps_its_verdict(capsys, tmp_path):
     path = _diagonal_unsolvable_file(tmp_path / "large_rhs.json", [0.0, 1e100])
     code, out, _ = run(capsys, "analyze", "--input", path)

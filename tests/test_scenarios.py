@@ -146,8 +146,10 @@ def test_scenarios_decide_verdicts_under_param_changes():
 
 def test_building_a_monomial_problem_holds_one_transient_array():
     """Building function_space_galerkin with the damping diagonal reads G = L L^T and its
-    overflow bound off L's entries: beyond what the problem keeps, the only n x n array
-    in flight is the scenario's L before the problem copies it."""
+    overflow bound off L's entries: beyond what the scenario keeps, the only n x n array
+    in flight is the scenario's L before the problem takes its entries. The problem
+    keeps L and G as their entries, so all the scenario keeps, the family's basis
+    included, is less than one n x n array."""
     m = 256
     tracemalloc.start()
     try:
@@ -157,3 +159,4 @@ def test_building_a_monomial_problem_holds_one_transient_array():
         tracemalloc.stop()
     assert scenario.problem.gram.shape == (m, m)
     assert peak - retained <= 1.25 * 8 * m * m
+    assert retained < 8 * m * m

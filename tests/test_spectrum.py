@@ -2,10 +2,11 @@
 
 The closed forms are exact, so they are held to exact orthogonality and
 exact reconstruction, and to LAPACK's singular values within its own
-accuracy. Their orthogonal factors are signed permutations, kept as index
-arrays: they are read here through ``np.asarray``, every product the solvers
-take with them must equal the product with that dense matrix bit for bit,
-and the reports must run without ever making it. One entry off the pattern
+accuracy. Their orthogonal factors are signed permutations, and a monomial L
+and its diagonal Gram matrix are kept as their entries too: they are read
+here through ``np.asarray``, every product the solvers take with them must
+equal the product with that dense matrix bit for bit, and the reports must
+run without ever making it. One entry off the pattern
 sends the input to LAPACK. End to end, every catalog scenario (each takes a
 closed form) must answer as its copy with H rotated by a dense orthogonal R
 does (that copy takes LAPACK).
@@ -29,7 +30,7 @@ from finapprox import (
     scenario_names,
 )
 from finapprox.cli import main
-from finapprox.hilbert import _SignedPermutation
+from finapprox.hilbert import _gram, _Monomial
 from helpers import random_orthonormal, record_linalg_calls, rotate_problem
 
 EPS = np.finfo(float).eps
@@ -76,7 +77,7 @@ def test_monomial_svd_is_exact(l):
     k = min(m, n)
     spectrum, calls = _spectrum_calls(_problem(l))
     assert calls == []
-    assert isinstance(spectrum.vectors, _SignedPermutation) and isinstance(spectrum.right, _SignedPermutation)
+    assert isinstance(spectrum.vectors, _Monomial) and isinstance(spectrum.right, _Monomial)
     u, s, vt = np.asarray(spectrum.vectors), spectrum.singular_values, np.asarray(spectrum.right)
     assert (u.shape, vt.shape) == (spectrum.vectors.shape, spectrum.right.shape)
     reference = np.linalg.svd(l, full_matrices=m > n)
@@ -89,7 +90,7 @@ def test_monomial_svd_is_exact(l):
     assert np.all(np.abs(s - reference.S) <= 4 * EPS * s[0])
     assert np.array_equal(spectrum.gram_values[:k], s * s)
     for factor in (spectrum.vectors, spectrum.right):
-        for index in (factor.rows, factor.signs):
+        for index in (factor.rows, factor.cols, factor.values):
             with pytest.raises(ValueError):
                 index[0] = 0
 
@@ -118,48 +119,80 @@ def test_monomial_gram_is_the_blas_product_bit_for_bit(l, fortran):
         assert str(rejected.value) == "the gram operator overflows: its entries or spectrum are not finite"
 
 
-# finite entries with signed zeros, so a product's zeros must come out as the dense product's
-ENTRIES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e300, 1e300))
+# finite entries with signed zeros and magnitudes from 1e-170 to 1e300, so products with a
+# monomial's values overflow, underflow and turn subnormal, and zeros must come out as the
+# dense product's
+ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-1e300, 1e300),
+    st.builds(lambda sign, magnitude: sign * magnitude, st.sampled_from([-1.0, 1.0]), EXTREME_MAGNITUDES),
+)
 
 
-@settings(max_examples=200, deadline=None)
-@given(monomial_matrices(), st.integers(1, 3), st.lists(ENTRIES, min_size=24, max_size=24), st.data())
+@settings(max_examples=300, deadline=None)
+@given(
+    monomial_matrices(magnitudes=EXTREME_MAGNITUDES), st.integers(1, 3), st.lists(ENTRIES, min_size=48, max_size=48),
+    st.data(),
+)
 def test_signed_permutation_products_match_dense_bit_for_bit(l, width, entries, data):
-    """Every product the solvers and the oracle take with a closed-form factor, U, U^T,
-    V^T, V and their column prefixes, on either side of a 1-D or 2-D operand, equals
-    the product with its dense matrix bit for bit. The operands are prefixes of one
-    drawn list of entries."""
-    spectrum = _problem(l).spectrum
+    """Every product the library takes with a monomial matrix equals the product with its
+    dense matrix bit for bit, but for the sign of a zero that a nonzero product underflows
+    to, and without a warning: a monomial L, its diagonal Gram matrix
+    L L^T (whose squares may overflow or underflow) and, when that is finite, the
+    closed-form factors U and V^T; each with its transpose and its column and row
+    prefixes, on either side of a 1-D, 2-D or stacked operand, as ``np.matmul`` stacks.
+    The operands are prefixes of one drawn list of entries."""
+    monomial = _Monomial.of(l)
+    assert np.array_equal(np.asarray(monomial), l)
+    with np.errstate(over="ignore"):
+        matrices = [monomial, _gram(monomial)]
+    if np.all(np.isfinite(matrices[1].values)):  # else the problem is rejected
+        spectrum = _problem(l).spectrum
+        matrices += [spectrum.vectors, spectrum.right]
     r = data.draw(st.integers(0, min(l.shape)))
-    u, vt = spectrum.vectors, spectrum.right
-    for factor, dense in ((u.T, np.asarray(u).T), (u[:, :r], np.asarray(u)[:, :r]), (vt[:r], np.asarray(vt)[:r])):
-        assert np.array_equal(np.asarray(factor), dense)
-    for factor in (u, u.T, vt, vt.T, u[:, :r], u[:, :r].T, vt[:r], vt[:r].T):
-        dense = np.asarray(factor)
-        rows, columns = factor.shape
-        for shape in ((columns,), (columns, width)):
-            x = np.array(entries[: int(np.prod(shape))]).reshape(shape)
-            assert _bits(factor @ x) == _bits(dense @ x)
-        for shape in ((rows,), (width, rows)):
-            x = np.array(entries[: int(np.prod(shape))]).reshape(shape)
-            assert _bits(x @ factor) == _bits(x @ dense)
-        with pytest.raises(ValueError):
-            factor @ np.ones(columns + 1)
+    for matrix in matrices:
+        whole = np.asarray(matrix)
+        pairs = ((matrix.T, whole.T), (matrix[:, :r], whole[:, :r]), (matrix[:r], whole[:r]))
+        for factor, dense in pairs:
+            assert np.array_equal(np.asarray(factor), dense)
+        for factor in (matrix, matrix.T, matrix[:, :r], matrix[:, :r].T, matrix[:r], matrix[:r].T):
+            dense = np.asarray(factor)
+            rows, columns = factor.shape
+            operands = [((columns,), False), ((columns, width), False), ((width, columns, 1), False)]
+            operands += [((rows,), True), ((width, rows), True), ((width, 2, rows), True)]  # x @ factor
+            for shape, left in operands:
+                x = np.array(entries[: int(np.prod(shape))]).reshape(shape)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    expected = x @ dense if left else dense @ x
+                got = x @ factor if left else factor @ x
+                # a nonzero product that underflows to zero keeps its sign in an FMA kernel,
+                # so only there may the sign of a zero differ
+                hit = 1.0 * (x != 0)
+                underflowed = (got == 0) & ((hit @ factor if left else factor @ hit) != 0)
+                assert np.all(expected[underflowed] == 0)
+                assert _bits(np.where(underflowed, 0.0, got)) == _bits(np.where(underflowed, 0.0, expected))
+            with pytest.raises(ValueError):
+                factor @ np.ones(columns + 1)
 
 
 def test_reports_run_without_densifying(monkeypatch, capsys):
-    """analyze, oracle and galerkin on the function-space scenario never materialize
-    a closed-form factor: every product with it is a gather or a scatter."""
+    """analyze, sweep, oracle and galerkin on the function-space scenario with the damping
+    diagonal never materialize a monomial matrix, neither L, G = L L^T nor a closed-form
+    factor: every product with one is a gather times its entries, or a scatter."""
 
     def refuse(*_args, **_kwargs):
-        raise AssertionError("a signed permutation was materialized")
+        raise AssertionError("a monomial matrix was materialized")
 
-    monkeypatch.setattr(_SignedPermutation, "__array__", refuse)
+    monkeypatch.setattr(_Monomial, "__array__", refuse)
     source = ["--scenario", "function_space_galerkin", "--param", "M=64", "--param", "operator=damping"]
-    for command in ("analyze", "oracle", "galerkin"):
+    for command in ("analyze", "sweep", "oracle", "galerkin"):
         assert main([command, *source]) == 0
         captured = capsys.readouterr()
         assert captured.out.startswith("# finapprox v1") and captured.err == ""
+    problem = build_scenario("function_space_galerkin", M=64, operator="damping").problem
+    for read in ("operator", "gram"):
+        with pytest.raises(AssertionError, match="materialized"):
+            getattr(problem, read)
 
 
 def test_monomial_svd_order_is_stable():
@@ -207,7 +240,7 @@ def test_diagonal_gram_eigh_is_exact(d):
         spectra = (gram_only.spectrum, view.spectrum)
     assert calls == []
     for spectrum, gram_matrix in zip(spectra, (g, d @ d.T)):
-        assert isinstance(spectrum.vectors, _SignedPermutation)
+        assert isinstance(spectrum.vectors, _Monomial)
         u, lam = np.asarray(spectrum.vectors), spectrum.gram_values
         assert np.all(np.diff(lam) >= 0)
         assert np.array_equal(u.T @ u, np.eye(n))
