@@ -20,7 +20,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .hilbert import (
-    ProblemInstance, Projector, ValidationError, _int_at_least, _numerical_rank, _positive_real, as_vector,
+    ProblemInstance, Projector, ValidationError, _int_at_least, _norm, _numerical_rank, _positive_real, as_vector,
 )
 from .resolvent import RegularizedSolution, SingularSystem, factor_regularized
 
@@ -132,9 +132,9 @@ def _record(solution: Union[RegularizedSolution, SingularSystem]) -> SweepRecord
     return SweepRecord(
         alpha=solution.alpha,
         singular=False,
-        norm_indicator=float(np.linalg.norm(solution.indicator)),
-        norm_residual=float(np.linalg.norm(solution.residual)),
-        norm_constraint_residual=float(np.linalg.norm(solution.constraint_residual)),
+        norm_indicator=_norm(solution.indicator),
+        norm_residual=_norm(solution.residual),
+        norm_constraint_residual=_norm(solution.constraint_residual),
         indicator=solution.indicator,
     )
 
@@ -311,7 +311,7 @@ def range_oracle(problem: ProblemInstance) -> OracleDecision:
     s_r = spectrum.singular_values[:r]
 
     outside = h - problem.project(h)
-    complement_residual = float(np.linalg.norm(outside - u_r @ (u_r.T @ outside)))
+    complement_residual = _norm(outside - u_r @ (u_r.T @ outside))
 
     # Constraint rows: Q^T for a projector (||P v|| = ||Q^T v||), P itself
     # for a raw matrix. On w = V_r^T u they act as M = rows U_r S_r. Their

@@ -122,7 +122,8 @@ def sine_family(grid_size: int) -> SubspaceFamily:
     written in closed form: column 0 is 1/sqrt(M) and column j is
     sqrt(2/M) sin(pi r / M) with r = j(2m + 1) mod 2M at row m. Reducing the
     phase exactly in integers keeps np.sin on arguments below 2 pi, where it
-    is accurate to rounding.
+    is accurate to rounding, and leaves only 2M distinct values: they are
+    computed once, as a table, and gathered at the phases.
     """
     if not _int_at_least(grid_size, 4):
         raise ValidationError(f"sine family needs a grid of at least 4 points, got {grid_size!r}")
@@ -130,8 +131,9 @@ def sine_family(grid_size: int) -> SubspaceFamily:
     max_n = (m - 2) // 2
     phase = np.outer(2 * np.arange(m) + 1, np.arange(max_n + 1))
     phase %= 2 * m
-    basis = np.sin(phase * (np.pi / m))
-    basis *= np.sqrt(2.0 / m)
+    table = np.sin(np.arange(2 * m) * (np.pi / m))
+    table *= np.sqrt(2.0 / m)
+    basis = table[phase]
     basis[:, 0] = 1.0 / np.sqrt(float(m))
     return SubspaceFamily(
         basis=basis,

@@ -177,6 +177,20 @@ def _numerical_rank(values, rel_tol: float, scale: Optional[float] = None) -> in
     return int(np.sum(values > rel_tol * scale)) if scale > 0 else 0
 
 
+def _norm(x: np.ndarray) -> float:
+    """The 2-norm (Frobenius for a matrix) of ``x`` as ``np.linalg.norm`` gives it,
+    without its overflow warning. Only when that is inf for finite ``x`` is it
+    recomputed after one exact power-of-two scale of ``x`` into [1/2, 1), as
+    :func:`orthonormal_columns` scales, and scaled back; so every norm numpy
+    gets finite keeps its bits, and the norm is inf only past the float range."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+        if norm == math.inf and np.all(np.isfinite(x)):
+            exponent = math.frexp(float(np.max(np.abs(x))))[1]
+            norm = float(np.ldexp(np.linalg.norm(np.ldexp(x, -exponent)), exponent))
+    return norm
+
+
 class _Monomial:
     """A monomial matrix A, m x n with at most one nonzero per row and column,
     kept as its entries: A[rows[k], cols[k]] = values[k], zeros elsewhere.
@@ -458,10 +472,13 @@ def projector_defects(matrix, tols: Tolerances = DEFAULT_TOLERANCES) -> Projecto
 
 def _projector_checks(p: np.ndarray, tols: Tolerances) -> tuple[float, float, bool]:
     """The rank-free part of :func:`projector_defects` for a square float matrix:
-    the idempotency and symmetry defects, and ``is_orthogonal_projector``."""
-    idem = float(np.linalg.norm(p @ p - p))
-    sym = float(np.linalg.norm(p - p.T))
-    scale = max(1.0, float(np.linalg.norm(p)))
+    the idempotency and symmetry defects, and ``is_orthogonal_projector``. A
+    ``p @ p`` that overflows leaves the idempotency defect inf."""
+    with np.errstate(over="ignore"):
+        square = p @ p
+    idem = _norm(square - p)
+    sym = _norm(p - p.T)
+    scale = max(1.0, _norm(p))
     return idem, sym, idem <= tols.tol_proj * scale and sym <= tols.tol_proj * scale
 
 

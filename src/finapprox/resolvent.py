@@ -147,7 +147,8 @@ class RegularizedFactor:
     so each alpha costs two k x k LU solves (the solve and its refinement)
     and O(n^2 + n k^2) work. Because G is positive semidefinite, T_alpha is
     singular for every alpha > 0 exactly when G_QQ = Q^T G Q is, and then its
-    kernel is Q ker G_QQ; that test runs once, here, instead of once per alpha.
+    kernel is Q ker G_QQ; that test runs once, here, instead of once per alpha,
+    and forms eigenvectors of G_QQ only within rounding of singular.
 
     Raw constraint matrices keep the generic path: ``eigenvalues`` is None
     and the assembled matrix T_alpha is factored at each alpha.
@@ -168,7 +169,10 @@ class RegularizedFactor:
         permutation (see :class:`~finapprox.hilbert.Spectrum`).
     basis_coords : B = U^T Q, the constraint basis in G's eigenbasis.
     smallest_eigenvalue : smallest eigenvalue of G_QQ (infinite for the zero
-        projector, whose system is never singular).
+        projector, whose system is never singular). Clear of the singular
+        threshold it comes from the eigenvalues-only routine and equals eigh's
+        to rounding; within rounding of it, and on every singular factor, it
+        is eigh's.
     kernel_vector : unit kernel vector of T_alpha when the system is singular
         at every alpha, otherwise None.
     """
@@ -248,8 +252,12 @@ def factor_regularized(problem: ProblemInstance) -> RegularizedFactor:
     Projector constraints get the spectral factor described in
     :class:`RegularizedFactor`, read from the problem's spectrum. That read
     runs the problem's one decomposition if nothing has read it before; no
-    other factorization of G happens here. Raw constraint matrices get a
-    factor that solves each alpha by the generic dense route.
+    other factorization of G happens here. The SINGULAR test reads the
+    eigenvalues of G_QQ alone (``eigvalsh``); ``eigh`` runs only when the
+    smallest is not clear of ``singular_tol * lam_max`` by the rounding margin
+    4 k eps lam_max, so every SINGULAR decision and kernel vector is eigh's.
+    Raw constraint matrices get a factor that solves each alpha by the
+    generic dense route.
     """
     if not isinstance(problem.constraint, Projector):
         return RegularizedFactor(problem=problem)
@@ -260,11 +268,19 @@ def factor_regularized(problem: ProblemInstance) -> RegularizedFactor:
     smallest = math.inf
     kernel = None
     if q.shape[1]:
-        mu, v = np.linalg.eigh((b.T * lam) @ b)
+        pinched = (b.T * lam) @ b
+        lam_max = float(np.max(lam))
+        mu = np.linalg.eigvalsh(pinched)
+        # eigh and eigvalsh each return eigenvalues within about k eps ||G_QQ||_2
+        # <= k eps lam_max of the exact ones (Golub & Van Loan, ch. 8), so theirs
+        # differ by at most 2 k eps lam_max; twice that clears eigh's threshold.
+        margin = 4 * mu.size * np.finfo(float).eps * lam_max
+        if not mu[0] > problem.tols.singular_tol * lam_max + margin:
+            mu, v = np.linalg.eigh(pinched)
+            nullity = mu.size - _numerical_rank(mu, problem.tols.singular_tol, lam_max)
+            if nullity:  # mu ascends, so the kernel is its leading columns
+                kernel = _kernel_vector(q @ v[:, :nullity], q @ v[:, 0], problem.rhs)
         smallest = float(mu[0])
-        nullity = mu.size - _numerical_rank(mu, problem.tols.singular_tol, float(np.max(lam)))
-        if nullity:  # mu ascends, so the kernel is its leading columns
-            kernel = _kernel_vector(q @ v[:, :nullity], q @ v[:, 0], problem.rhs)
     return RegularizedFactor(
         problem=problem,
         eigenvalues=lam,

@@ -241,11 +241,14 @@ def test_rhs_with_overflowing_norm_exits_two(capsys, tmp_path, command):
     assert "rhs" in err
 
 
-@pytest.mark.parametrize("command", ["oracle", "analyze"])
+@pytest.mark.parametrize("command", ["oracle", "analyze", "sweep", "validate"])
 def test_oracle_overflowing_constraint_rows_exit_two(tmp_path, command):
     """The oracle's constraint rows times the singular values can overflow for finite
     input, whose Gram product and rhs norm pass their checks; that is malformed input,
-    not an internal error. Run as users run it, so numpy's warnings stay warnings."""
+    not an internal error. The commands that run no oracle succeed: the sweep's
+    constraint residual norm, about 1.26e300, is finite, and the idempotency defect
+    of the raw constraint overflows to inf, so it is no projector. Run under
+    ``-W error``, so a numpy overflow warning on the way would exit 4."""
     path = tmp_path / "overflow.json"
     path.write_text(
         json.dumps(
@@ -261,12 +264,22 @@ def test_oracle_overflowing_constraint_rows_exit_two(tmp_path, command):
     src = str(Path(finapprox.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     child = subprocess.run(
-        [sys.executable, "-m", "finapprox.cli", command, "--input", str(path), "--format", "json"],
+        [sys.executable, "-W", "error", "-m", "finapprox.cli", command, "--input", str(path), "--format", "json"],
         env=env, capture_output=True, text=True,
     )
-    assert child.returncode == 2
-    assert child.stdout == ""
-    assert "error: range oracle overflows" in child.stderr
+    if command in ("oracle", "analyze"):
+        assert child.returncode == 2
+        assert child.stdout == ""
+        assert "error: range oracle overflows" in child.stderr
+        return
+    assert (child.returncode, child.stderr) == (0, "")
+    report = json.loads(child.stdout)
+    if command == "sweep":
+        norms = [record["norm_constraint_residual"] for record in report["records"]]
+        assert norms == [pytest.approx(4e299 * math.sqrt(10.0), rel=1e-12)] * 8  # ||P h||
+    else:
+        assert report["constraint_idempotency_defect"] is None  # inf, written as null
+        assert report["constraint_is_projector"] is False
 
 
 def test_large_finite_rhs_keeps_its_verdict(capsys, tmp_path):

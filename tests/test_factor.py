@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from finapprox import (
+    DEFAULT_TOLERANCES,
     AlphaSchedule,
     RegularizedSolution,
     SingularSystem,
@@ -156,6 +157,73 @@ def linalg_calls(monkeypatch):
     return record_linalg_calls(monkeypatch)
 
 
+def _eigh_rule(factor):
+    """SINGULAR decision, smallest eigenvalue and kernel vector as eigh(G_QQ) alone
+    gives them: nullity is the count of eigenvalues at or below singular_tol
+    lam_max, and the kernel vector is the normalized component of h in
+    Q ker G_QQ when it exceeds 1e-12 ||h||, else Q times the first eigenvector."""
+    problem, b, lam = factor.problem, factor.basis_coords, factor.eigenvalues
+    mu, v = np.linalg.eigh((b.T * lam) @ b)
+    nullity = int(np.sum(mu <= problem.tols.singular_tol * np.max(lam)))
+    kernel = None
+    if nullity:
+        q, h = problem.constraint.basis, problem.rhs
+        null_basis = q @ v[:, :nullity]
+        component = null_basis @ (null_basis.T @ h)
+        norm = np.linalg.norm(component)
+        kernel = component / norm if norm > 1e-12 * np.linalg.norm(h) else q @ v[:, 0]
+    return float(mu[0]), kernel
+
+
+THRESHOLD = DEFAULT_TOLERANCES.singular_tol  # singular_tol * lam_max, with lam_max = 1 below
+MARGIN = 4 * 3 * EPS  # 4 k eps lam_max at the rank k = 3 below
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["diagonal", "rotated"])
+@pytest.mark.parametrize(
+    "pinched_min, fast",
+    [
+        pytest.param(0.5 * THRESHOLD, False, id="half"),
+        pytest.param(np.nextafter(THRESHOLD, 0.0), False, id="ulp-below"),
+        pytest.param(THRESHOLD, False, id="at"),
+        pytest.param(np.nextafter(THRESHOLD, 1.0), False, id="ulp-above"),
+        pytest.param(THRESHOLD + 0.5 * MARGIN, False, id="inside-margin"),
+        pytest.param(1.5 * THRESHOLD, True, id="one-and-a-half"),
+    ],
+)
+def test_singular_test_at_the_threshold_is_eighs(linalg_calls, pinched_min, fast, rotated):
+    """Around singular_tol lam_max the factor decides SINGULAR, and gives the
+    smallest eigenvalue and kernel vector, exactly as eigh(G_QQ) alone does.
+
+    G = diag(1, 1/4, t, 1/2, 1/8, 3/4) and Q = (e_0, e_2, e_3) make
+    G_QQ = diag(1, t, 1/2) with lam_max(G) = 1, so t sits at the threshold to
+    the ulp; rotated, G_QQ is dense and t holds to rounding. Only t clear of
+    the margin skips eigh, and then the eigenvalues-only routine's smallest
+    eigenvalue is eigh's to within the margin (exactly, for the diagonal).
+    Both right-hand sides are tried: one with a component along e_2, one
+    with none in range(Q), which takes the eigenvector fallback.
+    """
+    gram = np.diag([1.0, 0.25, pinched_min, 0.5, 0.125, 0.75])
+    projector = make_projector([np.eye(6)[0], np.eye(6)[2], np.eye(6)[3]])
+    r = random_orthonormal(np.random.default_rng(6), 6, 6)
+    for rhs in (np.eye(6)[1] + np.eye(6)[2], np.eye(6)[1] + np.eye(6)[4]):
+        problem = make_problem(gram_matrix=gram, constraint=projector, rhs=rhs, control_dim=6)
+        if rotated:
+            problem = rotate_problem(problem, r)
+        linalg_calls.clear()
+        factor = factor_regularized(problem)
+        assert (("numpy.eigh", (3, 3)) not in linalg_calls) is fast
+        smallest, kernel = _eigh_rule(factor)
+        if kernel is None:
+            assert factor.kernel_vector is None
+            assert abs(factor.smallest_eigenvalue - smallest) <= MARGIN
+            assert factor.smallest_eigenvalue == smallest or (fast and rotated)
+        else:
+            assert factor.kernel_vector.tobytes() == kernel.tobytes()
+            assert factor.smallest_eigenvalue == smallest
+        assert isinstance(factor.solve(1e-3), SingularSystem) is (kernel is not None)
+
+
 def _square_calls(calls, n):
     return [c for c in calls if c[1] == (n, n)]
 
@@ -178,9 +246,10 @@ def test_alpha_sweep_factors_once(linalg_calls):
     """Building the problem and an 8-alpha sweep take one n x n decomposition, the
     SVD of L, when L is dense, and none when L is monomial.
 
-    The dense problem is the monomial scenario with H rotated. The alphas
-    add only their k x k capacitance solves, stacked; no factorization of
-    any other kind or size runs.
+    The dense problem is the monomial scenario with H rotated. The factor's
+    SINGULAR test takes the eigenvalues of the k x k G_QQ, with no eigenvectors
+    on this nonsingular problem, and the alphas add only their k x k
+    capacitance solves, stacked; no factorization of any other kind or size runs.
     """
     scenario, r = _monomial_and_rotated()
     monomial = scenario.problem
@@ -195,9 +264,9 @@ def test_alpha_sweep_factors_once(linalg_calls):
         report = alpha_sweep(problem, AlphaSchedule(count=8))
         assert len(report.records) == 8
         assert _square_calls(linalg_calls, n) == decompositions
-        expected = _capacitance_solves(k, report.records)
-        assert expected
-        assert [c for c in linalg_calls if c[0] not in ("numpy.svd", "numpy.eigh")] == expected
+        assert not any(record.singular for record in report.records)
+        expected = [("numpy.eigvalsh", (k, k))] + _capacitance_solves(k, report.records)
+        assert [c for c in linalg_calls if c[0] != "numpy.svd"] == expected
         before = len(linalg_calls)
         range_oracle(problem)
         assert _square_calls(linalg_calls[before:], n) == []
@@ -209,7 +278,9 @@ def test_galerkin_sweep_factors_once(linalg_calls):
 
     The dense problem is the monomial scenario with H rotated, and so is its
     family. The levels read G alone, so the operator's SVD never runs. Each
-    level adds only its k_n x k_n capacitance solves.
+    level adds only the eigenvalues of its k_n x k_n G_QQ, with no
+    eigenvectors on these nonsingular levels, and its k_n x k_n capacitance
+    solves.
     """
     scenario, r = _monomial_and_rotated()
     n = scenario.problem.ambient_dim
@@ -227,8 +298,9 @@ def test_galerkin_sweep_factors_once(linalg_calls):
         calls = list(linalg_calls)
         assert _square_calls(calls, n) == decompositions
         assert not [c for c in calls if c[0] == "numpy.svd"]
+        assert not any(record.singular for record in report.records)
         expected = []
         for record in report.records:
-            expected += _capacitance_solves(family.sizes[record.n - 1], [record])
-        assert expected
-        assert [c for c in calls if c[0] != "numpy.eigh"] == expected
+            k = family.sizes[record.n - 1]
+            expected += [("numpy.eigvalsh", (k, k))] + _capacitance_solves(k, [record])
+        assert [c for c in calls if c[1] != (n, n)] == expected

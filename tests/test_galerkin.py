@@ -1,5 +1,7 @@
 """Subspace families, level projectors, and diagonal sweeps."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -77,6 +79,21 @@ def test_sine_family_matches_per_mode_loop():
         family = sine_family(m)
         samples = sine_samples(m, family.max_n)
         assert_allclose(family.basis, samples / np.linalg.norm(samples, axis=0), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("m", [4, 5, 63, 256])
+def test_sine_family_is_the_per_element_formula_bit_for_bit(m):
+    """Entry (row, j) is 1/sqrt(M) in column 0 and sqrt(2/M) sin(pi r / M) with
+    r = j (2 row + 1) mod 2M elsewhere, each evaluated on its own; the table the
+    family gathers from gives these bits exactly."""
+    basis = sine_family(m).basis
+    expected = np.empty_like(basis)
+    for row in range(m):
+        expected[row, 0] = 1.0 / math.sqrt(m)
+        for j in range(1, basis.shape[1]):
+            r = (2 * row + 1) * j % (2 * m)
+            expected[row, j] = math.sin(r * (math.pi / m)) * math.sqrt(2.0 / m)
+    assert basis.tobytes() == expected.tobytes()
 
 
 def test_coordinate_family_levels():
