@@ -113,7 +113,7 @@ class SweepReport:
 
     @property
     def rhs_norm(self) -> float:
-        return float(np.linalg.norm(self.problem.rhs))
+        return _norm(self.problem.rhs)
 
     def nonsingular_records(self) -> tuple[SweepRecord, ...]:
         return tuple(r for r in self.records if not r.singular)
@@ -209,11 +209,11 @@ def decide(report: SweepReport) -> Decision:
 
     if len(nonsingular) >= 2:
         previous = nonsingular[-2]
-        step = float(np.linalg.norm(last.indicator - previous.indicator))
+        step = _norm(last.indicator - previous.indicator)
         diagnostics["tail_difference"] = step
         if step <= threshold and last.norm_indicator > threshold:
             witness = last.indicator - report.problem.project(last.indicator)
-            witness_norm = float(np.linalg.norm(witness))
+            witness_norm = _norm(witness)
             diagnostics["witness_norm"] = witness_norm
             if witness_norm > threshold:
                 return Decision(Verdict.NOT_SOLVABLE, witness, last.indicator, diagnostics)
@@ -285,7 +285,7 @@ def range_oracle(problem: ProblemInstance) -> OracleDecision:
     """Decide solvability directly from the operator, independent of sweeps.
 
     Works in the singular coordinates of the problem's SVD L = U S V^T,
-    keeping the singular values above ``max(m, n) * eps * ||L||``: a control
+    keeping its rank r at ``rank_tol`` (:meth:`~finapprox.hilbert.Spectrum.rank`): a control
     u reaches L u = U_r c with c = S_r V_r^T u, the free part is tested by
     ||(I - U_r U_r^T)(I - P) h||, and the constrained route minimizes
     ||c - U_r^T h|| under the constraint rows; the control is V_r (c / S_r).
@@ -302,23 +302,20 @@ def range_oracle(problem: ProblemInstance) -> OracleDecision:
             "range oracle needs the operator; this instance only carries a gram matrix"
         )
     l, h = problem._operator, problem.rhs
-    threshold = problem.tols.oracle_tol * float(np.linalg.norm(h))
+    threshold = problem.tols.oracle_tol * _norm(h)
     spectrum = problem.spectrum
-    # Singular values at or below max(m, n) eps ||L||_2 are the operator's rounding noise.
-    noise, norm = max(l.shape) * np.finfo(float).eps, float(np.max(spectrum.singular_values, initial=0.0))
-    r = _numerical_rank(spectrum.singular_values, noise, norm)
-    u_r = spectrum.vectors[:, :r]
-    s_r = spectrum.singular_values[:r]
+    r = spectrum.rank(problem.tols.rank_tol)
+    u_r, s_r = spectrum.leading(r)
 
     outside = h - problem.project(h)
     complement_residual = _norm(outside - u_r @ (u_r.T @ outside))
 
     # Constraint rows: Q^T for a projector (||P v|| = ||Q^T v||), P itself
     # for a raw matrix. On w = V_r^T u they act as M = rows U_r S_r. Their
-    # rank is read from the singular values of M against the operator's
-    # noise floor: rows U_r alone would count rounding-level entries, and
-    # inverting them yields spurious solutions. A thin QR M^T = Z T and an
-    # SVD T = W diag(sv) Y^T give M = Y diag(sv) (Z W)^T.
+    # rank is read from the singular values of M against the noise floor
+    # max(m, n) eps ||L||_2 of a product with L: rows U_r alone would count
+    # rounding-level entries, and inverting them yields spurious solutions.
+    # A thin QR M^T = Z T and an SVD T = W diag(sv) Y^T give M = Y diag(sv) (Z W)^T.
     if isinstance(problem.constraint, Projector):
         rows = problem.constraint.basis.T
     else:
@@ -332,11 +329,11 @@ def range_oracle(problem: ProblemInstance) -> OracleDecision:
     z, t = np.linalg.qr(m.T)
     del m  # freed before the SVD's workspace is taken
     w, sv, yt = np.linalg.svd(t, full_matrices=False)
-    rank = _numerical_rank(sv, noise, norm)
+    rank = _numerical_rank(sv, max(l.shape) * np.finfo(float).eps, float(np.max(s_r, initial=0.0)))
     right = z @ w[:, :rank]
     del z, t, w
     w_particular = right @ ((yt[:rank] @ b) / sv[:rank])
-    exact_residual = float(np.linalg.norm(rows @ (u_r @ (s_r * w_particular)) - b))
+    exact_residual = _norm(rows @ (u_r @ (s_r * w_particular)) - b)
     feasible = exact_residual <= threshold
     decomposed = feasible and complement_residual <= threshold
 
@@ -351,7 +348,7 @@ def range_oracle(problem: ProblemInstance) -> OracleDecision:
         fixed, _ = np.linalg.qr(right)
         c = target - fixed @ (fixed.T @ (target - s_r * w_particular))
         control = spectrum.right[:r].T @ (c / s_r)
-        distance = float(np.linalg.norm(l @ control - h))
+        distance = _norm(l @ control - h)
     constrained = feasible and distance <= threshold
 
     return OracleDecision(

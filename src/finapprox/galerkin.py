@@ -19,6 +19,7 @@ from .hilbert import (
     Projector,
     ValidationError,
     _int_at_least,
+    _norm,
     _readonly,
     as_operator,
     as_vector,
@@ -264,7 +265,7 @@ def galerkin_sweep(
         record = _record(solution)
         target_norm = None
         if target is not None and not record.singular:
-            target_norm = float(np.linalg.norm(target.apply(solution.residual)))
+            target_norm = _norm(target.apply(solution.residual))
         records.append(GalerkinRecord(
             step=index,
             n=n,
@@ -274,5 +275,5 @@ def galerkin_sweep(
             norm_constraint_residual=record.norm_constraint_residual,
             norm_constraint_residual_target=target_norm,
         ))
-    return GalerkinReport(records=tuple(records), rhs_norm=float(np.linalg.norm(problem.rhs)))
+    return GalerkinReport(records=tuple(records), rhs_norm=_norm(problem.rhs))
 

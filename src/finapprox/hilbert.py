@@ -69,7 +69,8 @@ class Tolerances:
     tol_psd : negative spectrum allowed in a supplied Gram operator.
     tol_gram : mismatch allowed between a supplied operator's Gram product
         and a supplied Gram operator.
-    rank_tol : relative singular-value threshold for rank decisions.
+    rank_tol : relative singular-value threshold for rank decisions, also
+        for G alone, with the floor that G resolves (:meth:`Spectrum.rank`).
     singular_tol : relative smallest-singular-value threshold below which a
         linear system is reported singular instead of solved.
     id_tol : relative defect allowed in the algebraic identities every
@@ -518,14 +519,14 @@ def gram_representable(
     ``control_dim`` columns.
     """
     g = as_operator(gram_matrix, name="gram matrix")
-    _part, lam, vectors, sym_defect, rank, fault = _gram_spectrum(g, control_dim, tols)
+    _part, spectrum, sym_defect, fault = _gram_spectrum(g, control_dim, tols)
+    lam, rank = spectrum.gram_values, spectrum.rank(tols.rank_tol)
     ok = fault is None and rank <= control_dim
     factor = None
     if ok:
-        vectors = np.asarray(vectors)  # read by single columns
+        u, s = spectrum.leading(rank)
         factor = np.zeros((g.shape[0], control_dim))
-        for k in range(rank):  # leading eigenpairs first; eigh's order is ascending
-            factor[:, k] = np.sqrt(max(lam[-1 - k], 0.0)) * vectors[:, -1 - k]
+        factor[:, :rank] = np.asarray(u) * s
     return RepresentabilityReport(
         representable=ok,
         rank=rank,
@@ -539,9 +540,9 @@ def _gram_spectrum(g: np.ndarray, control_dim, tols: Tolerances):
     """The Gram-only rule that :func:`gram_representable` and :func:`make_problem` share.
 
     Raises :class:`ValidationError` unless G is square and ``control_dim`` is
-    a positive integer. Returns the symmetric part S = (G + G^T) / 2,
-    ``eigh(S)`` in ascending order, the symmetry defect ||G - G^T||_F, the
-    numerical rank, and the first fault found, or None: a symmetry defect or
+    a positive integer. Returns the symmetric part S = (G + G^T) / 2, the
+    :class:`Spectrum` of ``eigh(S)``, the symmetry defect ||G - G^T||_F, and
+    the first fault found, or None: a symmetry defect or
     negative spectrum beyond ``tol_sym`` or ``tol_psd`` times max(1, ||G||_F),
     or a non-finite spectrum.
     """
@@ -560,7 +561,7 @@ def _gram_spectrum(g: np.ndarray, control_dim, tols: Tolerances):
         fault = "the gram operator overflows: its entries or spectrum are not finite"
     elif lam.size and lam[0] < -tols.tol_psd * scale:
         fault = f"gram matrix is not positive semidefinite (smallest eigenvalue {lam[0]:.3e})"
-    return part, lam, vectors, sym_defect, _numerical_rank(lam, tols.rank_tol), fault
+    return part, Spectrum(vectors=vectors, gram_values=lam), sym_defect, fault
 
 
 @dataclass(frozen=True)
@@ -569,7 +570,8 @@ class ValidationRecord:
 
     Given the operator, ``gram_symmetry_defect`` is 0 (L L^T is exactly
     symmetric) and ``operator_norm`` is ||L||_2; it is ``None`` for
-    Gram-only instances.
+    Gram-only instances. ``representable_rank`` is :meth:`Spectrum.rank` at
+    ``rank_tol``, in singular values whether L or only G = L L^T is given.
     """
 
     gram_symmetry_defect: float
@@ -598,7 +600,8 @@ class Spectrum:
     permutations, kept as their entries and applied by indexing
     (:class:`_Monomial`); else LAPACK makes it, and they are arrays. Either
     way they support ``@``, ``.T`` and column slices, and every array, index
-    arrays included, is made read-only.
+    arrays included, is made read-only. An SVD is stored descending and an
+    eigendecomposition ascending; :meth:`leading` reads either largest first.
     """
 
     vectors: _Orthogonal
@@ -610,6 +613,21 @@ class Spectrum:
         for a in (self.vectors, self.gram_values, self.singular_values, self.right):
             if isinstance(a, np.ndarray):  # a _Monomial's arrays are read-only already
                 a.setflags(write=False)
+
+    def rank(self, rank_tol: float) -> int:
+        """The problem's one rank rule: the count of sigma above ``rank_tol`` sigma_max.
+        Given only G, sigma = sqrt(max(lambda, 0)) is resolved only to about sqrt(n eps)
+        sigma_max, so the floor is max(rank_tol, 4 sqrt(n eps)); the 4 is fixed, not an option."""
+        if self.singular_values is not None:
+            return _numerical_rank(self.singular_values, rank_tol)
+        floor = max(rank_tol, 4.0 * math.sqrt(self.gram_values.size * np.finfo(float).eps))
+        return _numerical_rank(np.sqrt(np.maximum(self.gram_values, 0.0)), floor)
+
+    def leading(self, r: int) -> tuple[_Orthogonal, np.ndarray]:
+        """The ``r`` leading vectors and their sigma, largest first, whatever the stored order."""
+        if self.singular_values is not None:
+            return self.vectors[:, :r], self.singular_values[:r]
+        return self.vectors[:, ::-1][:, :r], np.sqrt(np.maximum(self.gram_values[::-1][:r], 0.0))
 
 
 class _Decomposition:
@@ -694,7 +712,7 @@ class ProblemInstance:
         construction) and for a raw matrix by the checks of
         :func:`projector_defects` less its rank, so no SVD runs."""
         lam, s = self.spectrum.gram_values, self.spectrum.singular_values
-        rank = _numerical_rank(lam if s is None else s, self.tols.rank_tol)
+        rank = self.spectrum.rank(self.tols.rank_tol)
         if isinstance(self.constraint, Projector):
             idempotency, symmetry, is_projector = _idempotency_defect(self.constraint.basis), 0.0, True
         else:
@@ -835,12 +853,12 @@ def make_problem(
         if control_dim is None:
             raise ValidationError("control_dim must be declared when no operator is given")
         g = as_operator(gram_matrix, name="gram matrix")
-        g, lam, vectors, gram_sym_defect, _rank, fault = _gram_spectrum(g, control_dim, tols)
+        g, spectrum, gram_sym_defect, fault = _gram_spectrum(g, control_dim, tols)
         ambient_dim = g.shape[0]
         if fault:
             raise ValidationError(fault)
         g.setflags(write=False)
-        decomposition = _Decomposition(spectrum=Spectrum(vectors=vectors, gram_values=lam))
+        decomposition = _Decomposition(spectrum=spectrum)
 
     if isinstance(constraint, Projector):
         if constraint.dim != ambient_dim:

@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .hilbert import ProblemInstance, Projector, ValidationError, _Monomial, _numerical_rank, _positive_real
+from .hilbert import ProblemInstance, Projector, ValidationError, _Monomial, _norm, _numerical_rank, _positive_real
 
 __all__ = [
     "RegularizedSolution",
@@ -298,8 +298,8 @@ def _kernel_vector(null_basis: np.ndarray, fallback: np.ndarray, h: np.ndarray) 
     does not change the answer.
     """
     kernel_component = null_basis @ (null_basis.T @ h)
-    component_norm = float(np.linalg.norm(kernel_component))
-    if _numerical_rank(component_norm, 1e-12, float(np.linalg.norm(h))):
+    component_norm = _norm(kernel_component)
+    if _numerical_rank(component_norm, 1e-12, _norm(h)):
         return kernel_component / component_norm
     return fallback
 
@@ -343,9 +343,15 @@ def _solve_generic(
     The s matrices T_alpha are one stack, and the guard, the solve and the
     refinement one stacked call each. An alpha whose smallest singular value
     falls below ``singular_tol`` times the largest gets a :class:`SingularSystem`.
+    Raises :class:`~finapprox.hilbert.ValidationError` at the first alpha whose T_alpha overflows.
     """
     alpha = np.array(alphas, dtype=float)[:, None, None]
-    t = _assemble(alpha, problem)
+    with np.errstate(over="ignore"):  # refused below
+        t = _assemble(alpha, problem)
+    finite = np.all(np.isfinite(t), axis=(1, 2))
+    if not finite.all():
+        raise ValidationError(f"alpha {alphas[int(np.argmin(finite))]:.3g} is out of range for this problem: "
+                              "T_alpha = alpha (I - R) + G overflows")
     h = problem.rhs[:, None]
     tol = problem.tols.singular_tol
     singular = [_numerical_rank(s, tol) < s.size for s in np.linalg.svd(t, compute_uv=False)]
@@ -378,11 +384,11 @@ def identity_residuals(solution: RegularizedSolution, problem: ProblemInstance) 
     z = solution.costate
     y = solution.indicator
     h = problem.rhs
-    basic = np.linalg.norm(problem._gram @ z - (h - solution.alpha * (z - problem.project(z))))
-    error_form = np.linalg.norm(solution.residual + (y - problem.project(y)))
-    constraint = np.linalg.norm(problem.project(solution.image - h))
+    basic = _norm(problem._gram @ z - (h - solution.alpha * (z - problem.project(z))))
+    error_form = _norm(solution.residual + (y - problem.project(y)))
+    constraint = _norm(problem.project(solution.image - h))
     return IdentityReport(
-        basic_identity_defect=float(basic),
-        error_form_defect=float(error_form),
-        constraint_defect=float(constraint),
+        basic_identity_defect=basic,
+        error_form_defect=error_form,
+        constraint_defect=constraint,
     )

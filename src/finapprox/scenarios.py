@@ -21,20 +21,11 @@ from .hilbert import (
 )
 
 __all__ = [
-    "ScenarioSpec",
     "Scenario",
     "EXPECTED_VERDICTS",
     "scenario_names",
     "build_scenario",
 ]
-
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """Name plus parameters selecting a bundled scenario."""
-
-    name: str
-    params: Mapping[str, object] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -187,18 +178,14 @@ def scenario_names() -> tuple[str, ...]:
     return tuple(sorted(_CATALOG))
 
 
-def build_scenario(spec, tols: Tolerances = DEFAULT_TOLERANCES, **params) -> Scenario:
+def build_scenario(name: str, tols: Tolerances = DEFAULT_TOLERANCES, **params) -> Scenario:
     """Build a bundled scenario.
 
-    ``spec`` is a :class:`ScenarioSpec` or a scenario name; keyword parameters
-    merge over the spec's own, and the catalog's defaults fill in the rest.
-    Unknown names list the available catalog, unknown parameters list the
-    accepted ones, and ill-typed values name the offending value.
+    ``name`` is a scenario name; keyword parameters override the catalog's
+    defaults. Unknown names list the available catalog, unknown parameters
+    list the accepted ones, and ill-typed values name the offending value.
     """
-    if isinstance(spec, ScenarioSpec):
-        name, params = spec.name, {**spec.params, **params}
-    else:
-        name = str(spec)
+    name = str(name)
     entry = _CATALOG.get(name)
     if entry is None:
         raise ValidationError(

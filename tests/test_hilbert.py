@@ -1,7 +1,12 @@
 """Projector construction, Gram handling, and problem assembly."""
 
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from finapprox import (
@@ -23,7 +28,10 @@ from finapprox import (
     projector_defects,
     solve_regularized,
 )
-from helpers import record_linalg_calls
+from finapprox.cli import main
+from finapprox.hilbert import _eigh
+from finapprox.problemfile import problem_from_dict
+from helpers import random_orthonormal, record_linalg_calls
 
 
 def small_problem():
@@ -267,6 +275,87 @@ def test_gram_representable_random_psd():
         assert report.representable
         assert report.rank <= k
         assert_allclose(report.factor @ report.factor.T, g, atol=1e-10 * max(1.0, np.linalg.norm(g)))
+
+
+def _factor_by_columns(g, rank, control_dim):
+    """The Gram factor as it was built one column at a time: sqrt(lambda_i) v_i for the
+    leading eigenpairs of eigh's ascending order, zero-padded to ``control_dim``."""
+    lam, vectors = _eigh((g + g.T) / 2.0)
+    vectors = np.asarray(vectors)
+    factor = np.zeros((g.shape[0], control_dim))
+    for k in range(rank):
+        factor[:, k] = np.sqrt(max(lam[-1 - k], 0.0)) * vectors[:, -1 - k]
+    return factor
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 12),
+    rank=st.integers(0, 12),
+    diagonal=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gram_factor_is_the_column_loop_bit_for_bit(dim, rank, diagonal, seed):
+    """The factor read from the spectrum's leading pairs is the column-by-column
+    loop's, bit for bit, on dense PSD input and on a diagonal (read off its entries)."""
+    rng = np.random.default_rng(seed)
+    if diagonal:
+        g = np.diag(rng.choice([0.0, 1.0, 2.5, rng.uniform(1e-6, 10.0)], size=dim))
+    else:
+        b = rng.standard_normal((dim, min(rank, dim)))
+        g = b @ b.T
+    report = gram_representable(g, control_dim=dim)
+    assert report.representable
+    assert report.factor.tobytes() == _factor_by_columns(g, report.rank, dim).tobytes()
+
+
+def _operator_and_gram_files(l, h):
+    """One problem as two files: the operator, and its Gram matrix L L^T alone
+    (symmetrized), with the same dimU; the projector onto e_1 constrains both."""
+    common = {"dimH": l.shape[0], "dimU": l.shape[1], "h": list(h)}
+    common["constraint"] = {"type": "projector_basis", "data": [np.eye(l.shape[0])[0].tolist()]}
+    g = l @ l.T
+    return {**common, "L": l.tolist()}, {**common, "Gamma": ((g + g.T) / 2.0).tolist()}
+
+
+def test_operator_and_gram_files_agree_on_a_small_singular_value(capsys, tmp_path):
+    """sigma_2 = 1e-6 of L = diag(1, 1e-6) clears the floor of L and that of G = diag(1, 1e-12)."""
+    ranks = []
+    for payload in _operator_and_gram_files(np.diag([1.0, 1e-6]), [1.0, 1.0]):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(payload))
+        assert main(["validate", "--input", str(path), "--format", "json"]) == 0
+        ranks.append(json.loads(capsys.readouterr().out)["representable_rank"])
+    assert ranks == [2, 2]
+
+
+# log10 sigma_i / sigma_1 more than 1e3 away from both floors: rank_tol = 1e-10 for L, and for
+# G alone max(rank_tol, 4 sqrt(n eps)), at most 4.8e-7 for n <= 64; -inf is a zero sigma
+CLEAR_LOG_RATIOS = st.one_of(st.floats(-3.3, 0.0), st.floats(-20.0, -13.01), st.just(-math.inf))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dim_h=st.integers(1, 64),
+    dim_u=st.integers(1, 64),
+    log_ratios=st.lists(CLEAR_LOG_RATIOS, max_size=63),
+    log_scale=st.floats(-4.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_operator_and_gram_files_agree_on_rank(dim_h, dim_u, log_ratios, log_scale, seed):
+    """Validation counts the rank of L and of L L^T in the same unit, singular values, so
+    both files give the count of sigma_i / sigma_1 above the floors, when none is near one."""
+    k = min(dim_h, dim_u)
+    padded = [0.0, *log_ratios, *[-math.inf] * k][:k]
+    ratios = 10.0 ** np.array(padded)
+    rank_tol = DEFAULT_TOLERANCES.rank_tol
+    for floor in (rank_tol, max(rank_tol, 4.0 * math.sqrt(dim_h * np.finfo(float).eps))):
+        assert not np.any((ratios > floor / 1e3) & (ratios < floor * 1e3))
+    rng = np.random.default_rng(seed)
+    u, v = random_orthonormal(rng, dim_h, k), random_orthonormal(rng, dim_u, k)
+    l = (u * (10.0**log_scale * ratios)) @ v.T
+    ranks = [problem_from_dict(p).validation.representable_rank for p in _operator_and_gram_files(l, [1.0] * dim_h)]
+    assert ranks == [int(np.sum(ratios > rank_tol))] * 2
 
 
 def test_make_problem_shapes_and_validation():

@@ -3,7 +3,8 @@
 Each example takes a valid problem file and applies one to three mutations:
 a value anywhere in the document is swapped for one of the wrong type, shape
 or size (huge integers, overflowing floats), or a key or list entry is dropped.
-An alpha schedule that underflows or overflows is bad input too.
+An alpha schedule that underflows or overflows is bad input too, and so is
+an alpha at which a raw constraint's T_alpha overflows.
 """
 
 import contextlib
@@ -165,3 +166,33 @@ def test_extreme_gram_scale_runs_at_the_default_schedule(capsys, tmp_path, comma
     assert main([*command, "--input", _scaled_unsolvable(tmp_path, entry)]) == EXIT_OK
     captured = capsys.readouterr()
     assert captured.out and captured.err == ""
+
+
+# a raw constraint near 1e217: alpha (I - R) overflows once alpha passes about 1e91
+HUGE_RAW = {
+    "dimH": 2, "dimU": 2, "L": [[1.0, 0.5], [0.2, 1.0]], "h": [1.0, 2.0],
+    "constraint": {"type": "raw", "data": [[1e217, 3e216], [-2e216, 5e216]]},
+}
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["sweep"]])
+@pytest.mark.parametrize("alpha0", ["1e95", "1e100"])
+def test_overflowing_raw_regularized_operator_exits_two(capsys, tmp_path, command, alpha0):
+    """T_alpha = alpha (I - R) + G is not finite at the first alpha: refused as bad input,
+    not solved through an overflow warning or a failed SVD."""
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(HUGE_RAW))
+    assert main([*command, "--input", str(path), "--alpha0", alpha0]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"alpha {float(alpha0):.3g} is out of range for this problem" in captured.err
+
+
+def test_oracle_on_a_huge_raw_constraint_reports_a_finite_residual(capsys, tmp_path):
+    """The residual of the constraint rows, about 3.5e201, squares past the float range;
+    its norm is still finite."""
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(HUGE_RAW))
+    assert main(["oracle", "--input", str(path)]) == EXIT_OK
+    captured = capsys.readouterr()
+    residual = float(captured.out.split("exact_part_residual,")[1].split()[0])
+    assert captured.err == "" and 1e201 < residual < 1e202

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from finapprox import (
     EXPECTED_VERDICTS,
-    ScenarioSpec,
     ValidationError,
     Verdict,
     alpha_sweep,
@@ -40,12 +39,11 @@ def test_every_scenario_reaches_expected_verdict():
         assert decision.verdict.value == EXPECTED_VERDICTS[name], name
 
 
-def test_build_from_spec_object():
-    spec = ScenarioSpec(name="truncated_shift", params={"N": 4})
-    scenario = build_scenario(spec)
+def test_build_with_keyword_parameters():
+    scenario = build_scenario("truncated_shift", N=4)
     assert scenario.problem.ambient_dim == 4
-    # keyword parameters override the spec's mapping
-    scenario = build_scenario(ScenarioSpec(name="truncated_shift", params={"N": 4}), N=5)
+    # keyword parameters override the catalog's defaults
+    scenario = build_scenario("truncated_shift", N=5)
     assert scenario.problem.ambient_dim == 5
 
 
