@@ -295,7 +295,7 @@ def range_oracle(problem: ProblemInstance) -> OracleDecision:
     Needs the operator; raises on Gram-only instances (a Gram operator alone
     does not determine what the equation can reach jointly with the
     constraint, which is what non-representable instances demonstrate).
-    Also raises when the constraint rows times the singular values overflow.
+    Also raises when a product of the constraint rows or the solve overflows.
     """
     if problem._operator is None:
         raise ValidationError(
@@ -307,9 +307,6 @@ def range_oracle(problem: ProblemInstance) -> OracleDecision:
     r = spectrum.rank(problem.tols.rank_tol)
     u_r, s_r = spectrum.leading(r)
 
-    outside = h - problem.project(h)
-    complement_residual = _norm(outside - u_r @ (u_r.T @ outside))
-
     # Constraint rows: Q^T for a projector (||P v|| = ||Q^T v||), P itself
     # for a raw matrix. On w = V_r^T u they act as M = rows U_r S_r. Their
     # rank is read from the singular values of M against the noise floor
@@ -320,35 +317,36 @@ def range_oracle(problem: ProblemInstance) -> OracleDecision:
         rows = problem.constraint.basis.T
     else:
         rows = problem.constraint
-    b = rows @ h
-    m = rows @ u_r
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):  # an array past the float range is refused
+        m = rows @ u_r
         m *= s_r
-    if not np.all(np.isfinite(m)):
-        raise ValidationError("range oracle overflows: the constraint rows times the singular values are not finite")
-    z, t = np.linalg.qr(m.T)
-    del m  # freed before the SVD's workspace is taken
-    w, sv, yt = np.linalg.svd(t, full_matrices=False)
-    rank = _numerical_rank(sv, max(l.shape) * np.finfo(float).eps, float(np.max(s_r, initial=0.0)))
-    right = z @ w[:, :rank]
-    del z, t, w
-    w_particular = right @ ((yt[:rank] @ b) / sv[:rank])
-    exact_residual = _norm(rows @ (u_r @ (s_r * w_particular)) - b)
-    feasible = exact_residual <= threshold
+        if not np.all(np.isfinite(m)):
+            raise ValidationError("range oracle overflows: the constraint rows times singular values are not finite")
+        outside = h - problem.project(h)
+        complement_residual = _norm(outside - u_r @ (u_r.T @ outside))
+        z, t = np.linalg.qr(m.T)
+        del m  # freed before the SVD's workspace is taken
+        w, sv, yt = np.linalg.svd(t, full_matrices=False)
+        rank = _numerical_rank(sv, max(l.shape) * np.finfo(float).eps, float(np.max(s_r, initial=0.0)))
+        right = z @ w[:, :rank]
+        del z, t, w
+        b = rows @ h
+        w_particular = right @ ((yt[:rank] @ b) / sv[:rank])
+        exact_residual = _norm(rows @ (u_r @ (s_r * w_particular)) - b)
+        feasible = exact_residual <= threshold
+        distance, control = math.inf, None
+        if feasible:
+            # The constraint fixes c = S_r w along span(S_r^{-1} right) and leaves
+            # it free across it: the nearest feasible c moves U_r^T h along it.
+            target = u_r.T @ h
+            right /= s_r[:, None]
+            fixed, _ = np.linalg.qr(right)
+            c = target - fixed @ (fixed.T @ (target - s_r * w_particular))
+            control = spectrum.right[:r].T @ (c / s_r)
+            distance = _norm(l @ control - h)
+    if not np.all(np.isfinite([complement_residual, exact_residual, distance if feasible else 0.0])):
+        raise ValidationError("range oracle overflows: the constraint rows applied to h, or its solve, are not finite")
     decomposed = feasible and complement_residual <= threshold
-
-    if not feasible:
-        distance = math.inf
-        control = None
-    else:
-        # The constraint fixes c = S_r w along span(S_r^{-1} right) and leaves
-        # it free across it: the nearest feasible c moves U_r^T h along it.
-        target = u_r.T @ h
-        right /= s_r[:, None]
-        fixed, _ = np.linalg.qr(right)
-        c = target - fixed @ (fixed.T @ (target - s_r * w_particular))
-        control = spectrum.right[:r].T @ (c / s_r)
-        distance = _norm(l @ control - h)
     constrained = feasible and distance <= threshold
 
     return OracleDecision(

@@ -550,9 +550,10 @@ def _gram_spectrum(g: np.ndarray, control_dim, tols: Tolerances):
         raise ValidationError(f"gram matrix must be square, got shape {g.shape}")
     if not _int_at_least(control_dim, 1):
         raise ValidationError(f"control_dim must be a positive integer, got {control_dim!r}")
-    sym_defect = float(np.linalg.norm(g - g.T))
-    scale = max(1.0, float(np.linalg.norm(g)))
-    part = (g + g.T) / 2.0
+    with np.errstate(over="ignore"):  # an overflow is a fault below
+        sym_defect = _norm(g - g.T)
+        scale = max(1.0, _norm(g))
+        part = (g + g.T) / 2.0
     lam, vectors = _eigh(part)
     fault = None
     if sym_defect > tols.tol_sym * scale:
@@ -836,16 +837,16 @@ def make_problem(
                 g.setflags(write=False)
             else:  # the same number, as G is diagonal and nonnegative
                 row_sum_bound = float(np.max(g.values, initial=0.0))
+            if gram_matrix is not None:
+                g_given = as_operator(gram_matrix, shape=(ambient_dim, ambient_dim), name="gram matrix")
+                gram_factor_defect = _norm(np.asarray(g) - g_given)
+                scale = max(1.0, _norm(g_given))
+                if gram_factor_defect > tols.tol_gram * scale:
+                    raise ValidationError(
+                        f"gram matrix disagrees with the operator's gram product "
+                        f"(defect {gram_factor_defect:.3e} exceeds tol_gram)"
+                    )
         decomposition = _Decomposition(operator=l)
-        if gram_matrix is not None:
-            g_given = as_operator(gram_matrix, shape=(ambient_dim, ambient_dim), name="gram matrix")
-            gram_factor_defect = float(np.linalg.norm(np.asarray(g) - g_given))
-            scale = max(1.0, float(np.linalg.norm(g_given)))
-            if gram_factor_defect > tols.tol_gram * scale:
-                raise ValidationError(
-                    f"gram matrix disagrees with the operator's gram product "
-                    f"(defect {gram_factor_defect:.3e} exceeds tol_gram)"
-                )
         gram_sym_defect = 0.0
         if not math.isfinite(row_sum_bound):
             raise ValidationError("the gram operator overflows: its entries or spectrum are not finite")

@@ -110,19 +110,35 @@ class IdentityReport:
     constraint_defect: float
 
 
+# Every alpha-dependent array is formed under this one errstate and read by _refuse_out_of_range.
+_QUIET = np.errstate(all="ignore")
+
+
+@_QUIET
 def regularized_operator(alpha: float, problem: ProblemInstance) -> np.ndarray:
-    """Assemble alpha * (I - P) + G.
+    """Assemble alpha * (I - P) + G, refusing an alpha at which an entry is not finite.
 
     Exactly symmetric whenever the constraint is a true projector, because
     both stored factors are exactly symmetric.
     """
     _positive_real(alpha, "alpha")
-    return _assemble(alpha, problem)
+    return _assemble(np.array([[[alpha]]], dtype=float), problem)[0]
 
 
-def _assemble(alpha, problem: ProblemInstance) -> np.ndarray:
-    """alpha * (I - P) + G for a float alpha, or the stack of them for an (s, 1, 1) array of alphas."""
-    return alpha * (np.eye(problem.ambient_dim) - problem.constraint_matrix) + problem.gram
+def _assemble(alpha: np.ndarray, problem: ProblemInstance) -> np.ndarray:
+    """The (s, n, n) stack of alpha * (I - P) + G for the (s, 1, 1) stack of alphas, each finite."""
+    t = alpha * (np.eye(problem.ambient_dim) - problem.constraint_matrix) + problem.gram
+    _refuse_out_of_range(alpha, "T_alpha = alpha (I - P) + G is not finite", t)
+    return t
+
+
+def _refuse_out_of_range(alpha: np.ndarray, reason: str, *stacks: np.ndarray, usable=True) -> None:
+    """The one out-of-range rule: raise at the first alpha of the (s, 1, 1) stack ``alpha`` whose
+    ``usable`` flag is False or whose slice of an (s, ...) array in ``stacks`` is not all finite."""
+    for stack in stacks:
+        usable = usable & np.isfinite(stack).reshape(len(stack), -1).all(axis=1)
+    if not np.all(usable):
+        raise ValidationError(f"alpha {alpha.flat[np.argmin(usable)]:.3g} is out of range for this problem: {reason}")
 
 
 @dataclass(frozen=True)
@@ -188,27 +204,30 @@ class RegularizedFactor:
         """Regularized solve at ``alpha``, with one step of iterative refinement."""
         return self.solve_all([alpha])[0]
 
+    @_QUIET
     def solve_all(self, alphas: Sequence[float]) -> list[Union[RegularizedSolution, SingularSystem]]:
         """Regularized solves at every alpha of ``alphas``, in order, each with one refinement step.
 
-        Raises :class:`~finapprox.hilbert.ValidationError` for an alpha at
-        which the capacitance weight of G's largest eigenvalue overflows or
-        underflows to zero: C_alpha would be the zero matrix.
+        Raises :class:`~finapprox.hilbert.ValidationError` at the first alpha whose
+        arrays leave the float range: G's largest eigenvalue gets weight 0 (C_alpha
+        would be the zero matrix), C_alpha is singular, or T_alpha or the solve is not finite.
         """
         for alpha in alphas:
             _positive_real(alpha, "alpha")
+        # Each alpha's vectors are one (n, 1) column of an (s, n, 1) stack.
+        alpha = np.array(alphas, dtype=float)[:, None, None]
         if self.eigenvalues is None:
-            return _solve_generic(alphas, self.problem)
+            return _solve_generic(alpha, self.problem)
         if self.kernel_vector is not None:
             return [SingularSystem(float(alpha), self.kernel_vector, self.smallest_eigenvalue) for alpha in alphas]
         lam, u, b = self.eigenvalues, self.eigenvectors, self.basis_coords
-        # Each alpha's vectors are one (n, 1) column of an (s, n, 1) stack.
-        alpha = np.array(alphas, dtype=float)[:, None, None]
         shifted = lam[:, None] + alpha
         capacitance = None
         if b.shape[1]:
-            _check_capacitance(alphas, float(np.max(lam)))
             weights = lam[:, None] / (alpha * shifted)
+            top = int(np.argmax(lam))
+            reason = f"with the largest Gram eigenvalue {lam[top]:.3g}, the weight lam / (alpha (lam + alpha)) is 0"
+            _refuse_out_of_range(alpha, reason, usable=weights[:, top, 0] > 0.0)
             capacitance = np.empty((len(alphas), b.shape[1], b.shape[1]))
             for c, w in zip(capacitance, weights[..., 0]):
                 c[...] = (b.T * w) @ b
@@ -217,7 +236,11 @@ class RegularizedFactor:
             """T_alpha^{-1} r for every alpha, from the coordinates U^T r."""
             y = coords / shifted
             if capacitance is not None:
-                y += (b @ np.linalg.solve(capacitance, b.T @ y)) / shifted
+                try:
+                    y += (b @ np.linalg.solve(capacitance, b.T @ y)) / shifted
+                except np.linalg.LinAlgError:  # slogdet runs solve's LU: its sign is 0 where a pivot is 0
+                    _refuse_out_of_range(alpha, "C_alpha is singular", usable=np.linalg.slogdet(capacitance)[0] != 0)
+                    raise
             return u @ y
 
         problem = self.problem
@@ -228,22 +251,6 @@ class RegularizedFactor:
         applied = problem._gram @ z + alpha * (z - problem.project(z))
         z = z + apply_inverse(u.T @ (h - applied))
         return _solutions(alpha, z, problem)
-
-
-def _check_capacitance(alphas: Sequence[float], lam_max: float) -> None:
-    """Refuse an alpha whose capacitance weight lam_max / (alpha (lam_max + alpha)) is 0.
-
-    Every weight is at most that of the largest eigenvalue, so C_alpha is
-    then the zero matrix. Python floats overflow to inf and underflow to 0
-    without a warning.
-    """
-    for alpha in map(float, alphas):
-        denominator = alpha * (lam_max + alpha)
-        if denominator > 0.0 and lam_max / denominator == 0.0:
-            raise ValidationError(
-                f"alpha {alpha:.3g} is out of range for this problem: with the largest Gram "
-                f"eigenvalue {lam_max:.3g}, the weight lam / (alpha (lam + alpha)) is 0"
-            )
 
 
 def factor_regularized(problem: ProblemInstance) -> RegularizedFactor:
@@ -316,11 +323,12 @@ def solve_regularized(
 
 
 def _solutions(alpha: np.ndarray, z: np.ndarray, problem: ProblemInstance) -> list[RegularizedSolution]:
-    """One solution per alpha from the (s, 1, 1) alphas and the (s, n, 1) costates."""
+    """One solution per alpha from the (s, 1, 1) alphas and the (s, n, 1) costates, each finite."""
     image = problem._gram @ z
     residual = image - problem.rhs[:, None]
     constraint_residual = problem.project(residual)
     indicator = alpha * z
+    _refuse_out_of_range(alpha, "its solve is not finite", z, image, residual, constraint_residual, indicator)
     return [
         RegularizedSolution(
             alpha=float(alpha[i, 0, 0]),
@@ -335,23 +343,15 @@ def _solutions(alpha: np.ndarray, z: np.ndarray, problem: ProblemInstance) -> li
     ]
 
 
-def _solve_generic(
-    alphas: Sequence[float], problem: ProblemInstance
-) -> list[Union[RegularizedSolution, SingularSystem]]:
+def _solve_generic(alpha: np.ndarray, problem: ProblemInstance) -> list[Union[RegularizedSolution, SingularSystem]]:
     """Dense route for raw constraints: SVD guard, one LU solve, one refinement.
 
-    The s matrices T_alpha are one stack, and the guard, the solve and the
-    refinement one stacked call each. An alpha whose smallest singular value
-    falls below ``singular_tol`` times the largest gets a :class:`SingularSystem`.
-    Raises :class:`~finapprox.hilbert.ValidationError` at the first alpha whose T_alpha overflows.
+    The s matrices T_alpha of the (s, 1, 1) stack of alphas are one stack, and
+    the guard, the solve and the refinement one stacked call each. An alpha
+    whose smallest singular value falls below ``singular_tol`` times the
+    largest gets a :class:`SingularSystem`.
     """
-    alpha = np.array(alphas, dtype=float)[:, None, None]
-    with np.errstate(over="ignore"):  # refused below
-        t = _assemble(alpha, problem)
-    finite = np.all(np.isfinite(t), axis=(1, 2))
-    if not finite.all():
-        raise ValidationError(f"alpha {alphas[int(np.argmin(finite))]:.3g} is out of range for this problem: "
-                              "T_alpha = alpha (I - R) + G overflows")
+    t = _assemble(alpha, problem)
     h = problem.rhs[:, None]
     tol = problem.tols.singular_tol
     singular = [_numerical_rank(s, tol) < s.size for s in np.linalg.svd(t, compute_uv=False)]
@@ -363,7 +363,7 @@ def _solve_generic(
         z = z + np.linalg.solve(t_regular, h - t_regular @ z)
         solved = iter(_solutions(alpha[regular], z, problem))
     return [
-        _singular_report(alphas[i], t[i], problem.rhs, problem) if flag else next(solved)
+        _singular_report(alpha[i, 0, 0], t[i], problem.rhs, problem) if flag else next(solved)
         for i, flag in enumerate(singular)
     ]
 

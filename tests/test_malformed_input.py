@@ -3,21 +3,26 @@
 Each example takes a valid problem file and applies one to three mutations:
 a value anywhere in the document is swapped for one of the wrong type, shape
 or size (huge integers, overflowing floats), or a key or list entry is dropped.
-An alpha schedule that underflows or overflows is bad input too, and so is
-an alpha at which a raw constraint's T_alpha overflows.
+A second property draws well-formed files whose entries span the float range.
+An alpha schedule that underflows or overflows is bad input too, and so is an
+alpha whose capacitance weights, T_alpha or solve leave the float range.
 """
 
 import contextlib
 import copy
 import io
 import json
+import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finapprox.cli import EXIT_BAD_INPUT, EXIT_OK, EXIT_SINGULAR, main
-from finapprox.problemfile import problem_to_dict
+from finapprox.hilbert import ValidationError
+from finapprox.problemfile import problem_from_dict, problem_to_dict
+from finapprox.resolvent import regularized_operator
 from finapprox.scenarios import build_scenario
 
 COMMANDS = (["analyze"], ["sweep"], ["oracle"], ["galerkin", "--family", "coordinate"], ["validate"])
@@ -73,12 +78,14 @@ def problem_path(tmp_path_factory):
     return tmp_path_factory.mktemp("malformed") / "problem.json"
 
 
-def _exit_codes(path, problem) -> list[int]:
+def _exit_codes(path, problem, schedule=()) -> list[int]:
+    """Exit codes of the five commands; ``schedule`` options go to those that sweep alpha."""
     path.write_text(json.dumps(problem))
     codes = []
     for command in COMMANDS:
+        options = schedule if command[0] in ("analyze", "sweep", "galerkin") else ()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            codes.append(main([*command, "--input", str(path)]))
+            codes.append(main([*command, "--input", str(path), *options]))
     return codes
 
 
@@ -87,6 +94,43 @@ def _exit_codes(path, problem) -> list[int]:
 @given(problem=malformed_problems(), allowed=st.just({EXIT_OK, EXIT_BAD_INPUT, EXIT_SINGULAR}))
 def test_malformed_problem_file_never_exits_four(problem_path, problem, allowed):
     assert set(_exit_codes(problem_path, problem)) <= allowed
+
+
+@st.composite
+def extreme_problems(draw):
+    """Well-formed files with dimensions 1-5: 80 % with L and 20 % Gram-only, half with a raw
+    constraint; L (or Gamma) and h are each scaled by 10**u on a third of draws, a raw R on
+    half of them, with u in [-300, 300]."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+
+    def matrix(rows, cols):
+        entries = draw(st.lists(st.floats(-2.0, 2.0), min_size=rows * cols, max_size=rows * cols))
+        return np.reshape(entries, (rows, cols))
+
+    def scale(scaled):
+        return 10.0 ** draw(st.floats(-300.0, 300.0)) if scaled else 1.0
+
+    third = st.integers(0, 2).map(lambda k: k == 0)
+    l, l_scale = matrix(n, m), scale(draw(third))
+    problem = {"dimH": n, "dimU": m, "h": (matrix(n, 1)[:, 0] * scale(draw(third))).tolist()}
+    if draw(st.integers(0, 4)):
+        problem["L"] = (l * l_scale).tolist()
+    else:  # the Gram matrix of the unscaled L, scaled, so the file stays finite
+        problem["Gamma"] = (l @ l.T * l_scale).tolist()
+    if draw(st.booleans()):
+        problem["constraint"] = {"type": "raw", "data": (matrix(n, n) * scale(draw(st.booleans()))).tolist()}
+    else:
+        problem["constraint"] = {"type": "projector_basis", "data": matrix(draw(st.integers(0, n)), n).tolist()}
+    return problem
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(problem=extreme_problems(), exponent=st.floats(-146.0, 154.0))
+def test_extreme_scale_problem_file_never_exits_four(problem_path, problem, exponent):
+    """Every alpha0 drawn is accepted by the schedule's own bounds, so an exit 2 comes from
+    the problem: an overflowing Gram product, constraint or solve."""
+    schedule = ("--alpha0", repr(10.0**exponent))
+    assert set(_exit_codes(problem_path, problem, schedule)) <= {EXIT_OK, EXIT_BAD_INPUT, EXIT_SINGULAR}
 
 
 @pytest.mark.parametrize(
@@ -184,7 +228,10 @@ def test_overflowing_raw_regularized_operator_exits_two(capsys, tmp_path, comman
     path.write_text(json.dumps(HUGE_RAW))
     assert main([*command, "--input", str(path), "--alpha0", alpha0]) == EXIT_BAD_INPUT
     captured = capsys.readouterr()
-    assert captured.out == "" and f"alpha {float(alpha0):.3g} is out of range for this problem" in captured.err
+    message = f"alpha {float(alpha0):.3g} is out of range for this problem"
+    assert captured.out == "" and message in captured.err
+    with pytest.raises(ValidationError, match=re.escape(message)):  # raised, not an overflow warning
+        regularized_operator(float(alpha0), problem_from_dict(HUGE_RAW))
 
 
 def test_oracle_on_a_huge_raw_constraint_reports_a_finite_residual(capsys, tmp_path):
@@ -196,3 +243,51 @@ def test_oracle_on_a_huge_raw_constraint_reports_a_finite_residual(capsys, tmp_p
     captured = capsys.readouterr()
     residual = float(captured.out.split("exact_part_residual,")[1].split()[0])
     assert captured.err == "" and 1e201 < residual < 1e202
+
+
+# G near 1e296 and h near 1e152: at alpha = 1 the solve's component in the zero projector's
+# complement is about 1e152, and G times it overflows
+HUGE_SOLVE = {
+    "dimH": 2, "dimU": 1, "L": [[1.7e148], [-7.4e147]], "h": [1.1e152, 6.1e151],
+    "constraint": {"type": "projector_basis", "data": []},
+}
+# the constraint rows applied to h, about 1e373, pass the float range
+HUGE_ROWS_ON_H = {
+    "dimH": 2, "dimU": 1, "L": [[0.45], [1.03]], "h": [7e90, 5.5e89],
+    "constraint": {"type": "raw", "data": [[-4.7e283, -3e283], [-2.2e283, -5.9e283]]},
+}
+
+
+@pytest.mark.parametrize(
+    "problem,command,message",
+    [
+        (HUGE_SOLVE, ["analyze"], "alpha 1 is out of range for this problem"),
+        (HUGE_SOLVE, ["sweep"], "alpha 1 is out of range for this problem"),
+        (HUGE_SOLVE, ["galerkin", "--family", "coordinate"], "alpha 0.1 is out of range for this problem"),
+        (HUGE_ROWS_ON_H, ["oracle"], "range oracle overflows"),
+    ],
+    ids=["solve-analyze", "solve-sweep", "solve-galerkin", "rows-on-h-oracle"],
+)
+def test_result_past_the_float_range_exits_two(capsys, tmp_path, problem, command, message):
+    """A solve or oracle whose arrays leave the float range is refused, not reported as
+    nan norms or a nan residual with exit 0."""
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    assert main([*command, "--input", str(path)]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+@pytest.mark.parametrize("command", [["validate"], ["analyze"]])
+def test_gram_only_file_near_the_float_range_runs(capsys, tmp_path, command):
+    """||Gamma||_F squares past the float range; its norm, the scale of the symmetry and
+    semidefiniteness checks, is still finite."""
+    problem = {
+        "dimH": 2, "dimU": 2, "Gamma": [[1e300, 0.0], [0.0, 2e299]], "h": [1.0, 1.0],
+        "constraint": {"type": "projector_basis", "data": [[1.0, 0.0]]},
+    }
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    assert main([*command, "--input", str(path)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out and captured.err == ""
