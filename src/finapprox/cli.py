@@ -400,7 +400,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     try:
         return args.func(args)
-    except (ValidationError, ProblemFileError, FileNotFoundError) as exc:
+    except (ValidationError, ProblemFileError, OSError) as exc:  # OSError: an unreadable or unwritable path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except Exception as exc:  # pragma: no cover - defensive

@@ -305,6 +305,14 @@ def _gram(l: Union[np.ndarray, _Monomial]) -> Union[np.ndarray, _Monomial]:
     return l @ l.T
 
 
+def _unused(indices: np.ndarray, size: int) -> np.ndarray:
+    """The integers in ``range(size)`` missing from ``indices``, ascending (``np.setdiff1d``
+    imports ``numpy.ma``, ~17 ms of a fresh process)."""
+    unused = np.ones(size, dtype=bool)
+    unused[indices] = False
+    return np.flatnonzero(unused)
+
+
 def _svd(l: Union[np.ndarray, _Monomial]) -> tuple[_Orthogonal, np.ndarray, _Orthogonal]:
     """``np.linalg.svd(l, full_matrices=m > n)``, exact and O(mn) for a monomial
     ``l``: s is the entries' magnitudes sorted descending (stably, so ties keep
@@ -322,8 +330,8 @@ def _svd(l: Union[np.ndarray, _Monomial]) -> tuple[_Orthogonal, np.ndarray, _Ort
     order = np.argsort(-np.abs(v), kind="stable")
     s = np.zeros(k)
     s[: v.size] = np.abs(v[order])
-    u = _Monomial(np.concatenate([i[order], np.setdiff1d(np.arange(m), i)]), np.arange(m), np.ones(m), (m, m))
-    right = np.concatenate([j[order], np.setdiff1d(np.arange(n), j)])[:k]
+    u = _Monomial(np.concatenate([i[order], _unused(i, m)]), np.arange(m), np.ones(m), (m, m))
+    right = np.concatenate([j[order], _unused(j, n)])[:k]
     vt = _Monomial(np.arange(k), right, np.concatenate([np.sign(v[order]), np.ones(k - v.size)]), (k, n))
     return u, s, vt
 

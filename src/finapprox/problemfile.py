@@ -14,6 +14,10 @@ A problem file is a JSON object with the keys
 At least one of L and Gamma must be present. Numbers must be finite; floats
 are written with shortest round-trip precision so a saved file reloads to
 bit-identical values.
+
+Files are UTF-8. :func:`load_problem` parses them with orjson, and only a
+file orjson refuses goes to the stdlib ``json`` decoder, which then reports
+why; :func:`save_problem` writes with ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -137,17 +141,40 @@ def problem_from_dict(data: dict, tols: Optional[Tolerances] = None) -> ProblemI
 def load_problem(path, tols: Optional[Tolerances] = None) -> ProblemInstance:
     """Load and validate a problem file; ``tols`` is as in :func:`problem_from_dict`.
 
+    orjson reads the file's bytes. A document it refuses (``NaN``,
+    ``Infinity``, a number beyond the float range, bytes that are not UTF-8,
+    a byte order mark, bad syntax) goes as UTF-8 text to the stdlib decoder,
+    whose error is the one reported. Both give the same floats bit for bit;
+    an integer beyond 64 bits arrives as its nearest float, not an int.
+
     Parse errors carry the line and column from the JSON decoder; validation
     errors name the offending field.
     """
-    text = Path(path).read_text()
+    import orjson  # here, not at module level: its import is ~6 ms that --scenario requests skip
+
+    raw = Path(path).read_bytes()
     try:
-        data = json.loads(text, parse_constant=_reject_constant)
+        try:
+            data = orjson.loads(raw)
+        except orjson.JSONDecodeError:
+            data = _stdlib_loads(raw, path)
+        return problem_from_dict(data, tols=tols)
+    except RecursionError as exc:
+        raise ProblemFileError(f"problem file {path} is nested too deeply") from exc
+
+
+def _stdlib_loads(raw: bytes, path):
+    """``raw`` decoded as UTF-8 and parsed by ``json.loads``, which refuses non-finite constants."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProblemFileError(f"problem file {path} is not UTF-8: {exc.reason} at byte {exc.start}") from exc
+    try:
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ProblemFileError(
             f"problem file {path} is not valid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
         ) from exc
-    return problem_from_dict(data, tols=tols)
 
 
 def problem_to_dict(problem: ProblemInstance) -> dict:

@@ -456,6 +456,25 @@ def test_missing_input_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--input", "{dir}"],
+        ["validate", "--input", "{dir}"],
+        ["analyze", "--scenario", "diagonal_unsolvable", "--output", "{dir}"],
+        ["oracle", "--scenario", "diagonal_unsolvable", "--format", "json", "--output", "{dir}"],
+        ["export", "--scenario", "diagonal_unsolvable", "--output", "{dir}"],
+    ],
+)
+def test_directory_as_input_or_output_exits_two(capsys, tmp_path, argv):
+    """A path that names a directory is an unreadable or unwritable file: bad input, named."""
+    code, out, err = run(capsys, *(arg.format(dir=tmp_path) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert str(tmp_path) in err
+    assert "internal error" not in err
+
+
 def test_main_builds_its_parser_once(capsys):
     """Successive requests in one process share one parser and report as fresh ones do."""
     requests = [

@@ -4,8 +4,10 @@ Each example takes a valid problem file and applies one to three mutations:
 a value anywhere in the document is swapped for one of the wrong type, shape
 or size (huge integers, overflowing floats), or a key or list entry is dropped.
 A second property draws well-formed files whose entries span the float range.
-An alpha schedule that underflows or overflows is bad input too, and so is an
-alpha whose capacitance weights, T_alpha or solve leave the float range.
+Files the hypothesis strategy cannot write, with bytes that are not UTF-8 or
+arrays nested 100,000 deep, are explicit cases. An alpha schedule that
+underflows or overflows is bad input too, and so is an alpha whose capacitance
+weights, T_alpha or solve leave the float range.
 """
 
 import contextlib
@@ -15,6 +17,7 @@ import json
 import re
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -94,6 +97,38 @@ def _exit_codes(path, problem, schedule=()) -> list[int]:
 @given(problem=malformed_problems(), allowed=st.just({EXIT_OK, EXIT_BAD_INPUT, EXIT_SINGULAR}))
 def test_malformed_problem_file_never_exits_four(problem_path, problem, allowed):
     assert set(_exit_codes(problem_path, problem)) <= allowed
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+VALID = json.dumps(BASES[2])
+
+
+@pytest.mark.parametrize(
+    "document,orjson_reads,message",
+    [
+        (VALID[:-1].encode() + b', "note": "caf\xe9"}', False, "is not UTF-8"),
+        (DEEP.encode(), True, "must hold a JSON object"),
+        (VALID.replace('"dimH": 2', f'"dimH": {DEEP}').encode(), True, "nested too deeply"),
+        (VALID.replace('"h": [0.0, 1.0]', f'"h": {DEEP}').encode(), True, "field 'h' is not numeric"),
+        (DEEP.replace("[]", "[NaN]").encode(), False, "nested too deeply"),
+    ],
+    ids=["not-utf8", "deep-document", "deep-dimH", "deep-h", "deep-with-nan"],
+)
+def test_undecodable_or_deep_file_exits_two(capsys, tmp_path, document, orjson_reads, message):
+    """orjson reads the deep files, and the stdlib decoder the two it refuses; each route
+    ends in exit 2 with a message, never in a UnicodeDecodeError or RecursionError."""
+    try:
+        orjson.loads(document)
+    except orjson.JSONDecodeError:
+        assert not orjson_reads
+    else:
+        assert orjson_reads
+    path = tmp_path / "problem.json"
+    path.write_bytes(document)
+    for command in COMMANDS:
+        assert main([*command, "--input", str(path)]) == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
 
 
 @st.composite

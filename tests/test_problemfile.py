@@ -1,11 +1,18 @@
 """JSON problem files: round trips, schema validation, error reporting."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import finapprox
 from finapprox import (
     ProblemFileError,
     Tolerances,
@@ -193,3 +200,84 @@ def test_dict_serialization_shape():
     text = json.dumps(data, sort_keys=True)
     rebuilt = problem_from_dict(json.loads(text))
     assert_allclose(rebuilt.rhs, problem.rhs, atol=0)
+
+
+MAX = sys.float_info.max
+FLOAT_SPELLINGS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, MAX, -MAX]),
+).map(repr)
+INTEGER_SPELLINGS = st.one_of(
+    st.integers(-(2**64), 2**64),
+    st.integers(-(10**300), 10**300),
+    st.sampled_from([2**53 + 1, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**64 + 1, -(2**63), -(2**63) - 1]),
+).map(str)
+
+
+@st.composite
+def decimal_spellings(draw):
+    """A JSON number of up to 40 significant digits, with or without a fraction and an
+    exponent; the exponent stays below the float range's top, and may fall past its bottom."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=40))
+    point = draw(st.integers(0, len(digits)))
+    text = draw(st.sampled_from(["", "-"])) + (digits[:point].lstrip("0") or "0")
+    if point < len(digits):
+        text += "." + digits[point:]
+    if draw(st.booleans()):
+        marker = draw(st.sampled_from(["e", "E", "e+", "e-", "E-"]))
+        text += marker + str(draw(st.integers(0, 400 if marker.endswith("-") else 268)))
+    return text
+
+
+@pytest.fixture(scope="module")
+def number_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("numbers") / "problem.json"
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(spellings=st.lists(st.one_of(FLOAT_SPELLINGS, INTEGER_SPELLINGS, decimal_spellings()), min_size=1, max_size=6))
+def test_numbers_load_as_the_stdlib_parses_them_bit_for_bit(number_path, spellings):
+    """The drawn spellings, on the diagonal of a raw constraint (which takes any finite
+    entry), load to the floats ``json.loads`` and numpy make of them, bit for bit."""
+    n = len(spellings)
+    rows = ", ".join("[" + ", ".join(s if i == j else "0" for j in range(n)) + "]" for i, s in enumerate(spellings))
+    text = (
+        f'{{"dimH": {n}, "dimU": 1, "L": {json.dumps([[1.0]] * n)}, '
+        f'"constraint": {{"type": "raw", "data": [{rows}]}}, "h": {json.dumps([1.0] * n)}}}'
+    )
+    number_path.write_text(text)
+    expected = np.asarray(json.loads(text)["constraint"]["data"], dtype=float)
+    assert load_problem(number_path).constraint_matrix.tobytes() == expected.tobytes()
+
+
+LAZY_IMPORT_CHILD = """
+import contextlib, io, json, sys
+import finapprox.cli
+
+def loaded():
+    return [name for name in ("orjson", "numpy.ma") if name in sys.modules]
+
+stages = {"import": loaded()}
+argv = ["analyze", "--scenario", "function_space_galerkin", "--param", "M=64"]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [finapprox.cli.main(argv)]
+stages["scenario"] = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(finapprox.cli.main(["export", "--scenario", "nilpotent_pi", "--output", sys.argv[1]]))
+    codes.append(finapprox.cli.main(["analyze", "--input", sys.argv[1]]))
+stages["input"] = loaded()
+print(json.dumps({"codes": codes, "stages": stages}))
+"""
+
+
+def test_scenario_requests_import_neither_orjson_nor_numpy_ma(tmp_path):
+    """A fresh interpreter imports orjson only to read a problem file, and numpy.ma never."""
+    src = str(Path(finapprox.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-c", LAZY_IMPORT_CHILD, str(tmp_path / "problem.json")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(child.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0]
+    assert result["stages"] == {"import": [], "scenario": [], "input": ["orjson"]}
