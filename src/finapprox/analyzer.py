@@ -20,7 +20,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .hilbert import (
-    ProblemInstance, Projector, ValidationError, _int_at_least, _norm, _numerical_rank, _positive_real, as_vector,
+    ProblemInstance, ValidationError, _dense_constraint, _int_at_least, _norm, _numerical_rank, _positive_real, as_vector,
 )
 from .resolvent import RegularizedSolution, SingularSystem, factor_regularized
 
@@ -307,16 +307,12 @@ def range_oracle(problem: ProblemInstance) -> OracleDecision:
     r = spectrum.rank(problem.tols.rank_tol)
     u_r, s_r = spectrum.leading(r)
 
-    # Constraint rows: Q^T for a projector (||P v|| = ||Q^T v||), P itself
-    # for a raw matrix. On w = V_r^T u they act as M = rows U_r S_r. Their
+    # On w = V_r^T u the constraint rows act as M = rows U_r S_r. Their
     # rank is read from the singular values of M against the noise floor
     # max(m, n) eps ||L||_2 of a product with L: rows U_r alone would count
     # rounding-level entries, and inverting them yields spurious solutions.
     # A thin QR M^T = Z T and an SVD T = W diag(sv) Y^T give M = Y diag(sv) (Z W)^T.
-    if isinstance(problem.constraint, Projector):
-        rows = problem.constraint.basis.T
-    else:
-        rows = problem.constraint
+    rows = problem.constraint_rows
     with np.errstate(all="ignore"):  # an array past the float range is refused
         m = rows @ u_r
         m *= s_r
@@ -379,7 +375,7 @@ def factor_invertibility(alpha: float, problem: ProblemInstance) -> Invertibilit
     _positive_real(alpha, "alpha")
     n = problem.ambient_dim
     shifted = alpha * np.eye(n) + problem.gram
-    applied = np.linalg.solve(shifted, problem.constraint_matrix)
+    applied = np.linalg.solve(shifted, _dense_constraint(problem.constraint))
     q = np.eye(n) - alpha * applied
     s = np.linalg.svd(q, compute_uv=False)
     largest = float(s[0]) if s.size else 0.0

@@ -141,9 +141,8 @@ def as_operator(a, shape: Optional[tuple] = None, name: str = "operator") -> np.
 class Projector:
     """Orthogonal projector stored as its orthonormal basis Q alone.
 
-    The projector is P = Q Q^T and is applied as Q (Q^T x). ``rank`` and
-    ``dim`` are read from the basis shape; ``matrix`` builds the dense n x n
-    form on request, for the few callers that need it.
+    The projector is P = Q Q^T and is applied as Q (Q^T x); its rows, as a
+    constraint, are Q^T. ``rank`` and ``dim`` are read from the basis shape.
     """
 
     basis: np.ndarray
@@ -156,15 +155,18 @@ class Projector:
     def rank(self) -> int:
         return self.basis.shape[1]
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense Q Q^T, symmetrized so it is exactly symmetric."""
-        m = self.basis @ self.basis.T
-        return (m + m.T) / 2.0
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Project ``x`` onto the range."""
         return self.basis @ (self.basis.T @ x)
+
+
+def _dense_constraint(constraint: Union[Projector, np.ndarray]) -> np.ndarray:
+    """The constraint as its n x n map: a raw matrix as it is, a :class:`Projector`
+    as Q Q^T, symmetrized so it is exactly symmetric. The one place that forms it."""
+    if not isinstance(constraint, Projector):
+        return constraint
+    m = constraint.basis @ constraint.basis.T
+    return (m + m.T) / 2.0
 
 
 def _numerical_rank(values, rel_tol: float, scale: Optional[float] = None) -> int:
@@ -674,8 +676,9 @@ class ProblemInstance:
     operator is known. ``constraint`` is the component of the equation that
     must be matched exactly: an orthogonal :class:`Projector`, kept as its
     orthonormal basis, or a raw square matrix admitted for counterexample
-    studies and flagged as such in ``validation``. :meth:`project` applies
-    either form to a vector without building an n x n matrix for a projector.
+    studies and flagged as such in ``validation``. :attr:`constraint_rows`
+    is either form as rows, and :meth:`project` applies it to a vector
+    without building an n x n matrix for a projector.
 
     A monomial operator (at most one nonzero per row and column) and its
     diagonal Gram operator are held as their entries, each a
@@ -739,11 +742,10 @@ class ProblemInstance:
         )
 
     @property
-    def constraint_matrix(self) -> np.ndarray:
-        """Dense matrix of the constraint map; built on request for a projector."""
-        if isinstance(self.constraint, Projector):
-            return self.constraint.matrix
-        return self.constraint
+    def constraint_rows(self) -> np.ndarray:
+        """The constraint's rows, as a problem file stores them: Q^T (a view of the
+        basis) for a :class:`Projector`, the raw matrix otherwise."""
+        return self.constraint.basis.T if isinstance(self.constraint, Projector) else self.constraint
 
     @property
     def constraint_is_projector(self) -> bool:
@@ -879,9 +881,8 @@ def make_problem(
         p = _readonly(as_operator(constraint, shape=(ambient_dim, ambient_dim), name="constraint matrix"))
 
     h = as_vector(rhs, dim=ambient_dim, name="rhs")
-    with np.errstate(over="ignore"):  # every threshold scales with ||h||
-        if not math.isfinite(float(np.linalg.norm(h))):
-            raise ValidationError("rhs is too large: its norm overflows")
+    if not math.isfinite(_norm(h)):  # every threshold scales with ||h||
+        raise ValidationError("rhs is too large: its norm overflows")
 
     checks = {"gram_symmetry_defect": gram_sym_defect, "gram_factor_defect": gram_factor_defect}
     return ProblemInstance(

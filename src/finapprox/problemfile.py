@@ -183,13 +183,8 @@ def problem_to_dict(problem: ProblemInstance) -> dict:
     if problem.operator is not None:
         out["L"] = problem.operator.tolist()
     out["Gamma"] = problem.gram.tolist()
-    if isinstance(problem.constraint, Projector):
-        out["constraint"] = {
-            "type": "projector_basis",
-            "data": problem.constraint.basis.T.tolist(),
-        }
-    else:
-        out["constraint"] = {"type": "raw", "data": problem.constraint_matrix.tolist()}
+    kind = "projector_basis" if isinstance(problem.constraint, Projector) else "raw"
+    out["constraint"] = {"type": kind, "data": problem.constraint_rows.tolist()}
     out["h"] = problem.rhs.tolist()
     if problem.tols != DEFAULT_TOLERANCES:
         defaults = dataclasses.asdict(DEFAULT_TOLERANCES)

@@ -21,7 +21,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .hilbert import ProblemInstance, Projector, ValidationError, _Monomial, _norm, _numerical_rank, _positive_real
+from .hilbert import (
+    ProblemInstance, Projector, ValidationError, _dense_constraint, _Monomial, _norm, _numerical_rank, _positive_real,
+)
 
 __all__ = [
     "RegularizedSolution",
@@ -127,7 +129,7 @@ def regularized_operator(alpha: float, problem: ProblemInstance) -> np.ndarray:
 
 def _assemble(alpha: np.ndarray, problem: ProblemInstance) -> np.ndarray:
     """The (s, n, n) stack of alpha * (I - P) + G for the (s, 1, 1) stack of alphas, each finite."""
-    t = alpha * (np.eye(problem.ambient_dim) - problem.constraint_matrix) + problem.gram
+    t = alpha * (np.eye(problem.ambient_dim) - _dense_constraint(problem.constraint)) + problem.gram
     _refuse_out_of_range(alpha, "T_alpha = alpha (I - P) + G is not finite", t)
     return t
 

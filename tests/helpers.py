@@ -210,10 +210,7 @@ def dense_range_oracle(problem):
     l, h = problem.operator, problem.rhs
     threshold = problem.tols.oracle_tol * float(np.linalg.norm(h))
     scale = float(np.linalg.svd(l, compute_uv=False)[0]) if min(l.shape) else 0.0
-    if isinstance(problem.constraint, Projector):
-        rows = problem.constraint.basis.T
-    else:
-        rows = problem.constraint
+    rows = problem.constraint_rows
     a, b = rows @ l, rows @ h
     if a.shape[0] == 0:
         particular, exact, nullspace = np.zeros(l.shape[1]), 0.0, np.eye(l.shape[1])

@@ -349,7 +349,7 @@ def test_oracle_constraint_is_respected():
         problem, _ = random_decision_problem(rng)
         oracle = range_oracle(problem)
         image = problem.operator @ oracle.control
-        defect = problem.constraint_matrix @ (image - problem.rhs)
+        defect = problem.constraint_rows @ (image - problem.rhs)
         assert np.linalg.norm(defect) <= 1e-9 * np.linalg.norm(problem.rhs)
 
 
@@ -400,6 +400,45 @@ def test_factor_invertibility_detects_singularity():
     assert not report.invertible
 
 
+def _raw_constraint_problems(rng):
+    """nilpotent_pi; dense L under a random raw R; and the singular raw family
+    P = diag(0, .., 0, 1 - c) with G = diag(1, .., 1, 0)."""
+    yield build_scenario("nilpotent_pi").problem
+    for dim in range(1, 9):
+        operator = rng.standard_normal((dim, int(rng.integers(1, dim + 2))))
+        yield make_problem(operator=operator, constraint=rng.standard_normal((dim, dim)), rhs=rng.standard_normal(dim))
+    for dim in (1, 3, 6):
+        for c in (0.0, 1e-3, 1e-6, 1e-9):
+            constraint = np.zeros((dim + 1, dim + 1))
+            constraint[-1, -1] = 1.0 - c
+            operator = np.diag(np.r_[rng.uniform(0.5, 2.0, dim), 0.0])
+            yield make_problem(operator=operator, constraint=constraint, rhs=rng.standard_normal(dim + 1))
+
+
+def test_factor_invertibility_on_raw_constraints_is_the_formula_bit_for_bit():
+    """The report is the SVD of I - alpha (alpha I + G)^{-1} R as written, and its flag
+    agrees with the SVD of T_alpha = (alpha I + G) times that factor wherever T_alpha's
+    ratio sits clear of the threshold by more than the condition number of alpha I + G,
+    the most by which the two ratios can differ."""
+    rng = np.random.default_rng(20260505)
+    compared = {True: 0, False: 0}
+    for problem in _raw_constraint_problems(rng):
+        n, tol = problem.ambient_dim, problem.tols.singular_tol
+        lam = np.maximum(np.linalg.eigvalsh(problem.gram), 0.0)
+        for alpha in (1.0, 0.05, 1e-8):
+            factor = np.eye(n) - alpha * np.linalg.solve(alpha * np.eye(n) + problem.gram, problem.constraint_rows)
+            s = np.linalg.svd(factor, compute_uv=False)
+            report = factor_invertibility(alpha, problem)
+            assert report.smallest_singular_value.hex() == float(s[-1]).hex()
+            assert report.largest_singular_value.hex() == float(s[0]).hex()
+            t = np.linalg.svd(regularized_operator(alpha, problem), compute_uv=False)
+            margin = 10.0 * (alpha + lam[-1]) / (alpha + lam[0])
+            if not tol / margin <= t[-1] / t[0] <= tol * margin:
+                assert report.invertible == (t[-1] > tol * t[0])
+                compared[report.invertible] += 1
+    assert compared[True] >= 30 and compared[False] >= 9  # c = 0 at three sizes and three alphas
+
+
 def _dense_constraint_problems(rng, count=40):
     """Seeded dense problems under projector, raw and zero-rank constraints."""
     for index in range(count):
@@ -420,11 +459,17 @@ def _dense_constraint_problems(rng, count=40):
         yield make_problem(operator=operator, constraint=constraint, rhs=rng.standard_normal(dim))
 
 
+def _dense_constraint_matrix(problem):
+    """The constraint's n x n matrix: the raw rows, or Q Q^T from the rows Q^T."""
+    rows = problem.constraint_rows
+    return rows if problem.validation.constraint_supplied_raw else rows.T @ rows
+
+
 def test_project_matches_dense_constraint_matrix():
     rng = np.random.default_rng(73)
     for problem in _dense_constraint_problems(rng):
         x = rng.standard_normal(problem.ambient_dim)
-        dense = problem.constraint_matrix @ x
+        dense = _dense_constraint_matrix(problem) @ x
         if problem.validation.constraint_supplied_raw:
             assert np.array_equal(problem.project(x), dense)
         else:
@@ -435,7 +480,7 @@ def test_oracle_exact_part_matches_dense_lstsq():
     """The constraint-row residual equals lstsq(P L, P h) with the former rank cutoff."""
     rng = np.random.default_rng(79)
     for problem in _dense_constraint_problems(rng):
-        l, p, h = problem.operator, problem.constraint_matrix, problem.rhs
+        l, p, h = problem.operator, _dense_constraint_matrix(problem), problem.rhs
         scale = np.linalg.svd(l, compute_uv=False)[0]
         a = p @ l
         smax = np.linalg.svd(a, compute_uv=False)[0]

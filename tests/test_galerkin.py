@@ -138,12 +138,13 @@ def test_family_projector_ranks_and_nesting():
     family = sine_family(32)
     zero = family_projector(family, 0)
     assert zero.rank == 0
-    assert_allclose(zero.matrix, np.zeros((32, 32)), atol=0)
+    assert_allclose(zero.basis @ zero.basis.T, np.zeros((32, 32)), atol=0)
     p2 = family_projector(family, 2)
     p5 = family_projector(family, 5)
     assert p2.rank == 3 and p5.rank == 6
     # nesting: the bigger level reproduces the smaller one
-    assert_allclose(p5.matrix @ p2.matrix, p2.matrix, atol=1e-12)
+    p2, p5 = p2.basis @ p2.basis.T, p5.basis @ p5.basis.T
+    assert_allclose(p5 @ p2, p2, atol=1e-12)
     with pytest.raises(ValidationError):
         family_projector(family, family.max_n + 1)
 

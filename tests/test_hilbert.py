@@ -29,7 +29,7 @@ from finapprox import (
     solve_regularized,
 )
 from finapprox.cli import main
-from finapprox.hilbert import _eigh
+from finapprox.hilbert import _dense_constraint, _eigh
 from finapprox.problemfile import problem_from_dict
 from helpers import random_orthonormal, record_linalg_calls
 
@@ -174,7 +174,7 @@ def test_make_projector_properties():
         proj = random_projector(rng, dim, rank)
         assert proj.rank == rank
         assert proj.dim == dim
-        p = proj.matrix
+        p = _dense_constraint(proj)
         assert_allclose(p, p.T, atol=0)  # built exactly symmetric
         assert_allclose(p @ p, p, atol=1e-12)
         # complement is the projector onto the orthogonal complement
@@ -193,7 +193,7 @@ def test_projector_idempotency_defect_from_basis():
         q, _ = np.linalg.qr(rng.standard_normal((dim, rank)))
         proj = Projector(basis=q * (1.0 + 1e-6))
         assert proj.rank == rank and proj.dim == dim
-        p = proj.matrix
+        p = proj.basis @ proj.basis.T
         dense = np.linalg.norm(p @ p - p)
         problem = make_problem(operator=np.eye(dim), constraint=proj, rhs=np.ones(dim))
         assert_allclose(problem.validation.constraint_idempotency_defect, dense, rtol=1e-6)
@@ -211,7 +211,7 @@ def test_make_projector_idempotent_on_orthonormal_input():
         first = random_projector(rng, dim, rank)
         second = make_projector([first.basis[:, j] for j in range(rank)])
         assert np.array_equal(first.basis, second.basis)
-        assert np.array_equal(first.matrix, second.matrix)
+        assert np.array_equal(first.basis @ first.basis.T, second.basis @ second.basis.T)
 
 
 def test_make_projector_empty_needs_dim():
@@ -219,7 +219,7 @@ def test_make_projector_empty_needs_dim():
         make_projector([])
     proj = make_projector([], dim=4)
     assert proj.rank == 0
-    assert_allclose(proj.matrix, np.zeros((4, 4)), atol=0)
+    assert_allclose(proj.basis @ proj.basis.T, np.zeros((4, 4)), atol=0)
 
 
 def test_make_projector_drops_dependent_vectors():
@@ -231,7 +231,7 @@ def test_make_projector_drops_dependent_vectors():
 
 def test_projector_defects_flags():
     proj = make_projector([np.array([1.0, 1.0]) / np.sqrt(2.0)])
-    report = projector_defects(proj.matrix)
+    report = projector_defects(proj.basis @ proj.basis.T)
     assert report.is_orthogonal_projector
     assert report.idempotency_defect <= 1e-14
     assert report.symmetry_defect == 0.0
@@ -504,8 +504,8 @@ def test_make_problem_raw_constraint_flagged():
     assert not problem.constraint_is_projector
     assert problem.validation.constraint_supplied_raw
     assert not problem.validation.constraint_is_projector
-    assert_allclose(problem.constraint_matrix, raw, atol=0)
-    assert_allclose(np.eye(2) - problem.constraint_matrix, np.eye(2) - raw, atol=0)
+    assert_allclose(problem.constraint_rows, raw, atol=0)
+    assert_allclose(np.eye(2) - problem.constraint_rows, np.eye(2) - raw, atol=0)
 
 
 def test_raw_constraint_is_measured_when_validation_is_read(monkeypatch):

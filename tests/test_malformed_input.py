@@ -34,7 +34,8 @@ BASES = tuple(
     json.loads(json.dumps(problem_to_dict(build_scenario(name).problem)))
     for name in ("nilpotent_pi", "rank_deficient_gamma", "diagonal_unsolvable")
 )
-HUGE_RHS = {**BASES[2], "h": [0.0, 1e200]}
+MAX = float(np.finfo(float).max)
+HUGE_RHS = {**BASES[2], "h": [MAX, MAX]}  # its norm, sqrt(2) max, overflows
 
 NUMBERS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
@@ -278,6 +279,29 @@ def test_oracle_on_a_huge_raw_constraint_reports_a_finite_residual(capsys, tmp_p
     captured = capsys.readouterr()
     residual = float(captured.out.split("exact_part_residual,")[1].split()[0])
     assert captured.err == "" and 1e201 < residual < 1e202
+
+
+# h = [max]: its norm is finite, though the square np.linalg.norm forms is not
+FINITE_NORM_RHS = {"dimH": 1, "dimU": 1, "L": [[1.0]], "h": [MAX]}
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
+@pytest.mark.parametrize(
+    "constraint",
+    [{"type": "raw", "data": [[0.0]]}, {"type": "projector_basis", "data": []}],
+    ids=["raw", "zero-projector"],
+)
+def test_rhs_with_a_finite_norm_is_accepted(capsys, tmp_path, constraint, command):
+    """The rhs is refused only when its norm overflows. A solve may still leave the float
+    range (the zero projector's sweep does at its first alpha), which exits 2 for that reason."""
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**FINITE_NORM_RHS, "constraint": constraint}))
+    code = main([*command, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code in {EXIT_OK, EXIT_BAD_INPUT, EXIT_SINGULAR}
+    assert "rhs is too large" not in captured.err
+    if command[0] in ("validate", "oracle"):
+        assert code == EXIT_OK and captured.err == ""
 
 
 # G near 1e296 and h near 1e152: at alpha = 1 the solve's component in the zero projector's

@@ -48,7 +48,7 @@ def test_round_trip_preserves_problem(tmp_path, name, params):
         assert loaded.operator is None
     else:
         assert_allclose(loaded.operator, problem.operator, atol=1e-15)
-    assert_allclose(loaded.constraint_matrix, problem.constraint_matrix, atol=1e-15)
+    assert loaded.constraint_rows.tobytes() == problem.constraint_rows.tobytes()
     assert loaded.constraint_is_projector == problem.constraint_is_projector
 
 
@@ -247,7 +247,7 @@ def test_numbers_load_as_the_stdlib_parses_them_bit_for_bit(number_path, spellin
     )
     number_path.write_text(text)
     expected = np.asarray(json.loads(text)["constraint"]["data"], dtype=float)
-    assert load_problem(number_path).constraint_matrix.tobytes() == expected.tobytes()
+    assert load_problem(number_path).constraint_rows.tobytes() == expected.tobytes()
 
 
 LAZY_IMPORT_CHILD = """

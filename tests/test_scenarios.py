@@ -108,7 +108,7 @@ def test_nilpotent_pi_structure():
     problem = build_scenario("nilpotent_pi").problem
     assert problem.validation.constraint_supplied_raw
     assert not problem.constraint_is_projector
-    assert_allclose(problem.constraint_matrix, [[0.0, 1.0], [0.0, 0.0]], atol=0)
+    assert_allclose(problem.constraint_rows, [[0.0, 1.0], [0.0, 0.0]], atol=0)
 
 
 def test_function_space_galerkin_structure():
