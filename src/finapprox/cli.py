@@ -15,23 +15,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import logging
 import math
 import sys
+import traceback
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .analyzer import (
-    AlphaSchedule,
-    SweepReport,
-    Verdict,
-    alpha_sweep,
-    decide,
-    range_oracle,
-)
+from .analyzer import AlphaSchedule, Verdict, alpha_sweep, decide, range_oracle
 from .galerkin import SubspaceFamily, coordinate_family, diagonal_steps, galerkin_sweep, sine_family
 from .hilbert import ProblemInstance, ValidationError
 from .problemfile import ProblemFileError, load_problem, save_problem
@@ -50,8 +43,6 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_SINGULAR = 3
 EXIT_INTERNAL = 4
-
-log = logging.getLogger("finapprox")
 
 
 def _parse_param(text: str) -> tuple[str, object]:
@@ -75,18 +66,17 @@ def _parse_param(text: str) -> tuple[str, object]:
 
 def _load(args) -> tuple[ProblemInstance, Optional[SubspaceFamily], dict[str, str]]:
     """Resolve --scenario/--input into a problem, optional family, and source tags."""
-    if getattr(args, "scenario", None) and getattr(args, "input", None):
+    if args.scenario and args.input:
         raise ValidationError("give either --scenario or --input, not both")
-    if getattr(args, "scenario", None):
+    if args.scenario:
         params = dict(_parse_param(p) for p in (args.param or []))
         scenario = build_scenario(args.scenario, **params)
         source = {"scenario": scenario.name}
         if params:
             source["params"] = ",".join(f"{k}={v}" for k, v in sorted(params.items()))
         return scenario.problem, scenario.family, source
-    if getattr(args, "input", None):
-        problem = load_problem(args.input)
-        return problem, None, {"input": str(args.input)}
+    if args.input:
+        return load_problem(args.input), None, {"input": str(args.input)}
     raise ValidationError("a problem source is required: --scenario NAME or --input PATH")
 
 
@@ -98,16 +88,18 @@ def _write(text: str, output: Optional[str]) -> None:
     if output in (None, "-"):
         sys.stdout.write(text)
     else:
-        path = Path(output)
-        if path.parent and not path.parent.exists():
-            raise ValidationError(f"output directory {path.parent} does not exist")
-        path.write_text(text)
+        Path(output).write_text(text)
 
 
-SWEEP_COLUMNS = ("alpha", "norm_indicator", "norm_residual", "norm_constraint_residual", "singular")
-GALERKIN_COLUMNS = (
-    "step", "n", "alpha", "residual", "constraint_residual_n", "constraint_residual_target", "singular"
-)
+# Each CSV column of a table and the record attribute it reads.
+SWEEP_COLUMNS = {
+    name: name for name in ("alpha", "norm_indicator", "norm_residual", "norm_constraint_residual", "singular")
+}
+GALERKIN_COLUMNS = {
+    "step": "step", "n": "n", "alpha": "alpha", "residual": "norm_residual",
+    "constraint_residual_n": "norm_constraint_residual",
+    "constraint_residual_target": "norm_constraint_residual_target", "singular": "singular",
+}
 
 
 def _csv_value(value) -> str:
@@ -160,8 +152,8 @@ def _json(value, indent: str = "") -> str:
     return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
 
 
-def _emit(args, command: str, source: dict, fields: dict, notes: dict, columns, rows) -> None:
-    """Write a report in the v1 envelope: JSON ``fields`` or CSV ``notes`` and table.
+def _emit(args, source: dict, fields: dict, notes: dict, columns, rows) -> None:
+    """Write ``args.command``'s report in the v1 envelope: JSON ``fields`` or CSV ``notes`` and table.
 
     JSON gains the ``version``, ``command`` and ``source`` keys and is written
     in one pass by :func:`_json`, byte for byte what ``json.dumps`` with
@@ -171,10 +163,10 @@ def _emit(args, command: str, source: dict, fields: dict, notes: dict, columns, 
     one line per row.
     """
     if args.format == "json":
-        envelope = {"version": "finapprox v1", "command": command, "source": source, **fields}
+        envelope = {"version": "finapprox v1", "command": args.command, "source": source, **fields}
         _write(_json(envelope) + "\n", args.output)
     else:
-        notes = {"command": command, **source, **notes}
+        notes = {"command": args.command, **source, **notes}
         lines = [
             HEADER,
             *(f"# {key}={_csv_value(value)}" for key, value in notes.items() if value is not None),
@@ -184,8 +176,10 @@ def _emit(args, command: str, source: dict, fields: dict, notes: dict, columns, 
         _write("\n".join(lines) + "\n", args.output)
 
 
-def _records(columns: Sequence[str], rows: Sequence[tuple]) -> list[dict]:
-    return [dict(zip(columns, row)) for row in rows]
+def _table(records, columns: dict[str, str]) -> tuple[list[dict], list[tuple]]:
+    """The JSON ``records`` field and the CSV rows of ``records``, one per record, read by ``columns``."""
+    rows = [tuple(getattr(record, attribute) for attribute in columns.values()) for record in records]
+    return [dict(zip(columns, row)) for row in rows], rows
 
 
 def _fields(record, skip: str) -> dict:
@@ -193,26 +187,24 @@ def _fields(record, skip: str) -> dict:
     return {f.name: getattr(record, f.name) for f in dataclasses.fields(record) if f.name != skip}
 
 
-def _sweep_table(report: SweepReport) -> list[tuple]:
-    return [tuple(getattr(r, column) for column in SWEEP_COLUMNS) for r in report.records]
-
-
 def _exit_code(records) -> int:
     """The exit code of a sweep, alpha or Galerkin: EXIT_SINGULAR when every step was singular."""
     return EXIT_SINGULAR if all(r.singular for r in records) else EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
-    problem, _family, source = _load(args)
+# A report function takes the parsed arguments, the problem and the scenario's
+# subspace family (or None), and returns (fields, notes, columns, rows, exit code):
+# the JSON fields and CSV notes beside the envelope, then the CSV table.
+
+
+def _sweep(args, problem: ProblemInstance, _family) -> tuple:
     report = alpha_sweep(problem, _schedule(args))
-    rows = _sweep_table(report)
-    fields = {"schedule": vars(report.schedule), "records": _records(SWEEP_COLUMNS, rows)}
-    _emit(args, "sweep", source, fields, {}, SWEEP_COLUMNS, rows)
-    return _exit_code(report.records)
+    records, rows = _table(report.records, SWEEP_COLUMNS)
+    fields = {"schedule": vars(report.schedule), "records": records}
+    return fields, {}, SWEEP_COLUMNS, rows, _exit_code(report.records)
 
 
-def _cmd_analyze(args) -> int:
-    problem, _family, source = _load(args)
+def _analyze(args, problem: ProblemInstance, _family) -> tuple:
     if args.tol_decision is not None:
         tols = dataclasses.replace(problem.tols, decision_tol=args.tol_decision)
         problem = dataclasses.replace(problem, tols=tols)
@@ -223,10 +215,10 @@ def _cmd_analyze(args) -> int:
     if oracle is not None and decision.verdict in (Verdict.SOLVABLE, Verdict.NOT_SOLVABLE):
         agreement = oracle.constrained_solvable == (decision.verdict is Verdict.SOLVABLE)
 
-    rows = _sweep_table(report)
+    records, rows = _table(report.records, SWEEP_COLUMNS)
     fields = {
         "schedule": vars(report.schedule),
-        "records": _records(SWEEP_COLUMNS, rows),
+        "records": records,
         "verdict": decision.verdict.value,
         "witness": decision.witness,
         "oracle": None if oracle is None else _fields(oracle, skip="control"),
@@ -237,56 +229,58 @@ def _cmd_analyze(args) -> int:
         for name in ("constrained_solvable", "decomposed_solvable", "distance"):
             notes[f"oracle_{name}"] = getattr(oracle, name)
     notes["agreement"] = agreement
-    _emit(args, "analyze", source, fields, notes, SWEEP_COLUMNS, rows)
-    return _exit_code(report.records)
+    return fields, notes, SWEEP_COLUMNS, rows, _exit_code(report.records)
 
 
-def _cmd_oracle(args) -> int:
-    problem, _family, source = _load(args)
+def _oracle(_args, problem: ProblemInstance, _family) -> tuple:
     fields = _fields(range_oracle(problem), skip="control")
-    _emit(args, "oracle", source, {"oracle": fields}, {}, ("key", "value"), fields.items())
-    return EXIT_OK
+    return {"oracle": fields}, {}, ("key", "value"), fields.items(), EXIT_OK
 
 
 FAMILIES = {"sine": sine_family, "coordinate": coordinate_family}
 
 
-def _pick_family(args, problem: ProblemInstance, family: Optional[SubspaceFamily]) -> SubspaceFamily:
-    if getattr(args, "family", None):
-        return FAMILIES[args.family](problem.ambient_dim)
-    if family is not None:
-        return family
-    raise ValidationError(
-        "this problem has no subspace family; pass --family sine|coordinate "
-        "or use a scenario that provides one"
-    )
+def _galerkin(args, problem: ProblemInstance, family: Optional[SubspaceFamily]) -> tuple:
+    if args.family:
+        family = FAMILIES[args.family](problem.ambient_dim)
+    elif family is None:
+        raise ValidationError(
+            "this problem has no subspace family; pass --family sine|coordinate "
+            "or use a scenario that provides one"
+        )
+    steps = diagonal_steps(count=args.count, max_n=family.max_n, alpha0=args.alpha0, ratio=args.ratio)
+    report = galerkin_sweep(problem, family, steps)
+    records, rows = _table(report.records, GALERKIN_COLUMNS)
+    fields = {"family": family.description, "records": records}
+    return fields, {"family": family.description}, GALERKIN_COLUMNS, rows, _exit_code(report.records)
 
 
-def _cmd_galerkin(args) -> int:
-    problem, family, source = _load(args)
-    chosen = _pick_family(args, problem, family)
-    steps = diagonal_steps(count=args.count, max_n=chosen.max_n, alpha0=args.alpha0, ratio=args.ratio)
-    report = galerkin_sweep(problem, chosen, steps)
-    rows = [
-        (r.step, r.n, r.alpha, r.norm_residual, r.norm_constraint_residual,
-         r.norm_constraint_residual_target, r.singular)
-        for r in report.records
-    ]
-    fields = {"family": chosen.description, "records": _records(GALERKIN_COLUMNS, rows)}
-    _emit(args, "galerkin", source, fields, {"family": chosen.description}, GALERKIN_COLUMNS, rows)
-    return _exit_code(report.records)
-
-
-def _cmd_validate(args) -> int:
-    problem, _family, source = _load(args)
+def _validate(_args, problem: ProblemInstance, _family) -> tuple:
     fields = {
         "ambient_dim": problem.ambient_dim,
         "control_dim": problem.control_dim,
         "operator_present": problem._operator is not None,
         **_fields(problem.validation, skip="operator_norm"),
     }
-    _emit(args, "validate", source, fields, {}, ("key", "value"), fields.items())
-    return EXIT_OK
+    return fields, {}, ("key", "value"), fields.items(), EXIT_OK
+
+
+# Each report command: its help, its report function, and whether it takes the alpha schedule.
+REPORTS = {
+    "analyze": ("sweep, verdict, witness, and oracle cross-check", _analyze, True),
+    "sweep": ("regularized solves along the alpha schedule", _sweep, True),
+    "oracle": ("range-criterion verdicts from the operator", _oracle, False),
+    "galerkin": ("diagonal sweep over a nested subspace family", _galerkin, True),
+    "validate": ("structural checks and defect norms", _validate, False),
+}
+
+
+def _report(args) -> int:
+    """Load the problem, compute the command's report, write it, and return its exit code."""
+    problem, family, source = _load(args)
+    fields, notes, columns, rows, code = args.report(args, problem, family)
+    _emit(args, source, fields, notes, columns, rows)
+    return code
 
 
 def _cmd_scenarios_list(args) -> int:
@@ -307,7 +301,8 @@ def _cmd_export(args) -> int:
     if args.output in (None, "-"):
         raise ValidationError("export needs --output PATH for the problem file")
     save_problem(problem, args.output)
-    log.info("wrote %s", args.output)
+    if args.verbose:
+        print(f"INFO finapprox: wrote {args.output}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -323,66 +318,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_source(p: argparse.ArgumentParser) -> None:
+    for name, (help_text, report, scheduled) in REPORTS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--scenario", help="bundled scenario name (see scenarios-list)")
-        p.add_argument(
-            "--param",
-            action="append",
-            metavar="K=V",
-            help="scenario parameter, repeatable",
-        )
+        p.add_argument("--param", action="append", metavar="K=V", help="scenario parameter, repeatable")
         p.add_argument("--input", help="path to a JSON problem file")
-
-    def add_schedule(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--alpha0", type=float, default=1.0, help="first alpha (default 1.0)")
-        p.add_argument("--ratio", type=float, default=0.1, help="geometric ratio (default 0.1)")
-        p.add_argument("--count", type=int, default=8, help="number of steps (default 8)")
-
-    def add_output(p: argparse.ArgumentParser) -> None:
+        if scheduled:
+            p.add_argument("--alpha0", type=float, default=1.0, help="first alpha (default 1.0)")
+            p.add_argument("--ratio", type=float, default=0.1, help="geometric ratio (default 0.1)")
+            p.add_argument("--count", type=int, default=8, help="number of steps (default 8)")
         p.add_argument("--output", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv", help="report format")
-
-    p_analyze = sub.add_parser("analyze", help="sweep, verdict, witness, and oracle cross-check")
-    add_source(p_analyze)
-    add_schedule(p_analyze)
-    add_output(p_analyze)
-    p_analyze.add_argument("--tol-decision", type=float, default=None, dest="tol_decision",
-                           help="override the relative decision threshold")
-    p_analyze.set_defaults(func=_cmd_analyze)
-
-    p_sweep = sub.add_parser("sweep", help="regularized solves along the alpha schedule")
-    add_source(p_sweep)
-    add_schedule(p_sweep)
-    add_output(p_sweep)
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_oracle = sub.add_parser("oracle", help="range-criterion verdicts from the operator")
-    add_source(p_oracle)
-    add_output(p_oracle)
-    p_oracle.set_defaults(func=_cmd_oracle)
-
-    p_galerkin = sub.add_parser("galerkin", help="diagonal sweep over a nested subspace family")
-    add_source(p_galerkin)
-    add_schedule(p_galerkin)
-    add_output(p_galerkin)
-    p_galerkin.add_argument("--family", choices=tuple(FAMILIES), default=None,
-                            help="family for problem-file inputs")
-    p_galerkin.set_defaults(func=_cmd_galerkin)
-
-    p_validate = sub.add_parser("validate", help="structural checks and defect norms")
-    add_source(p_validate)
-    add_output(p_validate)
-    p_validate.set_defaults(func=_cmd_validate)
+        p.set_defaults(func=_report, report=report)
+    sub.choices["analyze"].add_argument(
+        "--tol-decision", type=float, default=None, help="override the relative decision threshold"
+    )
+    sub.choices["galerkin"].add_argument(
+        "--family", choices=tuple(FAMILIES), default=None, help="family for problem-file inputs"
+    )
 
     p_list = sub.add_parser("scenarios-list", help="catalog of bundled scenarios")
-    add_output(p_list)
+    p_list.add_argument("--output", default=None, help="output path (default stdout)")
     p_list.set_defaults(func=_cmd_scenarios_list)
 
     p_export = sub.add_parser("export", help="write a scenario as a JSON problem file")
     p_export.add_argument("--scenario", required=True, help="bundled scenario name")
     p_export.add_argument("--param", action="append", metavar="K=V", help="scenario parameter")
     p_export.add_argument("--output", required=True, help="problem file path")
-    p_export.set_defaults(func=_cmd_export)
+    p_export.set_defaults(func=_cmd_export, input=None)
 
     return parser
 
@@ -393,18 +356,13 @@ _parser = functools.cache(build_parser)
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
     try:
         return args.func(args)
     except (ValidationError, ProblemFileError, OSError) as exc:  # OSError: an unreadable or unwritable path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except Exception as exc:  # pragma: no cover - defensive
-        log.exception("internal error")
+    except Exception as exc:
+        traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

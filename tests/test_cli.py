@@ -1,5 +1,6 @@
 """Command line interface: subcommands, formats, exit codes, determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -477,6 +478,113 @@ def test_directory_as_input_or_output_exits_two(capsys, tmp_path, argv):
     assert err.startswith("error: ")
     assert str(tmp_path) in err
     assert "internal error" not in err
+
+
+REPORT_COMMANDS = ("analyze", "sweep", "oracle", "galerkin", "validate")
+
+
+@pytest.mark.parametrize("command", [*REPORT_COMMANDS, "scenarios-list", "export"])
+def test_missing_output_directory_exits_two(capsys, tmp_path, command):
+    """An output path in a missing directory is unwritable: bad input, named, and nothing is written."""
+    target = tmp_path / "nodir" / "out.txt"
+    source = [] if command == "scenarios-list" else ["--scenario", "function_space_galerkin", "--param", "M=16"]
+    code, out, err = run(capsys, command, *source, "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+    assert not target.parent.exists()
+
+
+def test_scenarios_list_takes_no_format(capsys):
+    """The catalog is text only, so ``--format`` is a usage error there."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["scenarios-list", "--format", "json"])
+    assert excinfo.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
+def test_verbose_applies_to_its_own_request(capsys, tmp_path):
+    """``--verbose`` logs for the request that gives it, whatever ran before in the process."""
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(capsys, "scenarios-list")[0] == 0
+    code, _, err = run(capsys, "--verbose", "export", "--scenario", "diagonal_solvable", "--output", str(first))
+    assert (code, err) == (0, f"INFO finapprox: wrote {first}\n")
+    code, _, err = run(capsys, "export", "--scenario", "diagonal_solvable", "--output", str(second))
+    assert (code, err) == (0, "")
+    assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("command", REPORT_COMMANDS)
+def test_verbose_leaves_reports_unchanged(capsys, command):
+    argv = [command, "--scenario", "function_space_galerkin", "--param", "M=16", "--format", "json"]
+    assert run(capsys, "--verbose", *argv) == run(capsys, *argv)
+
+
+def test_internal_error_exits_four(capsys, monkeypatch):
+    """A fault of the program, not of its input, exits 4 with its traceback and the message last."""
+
+    def boom(*_args, **_kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "alpha_sweep", boom)
+    code, out, err = run(capsys, "analyze", "--scenario", "diagonal_solvable")
+    assert (code, out) == (4, "")
+    assert err.startswith("Traceback")
+    assert err.splitlines()[-1] == "internal error: boom"
+
+
+# Each option of the top parser (None) and of each subcommand, in order:
+# (option, action class, default, type, choices, required).
+SOURCE_OPTIONS = [
+    ("--scenario", "_StoreAction", None, None, None, False),
+    ("--param", "_AppendAction", None, None, None, False),
+    ("--input", "_StoreAction", None, None, None, False),
+]
+SCHEDULE_OPTIONS = [
+    ("--alpha0", "_StoreAction", 1.0, float, None, False),
+    ("--ratio", "_StoreAction", 0.1, float, None, False),
+    ("--count", "_StoreAction", 8, int, None, False),
+]
+OUTPUT_OPTIONS = [
+    ("--output", "_StoreAction", None, None, None, False),
+    ("--format", "_StoreAction", "csv", None, ("csv", "json"), False),
+]
+PARSER_SURFACE = {
+    None: [("--verbose", "_StoreTrueAction", False, None, None, False)],
+    "analyze": [
+        *SOURCE_OPTIONS, *SCHEDULE_OPTIONS, *OUTPUT_OPTIONS,
+        ("--tol-decision", "_StoreAction", None, float, None, False),
+    ],
+    "sweep": [*SOURCE_OPTIONS, *SCHEDULE_OPTIONS, *OUTPUT_OPTIONS],
+    "oracle": [*SOURCE_OPTIONS, *OUTPUT_OPTIONS],
+    "galerkin": [
+        *SOURCE_OPTIONS, *SCHEDULE_OPTIONS, *OUTPUT_OPTIONS,
+        ("--family", "_StoreAction", None, None, ("sine", "coordinate"), False),
+    ],
+    "validate": [*SOURCE_OPTIONS, *OUTPUT_OPTIONS],
+    "scenarios-list": [("--output", "_StoreAction", None, None, None, False)],
+    "export": [
+        ("--scenario", "_StoreAction", None, None, None, True),
+        ("--param", "_AppendAction", None, None, None, False),
+        ("--output", "_StoreAction", None, None, None, True),
+    ],
+}
+
+
+def test_parser_surface():
+    """The parser and each subcommand offer exactly the options of PARSER_SURFACE, in order."""
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    parsers = {None: parser, **subparsers.choices}
+
+    def surface(p):
+        return [
+            (*a.option_strings, type(a).__name__, a.default, a.type, a.choices, a.required)
+            for a in p._actions
+            if a.option_strings and not isinstance(a, argparse._HelpAction)
+        ]
+
+    assert {name: surface(p) for name, p in parsers.items()} == PARSER_SURFACE
+    assert list(parsers) == list(PARSER_SURFACE)
 
 
 def test_main_builds_its_parser_once(capsys):
