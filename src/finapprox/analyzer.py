@@ -1,12 +1,12 @@
 """Solvability analysis: alpha sweeps, verdicts, witnesses, and the range oracle.
 
 The analyzer runs the regularized solve over a geometric alpha schedule and
-reads the small-alpha behavior of the indicator (alpha times the costate):
-a vanishing indicator marks the equation solvable with the constraint matched
-exactly, a stable nonzero limit yields a witness vector that separates the
-right-hand side from everything the equation can reach under the constraint.
-An independent constrained least-squares oracle provides the second route for
-cross-checking every verdict.
+decides from the alpha -> 0 limit of the indicator (alpha times the costate),
+computed in closed form: a zero limit marks the equation solvable with the
+constraint matched exactly, a nonzero limit yields a witness vector that
+separates the right-hand side from everything the equation can reach under
+the constraint. An independent constrained least-squares oracle provides the
+second route for cross-checking every verdict.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
@@ -93,14 +93,13 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """Scalar summary of one alpha step; ``indicator`` kept for limit tests."""
+    """Scalar summary of one alpha step: its alpha, whether it was singular, and three norms."""
 
     alpha: float
     singular: bool
     norm_indicator: float
     norm_residual: float
     norm_constraint_residual: float
-    indicator: Optional[np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -121,21 +120,13 @@ class SweepReport:
 
 def _record(solution: Union[RegularizedSolution, SingularSystem]) -> SweepRecord:
     if isinstance(solution, SingularSystem):
-        return SweepRecord(
-            alpha=solution.alpha,
-            singular=True,
-            norm_indicator=math.nan,
-            norm_residual=math.nan,
-            norm_constraint_residual=math.nan,
-            indicator=None,
-        )
+        return SweepRecord(solution.alpha, True, math.nan, math.nan, math.nan)
     return SweepRecord(
         alpha=solution.alpha,
         singular=False,
         norm_indicator=_norm(solution.indicator),
         norm_residual=_norm(solution.residual),
         norm_constraint_residual=_norm(solution.constraint_residual),
-        indicator=solution.indicator,
     )
 
 
@@ -149,7 +140,7 @@ def alpha_sweep(
     schedule is solved from that factor in one
     :meth:`~finapprox.resolvent.RegularizedFactor.solve_all`, whose stacked
     calls give each alpha the bits a solve of that alpha alone gives. A record
-    keeps the indicator and three norms; the control is never formed.
+    keeps three norms; the control is never formed.
     """
     if schedule is None:
         schedule = AlphaSchedule()
@@ -162,8 +153,8 @@ class Decision:
     """Verdict of a sweep plus the evidence it rests on.
 
     ``witness`` and ``indicator_limit`` are populated exactly when the
-    verdict is NOT_SOLVABLE: the limit is the stable indicator vector, the
-    witness is its component outside the constraint's range.
+    verdict is NOT_SOLVABLE: the limit is y0, the indicator's closed-form
+    alpha -> 0 limit, the witness is its component (I - P) y0.
     """
 
     verdict: Verdict
@@ -173,67 +164,58 @@ class Decision:
 
 
 def decide(report: SweepReport) -> Decision:
-    """Map sweep behavior to a verdict.
+    """Verdict from the alpha -> 0 limit of the indicator y(alpha) = alpha T_alpha^{-1} h.
 
-    ``decision_tol`` is read from the problem's :class:`Tolerances`.
-    SOLVABLE when the indicator norm at the smallest nonsingular alpha is at
-    most ``decision_tol * ||h||`` and the last three indicator norms are
-    non-increasing within ten percent. NOT_SOLVABLE when the last two
-    indicator vectors agree within ``decision_tol * ||h||`` and both the
-    limit and its component outside the constraint's range stay above the
-    threshold; the witness is that outside component. SINGULAR when every
-    scheduled alpha was singular, INCONCLUSIVE otherwise.
+    With N the kernel columns of the problem's :class:`Spectrum` at
+    ``rank_tol``, an orthonormal basis of ker G, the limit is
+    y0 = N (N^T (I - P) N)^{-1} N^T h (Kato, *Perturbation Theory*, ch. II).
+    SINGULAR when every scheduled alpha was singular. SOLVABLE when N is
+    empty or ||N^T h|| <= decision_tol ||h||, unless N^T (I - P) N is
+    singular at ``singular_tol``: then y(alpha) need not converge, and the
+    verdict is INCONCLUSIVE. Otherwise NOT_SOLVABLE with witness
+    (I - P) y0 when that is above decision_tol ||h||, INCONCLUSIVE if not.
     """
-    tol = report.problem.tols.decision_tol
-    h_norm = report.rhs_norm
-    threshold = tol * h_norm
-    nonsingular = report.nonsingular_records()
-    diagnostics: dict[str, float] = {
-        "decision_tol": float(tol),
-        "rhs_norm": h_norm,
-        "nonsingular_count": float(len(nonsingular)),
-    }
-    if not nonsingular:
+    problem, tols = report.problem, report.problem.tols
+    diagnostics: dict[str, float] = {"nonsingular_count": float(len(report.nonsingular_records()))}
+    if not diagnostics["nonsingular_count"]:
         return Decision(Verdict.SINGULAR, None, None, diagnostics)
-
-    last = nonsingular[-1]
-    diagnostics["final_alpha"] = last.alpha
-    diagnostics["final_norm_indicator"] = last.norm_indicator
-
-    tail = nonsingular[-3:]
-    tail_nonincreasing = all(
-        tail[i + 1].norm_indicator <= 1.1 * tail[i].norm_indicator for i in range(len(tail) - 1)
-    )
-    if last.norm_indicator <= threshold and tail_nonincreasing:
+    spectrum, n = problem.spectrum, problem.ambient_dim
+    r = spectrum.rank(tols.rank_tol)
+    diagnostics["rank"] = float(r)
+    if r == n:
+        diagnostics["kernel_rhs_norm"] = 0.0
         return Decision(Verdict.SOLVABLE, None, None, diagnostics)
 
-    if len(nonsingular) >= 2:
-        previous = nonsingular[-2]
-        step = _norm(last.indicator - previous.indicator)
-        diagnostics["tail_difference"] = step
-        if step <= threshold and last.norm_indicator > threshold:
-            witness = last.indicator - report.problem.project(last.indicator)
-            witness_norm = _norm(witness)
-            diagnostics["witness_norm"] = witness_norm
-            if witness_norm > threshold:
-                return Decision(Verdict.NOT_SOLVABLE, witness, last.indicator, diagnostics)
-
+    kernel = spectrum.leading(n)[0][:, r:]
+    coords = kernel.T @ problem.rhs
+    diagnostics["kernel_rhs_norm"] = _norm(coords)
+    pinched = np.eye(n - r) - kernel.T @ problem.project(kernel)
+    if _numerical_rank(np.linalg.svd(pinched, compute_uv=False), tols.singular_tol) < n - r:
+        return Decision(Verdict.INCONCLUSIVE, None, None, diagnostics)
+    threshold = tols.decision_tol * _norm(problem.rhs)
+    if diagnostics["kernel_rhs_norm"] <= threshold:
+        return Decision(Verdict.SOLVABLE, None, None, diagnostics)
+    limit = kernel @ np.linalg.solve(pinched, coords)
+    witness = limit - problem.project(limit)
+    diagnostics["witness_norm"] = _norm(witness)
+    if diagnostics["witness_norm"] > threshold:
+        return Decision(Verdict.NOT_SOLVABLE, witness, limit, diagnostics)
     return Decision(Verdict.INCONCLUSIVE, None, None, diagnostics)
 
 
 def extract_witness(report: SweepReport) -> np.ndarray:
     """Witness vector of a NOT_SOLVABLE sweep.
 
-    The witness is v = (I - P) y for the stable indicator limit y. It is
-    annihilated by the constraint map to rounding, and the inner products
+    The witness is v = (I - P) y0 for the indicator limit y0 of :func:`decide`.
+    It is annihilated by the constraint map to rounding, and the inner products
     <image - h, v> stay near -||v||^2 for small alpha, certifying that no
-    constraint-respecting approximation can reach h. Raises when the sweep
-    does not have a stable nonzero limit.
+    constraint-respecting approximation can reach h. Raises when the verdict
+    is not NOT_SOLVABLE.
     """
     decision = decide(report)
-    if decision.verdict is not Verdict.NOT_SOLVABLE or decision.witness is None:
+    if decision.verdict is not Verdict.NOT_SOLVABLE:
         raise ValidationError(
-            f"witness extraction needs a stable nonzero indicator limit, verdict was {decision.verdict.value}"
+            f"witness extraction needs a nonzero indicator limit, verdict was {decision.verdict.value}"
         )
     return decision.witness
 

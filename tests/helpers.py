@@ -52,24 +52,43 @@ def rotate_problem(problem, r):
     return make_problem(operator=r @ problem.operator, constraint=constraint, rhs=r @ problem.rhs, tols=problem.tols)
 
 
+def conditioned_operator(rng, dim, dim_u, rank, ill):
+    """Rank-``rank`` operator; ill-conditioned draws reach condition numbers up to 1e6."""
+    if ill:
+        condition = 10.0 ** rng.uniform(0.0, 6.0)
+        values = 10.0 ** rng.uniform(-np.log10(condition), 0.0, size=rank)
+        values[0] = 1.0
+        if rank > 1:
+            values[1] = 1.0 / condition
+    else:
+        values = rng.uniform(0.5, 1.5, size=rank)
+    left, right = random_orthonormal(rng, dim, rank), random_orthonormal(rng, dim_u, rank)
+    return left @ (values[:, None] * right.T)
+
+
 def transversal_projector(rng, operator, max_rank=3, floor=TRANSVERSALITY_FLOOR):
     """Random projector whose range meets the Gram kernel only at zero.
 
     Keeps the smallest eigenvalue of B^T (L L^T) B at least ``floor`` for an
     orthonormal basis B of the range, resampling as needed. Possible only
-    when the requested rank does not exceed the operator's rank.
+    when the requested rank does not exceed the operator's rank. Gaussian
+    directions are tried 200 times; after that they are drawn from the
+    operator's range, where an ill-conditioned L meets the floor sooner.
     """
     dim = operator.shape[0]
     gram_matrix = operator @ operator.T
     operator_rank = int(np.linalg.matrix_rank(operator, tol=1e-10))
     top = min(max_rank, operator_rank)
-    for _ in range(200):
+    for attempt in range(400):
         rank = int(rng.integers(1, top + 1))
-        proj = make_projector([rng.standard_normal(dim) for _ in range(rank)])
+        if attempt < 200:
+            proj = make_projector([rng.standard_normal(dim) for _ in range(rank)])
+        else:
+            proj = make_projector(list((operator @ rng.standard_normal((operator.shape[1], rank))).T))
         pinched = proj.basis.T @ gram_matrix @ proj.basis
         if np.linalg.eigvalsh(pinched)[0] >= floor:
             return proj
-    raise AssertionError("failed to draw a transversal projector in 200 attempts")
+    raise AssertionError("failed to draw a transversal projector in 400 attempts")
 
 
 def reachable_rhs(rng, operator):
@@ -242,3 +261,43 @@ def record_linalg_calls(monkeypatch):
 
             monkeypatch.setattr(module, name, counted)
     return calls
+
+
+POPULATION_KINDS = ("full_rank", "deficient_reachable", "deficient_unreachable", "singular", "raw_full_rank")
+
+
+def population_problem(rng, kind, dim, ill=False, scale=1.0, gram_only=False):
+    """One problem of ``kind`` in ``POPULATION_KINDS`` at ambient dimension ``dim``,
+    with its expected verdict: ``(problem, verdict)``.
+
+    Full rank, and rank deficient with a reachable right-hand side, are
+    SOLVABLE; rank deficient with an unreachable one is NOT_SOLVABLE; a
+    projector whose range holds a unit vector of the Gram kernel is SINGULAR
+    at every alpha; a raw low-rank constraint on a full-rank operator is
+    SOLVABLE. Projectors elsewhere meet the Gram kernel only at zero, with
+    smallest eigenvalue of B^T G B at least 1e-3 (``ill``) or 0.05. The
+    operator is ``conditioned_operator``'s times ``scale``; ``gram_only``
+    hands in G alone.
+    """
+    full = kind in ("full_rank", "raw_full_rank")
+    dim_u = int(rng.integers(dim, 65)) if full else int(rng.integers(1, 65))
+    rank = dim if full else int(rng.integers(1, max(1, min(dim - 1, dim_u)) + 1))
+    operator = conditioned_operator(rng, dim, dim_u, rank, ill)
+    unreachable = kind == "deficient_unreachable" or (kind == "singular" and rng.integers(0, 2))
+    rhs = unreachable_rhs(rng, operator) if unreachable else reachable_rhs(rng, operator)
+    if kind == "raw_full_rank":
+        k = int(rng.integers(1, 4))
+        constraint = rng.standard_normal((dim, k)) @ rng.standard_normal((k, dim)) / dim
+    elif kind == "singular":
+        kernel = scipy.linalg.null_space(operator.T, rcond=1e-10)
+        extra = rng.standard_normal((int(rng.integers(0, min(2, dim - 1) + 1)), dim))
+        constraint = make_projector([kernel @ rng.standard_normal(kernel.shape[1]), *extra])
+    else:
+        constraint = transversal_projector(rng, operator, floor=1e-3 if ill else TRANSVERSALITY_FLOOR)
+    operator = scale * operator
+    if gram_only:
+        problem = make_problem(gram_matrix=operator @ operator.T, constraint=constraint, rhs=rhs, control_dim=dim_u)
+    else:
+        problem = make_problem(operator=operator, constraint=constraint, rhs=rhs)
+    verdict = {"deficient_unreachable": "NOT_SOLVABLE", "singular": "SINGULAR"}.get(kind, "SOLVABLE")
+    return problem, verdict

@@ -1,5 +1,7 @@
 """Sweeps, verdicts, witnesses, the range oracle, and factor invertibility."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from finapprox import (
     AlphaSchedule,
+    RegularizedSolution,
     Tolerances,
     ValidationError,
     Verdict,
@@ -15,13 +18,17 @@ from finapprox import (
     decide,
     extract_witness,
     factor_invertibility,
+    factor_regularized,
     make_problem,
     make_projector,
     range_oracle,
     regularized_operator,
     witness_correlation,
 )
+from finapprox.cli import main
+from finapprox.problemfile import problem_from_dict
 from helpers import (
+    conditioned_operator,
     dense_range_oracle,
     random_decision_problem,
     random_orthonormal,
@@ -94,13 +101,15 @@ def test_sweep_records_closed_form():
 
 
 def test_sweep_jobs_deterministic():
+    """Two sweeps give the same records, and the stacked solve of the schedule gives each
+    alpha the indicator bytes of a solve of that alpha alone."""
     problem = build_scenario("function_space_galerkin", M=32).problem
-    serial = alpha_sweep(problem)
-    threaded = alpha_sweep(problem)
-    for a, b in zip(serial.records, threaded.records):
-        assert a.alpha == b.alpha
-        assert np.array_equal(a.indicator, b.indicator)
-        assert a.norm_residual == b.norm_residual
+    first, second = alpha_sweep(problem), alpha_sweep(problem)
+    factor = factor_regularized(problem)
+    stacked = factor.solve_all(first.schedule.values())
+    for a, b, solution in zip(first.records, second.records, stacked, strict=True):
+        assert a == b
+        assert solution.indicator.tobytes() == factor.solve(a.alpha).indicator.tobytes()
 
 
 def test_decide_solvable():
@@ -108,7 +117,7 @@ def test_decide_solvable():
     decision = decide(report)
     assert decision.verdict is Verdict.SOLVABLE
     assert decision.witness is None
-    assert decision.diagnostics["final_norm_indicator"] <= 1e-6
+    assert decision.diagnostics["kernel_rhs_norm"] <= 1e-6
 
 
 def test_decide_not_solvable_with_witness():
@@ -127,20 +136,63 @@ def test_decide_singular():
     assert decision.diagnostics["nonsingular_count"] == 0.0
 
 
-def test_decide_inconclusive_on_short_slow_schedule():
-    """Three slowly shrinking alphas settle nothing either way."""
-    problem = build_scenario("diagonal_solvable").problem
-    report = alpha_sweep(problem, AlphaSchedule(alpha0=1.0, ratio=0.7, count=3))
+# L = [[4], [0]] under the raw R = [[-1, 1], [-1, 1]] with h = (2, 0) = L 1/2: N = e2 and
+# N^T (I - R) N = 0, so the formula does not apply, though alpha T_alpha^{-1} h = (0, -2) at every
+# alpha where T_alpha is nonsingular.
+RAW_ZERO_BLOCK = {
+    "dimH": 2, "dimU": 1, "L": [[4.0], [0.0]], "constraint": {"type": "raw", "data": [[-1.0, 1.0], [-1.0, 1.0]]},
+    "h": [2.0, 0.0],
+}
+
+
+def test_decide_inconclusive_where_the_kernel_block_is_singular(capsys, tmp_path):
+    """A singular N^T (I - P) N gives INCONCLUSIVE and no witness, though the indicator
+    converges to a nonzero vector and h is reachable; the report then states no agreement.
+    The schedule no longer steers the verdict: three slowly shrinking alphas decide too."""
+    problem = problem_from_dict(RAW_ZERO_BLOCK)
+    report = alpha_sweep(problem)
+    solutions = factor_regularized(problem).solve_all(report.schedule.values())
+    solved = [s for s in solutions if isinstance(s, RegularizedSolution)]  # det T_alpha = alpha^2
+    assert solved
+    for solution in solved:
+        assert_allclose(solution.indicator, [0.0, -2.0], atol=1e-12)
     decision = decide(report)
-    assert decision.verdict is Verdict.INCONCLUSIVE
+    assert (decision.verdict, decision.witness, decision.indicator_limit) == (Verdict.INCONCLUSIVE, None, None)
+    assert decision.diagnostics["kernel_rhs_norm"] == 0.0
+
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(RAW_ZERO_BLOCK))
+    assert main(["analyze", "--input", str(path), "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["verdict"], out["witness"], out["agreement"]) == ("INCONCLUSIVE", None, None)
+    assert out["oracle"]["constrained_solvable"]
+    assert main(["analyze", "--input", str(path)]) == 0
+    notes = capsys.readouterr().out.splitlines()
+    assert "# verdict=INCONCLUSIVE" in notes
+    assert not [line for line in notes if line.startswith(("# witness=", "# agreement="))]
+
+    short = alpha_sweep(build_scenario("diagonal_solvable").problem, AlphaSchedule(alpha0=1.0, ratio=0.7, count=3))
+    assert decide(short).verdict is Verdict.SOLVABLE
 
 
-def test_decide_tol_override():
-    """decide reads decision_tol from the problem's Tolerances, the one place it is set."""
-    problem = build_scenario("diagonal_solvable", tols=Tolerances(decision_tol=1e-12)).problem
-    # final indicator norm is about 1e-7 * sqrt(2); a brutal tolerance flips it
-    strict = decide(alpha_sweep(problem))
-    assert strict.verdict is Verdict.INCONCLUSIVE
+def test_decide_tol_override(capsys, tmp_path):
+    """decide reads decision_tol from the problem's Tolerances, the one place it is set, and
+    analyze --tol-decision replaces it: ||N^T h|| / ||h|| is about 1e-8 here."""
+    data = {
+        "dimH": 2, "dimU": 1, "L": [[1.0], [0.0]], "constraint": {"type": "projector_basis", "data": [[1.0, 0.0]]},
+        "h": [1.0, 1e-8],
+    }
+    for tols, verdict in ((Tolerances(), Verdict.SOLVABLE), (Tolerances(decision_tol=1e-12), Verdict.NOT_SOLVABLE)):
+        decision = decide(alpha_sweep(problem_from_dict(data, tols=tols)))
+        assert decision.verdict is verdict
+        assert_allclose(decision.diagnostics["kernel_rhs_norm"], 1e-8, rtol=1e-12)
+    assert_allclose(decision.witness, [0.0, 1e-8], rtol=1e-12)
+
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    for argv, verdict in (((), "SOLVABLE"), (("--tol-decision", "1e-12"), "NOT_SOLVABLE")):
+        assert main(["analyze", "--input", str(path), *argv]) == 0
+        assert f"# verdict={verdict}" in capsys.readouterr().out.splitlines()
     with pytest.raises(ValidationError):
         Tolerances(decision_tol=0.0)
 
@@ -244,20 +296,6 @@ def test_oracle_reuses_validated_operator_norm(monkeypatch):
     assert oracle.exact_part_residual == expected.exact_part_residual
 
 
-def _conditioned_operator(rng, dim, dim_u, rank, ill):
-    """Rank-``rank`` operator; ill-conditioned draws reach condition numbers up to 1e6."""
-    if ill:
-        condition = 10.0 ** rng.uniform(0.0, 6.0)
-        values = 10.0 ** rng.uniform(-np.log10(condition), 0.0, size=rank)
-        values[0] = 1.0
-        if rank > 1:
-            values[1] = 1.0 / condition
-    else:
-        values = rng.uniform(0.5, 1.5, size=rank)
-    left, right = random_orthonormal(rng, dim, rank), random_orthonormal(rng, dim_u, rank)
-    return left @ (values[:, None] * right.T)
-
-
 def _oracle_reference_problems(seed, count):
     """Seeded problems, dimension 2 to 64, in six kinds taken in turn.
 
@@ -277,14 +315,14 @@ def _oracle_reference_problems(seed, count):
         ill = bool(rng.integers(0, 2))
         if kind == 0:
             dim = int(rng.integers(2, 49))
-            operator = _conditioned_operator(rng, dim, int(rng.integers(dim, 57)), dim, ill)
+            operator = conditioned_operator(rng, dim, int(rng.integers(dim, 57)), dim, ill)
         elif kind == 4:
-            operator = _conditioned_operator(rng, int(rng.integers(24, 65)), int(rng.integers(3, 6)), 2, ill)
+            operator = conditioned_operator(rng, int(rng.integers(24, 65)), int(rng.integers(3, 6)), 2, ill)
         else:
             dim_u = int(rng.integers(1, 49))
             dim = int(rng.integers(2, 49))
             rank = int(rng.integers(1, max(1, min(dim - 1, dim_u)) + 1))
-            operator = _conditioned_operator(rng, dim, dim_u, rank, ill)
+            operator = conditioned_operator(rng, dim, dim_u, rank, ill)
         if rng.integers(0, 4) == 0:
             operator = operator * 10.0 ** rng.uniform(-4.0, 2.0)
         dim = operator.shape[0]

@@ -22,6 +22,7 @@ from finapprox import (
     problem_to_dict,
     save_problem,
 )
+from finapprox.cli import main
 
 
 @pytest.mark.parametrize(
@@ -167,6 +168,62 @@ def test_schema_violations(mutate, needle):
     mutate(data)
     with pytest.raises(ProblemFileError, match=needle):
         problem_from_dict(data)
+
+
+def _analyze(capsys, data, tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    code = main(["analyze", "--input", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "mutate,needle",
+    [
+        (lambda d: d.update(tolerances=3), "field 'tolerances' must be an object"),
+        (lambda d: d["constraint"].update(data=5), "field 'constraint.data' must be a list"),
+        (lambda d: d["constraint"].update(data=[[1.0, 0.0], [1.0]]), "mixed lengths"),
+        (lambda d: d["constraint"].update(data=[[1.0, 0.0, 0.0]]), "length 3, expected dim 2"),
+    ],
+)
+def test_refused_problem_file_exits_two(capsys, tmp_path, mutate, needle):
+    """A tolerances field that is no object, projector data that is no list, and basis
+    vectors of mixed or wrong length each exit 2 with nothing on stdout."""
+    data = {
+        "dimH": 2,
+        "dimU": 2,
+        "L": [[1.0, 0.0], [0.0, 1.0]],
+        "constraint": {"type": "projector_basis", "data": [[1.0, 0.0]]},
+        "h": [1.0, 1.0],
+    }
+    mutate(data)
+    code, out, err = _analyze(capsys, data, tmp_path)
+    assert (code, out) == (2, "")
+    assert needle in err
+
+
+def test_round_trip_keeps_only_the_changed_tolerances(capsys, tmp_path):
+    """save_problem writes just the fields that differ from the defaults, load_problem
+    restores them, and analyze decides by them: ||N^T h|| / ||h|| is 1e-8 here."""
+    data = {
+        "dimH": 2,
+        "dimU": 1,
+        "L": [[1.0], [0.0]],
+        "constraint": {"type": "projector_basis", "data": [[1.0, 0.0]]},
+        "h": [1.0, 1e-8],
+        "tolerances": {"decision_tol": 1e-12, "oracle_tol": 1e-3},
+    }
+    path = tmp_path / "saved.json"
+    save_problem(problem_from_dict(data), path)
+    assert json.loads(path.read_text())["tolerances"] == data["tolerances"]
+    assert load_problem(path).tols == Tolerances(decision_tol=1e-12, oracle_tol=1e-3)
+    code, out, _err = _analyze(capsys, json.loads(path.read_text()), tmp_path)
+    assert code == 0
+    assert "# verdict=NOT_SOLVABLE" in out.splitlines()
+    del data["tolerances"]
+    save_problem(problem_from_dict(data), path)
+    assert "tolerances" not in json.loads(path.read_text())
 
 
 def test_nonfinite_values_rejected(tmp_path):

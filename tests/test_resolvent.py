@@ -312,8 +312,11 @@ def _bits(record):
         np.float64(record.norm_indicator).tobytes(),
         np.float64(record.norm_residual).tobytes(),
         np.float64(record.norm_constraint_residual).tobytes(),
-        None if record.indicator is None else record.indicator.tobytes(),
     )
+
+
+def _indicator_bits(solution):
+    return None if isinstance(solution, SingularSystem) else solution.indicator.tobytes()
 
 
 # raw P = diag(0, 0, 1 - 1e-6) with G = diag(1, 1, 0): singular from alpha = 1e-6 on
@@ -328,5 +331,7 @@ def test_stacked_sweep_matches_single_alpha_solves_bit_for_bit(case):
     problem, schedule = case
     report = alpha_sweep(problem, schedule)
     factor = factor_regularized(problem)
-    alone = [_record(factor.solve(alpha)) for alpha in schedule.values()]
-    assert [_bits(r) for r in report.records] == [_bits(r) for r in alone]
+    alone = [factor.solve(alpha) for alpha in schedule.values()]
+    assert [_bits(r) for r in report.records] == [_bits(_record(s)) for s in alone]
+    stacked = factor.solve_all(schedule.values())
+    assert [_indicator_bits(s) for s in stacked] == [_indicator_bits(s) for s in alone]
