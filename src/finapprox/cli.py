@@ -295,8 +295,6 @@ def _cmd_scenarios_list(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    if not args.scenario:
-        raise ValidationError("export needs --scenario NAME")
     problem, _family, _source = _load(args)
     if args.output in (None, "-"):
         raise ValidationError("export needs --output PATH for the problem file")

@@ -52,41 +52,28 @@ def _positive_real(value, name: str, below: float = math.inf) -> None:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical tolerances used across construction, solving, and decisions.
+    """The four thresholds that steer a verdict.
 
     Every tolerance is applied relative to the natural scale of the quantity
-    it guards (Frobenius norm, right-hand-side norm, largest singular value)
-    whenever such a scale exists: a rank or singularity decision counts a
-    value as nonzero only when it is strictly above tolerance times scale.
-    Each tolerance must be a positive finite real number, not a bool.
+    it guards (right-hand-side norm, largest singular value): a rank or
+    singularity decision counts a value as nonzero only when it is strictly
+    above tolerance times scale. Each tolerance must be a positive finite
+    real number, not a bool. The structural checks of input (orthonormal
+    basis, projector, Gram symmetry, PSD and factor agreement) are not
+    tolerances: they share one fixed threshold, 1e-10.
 
     Attributes
     ----------
-    tol_ortho : orthonormality defect allowed in a projector basis.
-    tol_proj : idempotency/symmetry defect allowed before a square matrix
-        stops counting as an orthogonal projector.
-    tol_sym : symmetry defect allowed in a supplied Gram operator.
-    tol_psd : negative spectrum allowed in a supplied Gram operator.
-    tol_gram : mismatch allowed between a supplied operator's Gram product
-        and a supplied Gram operator.
     rank_tol : relative singular-value threshold for rank decisions, also
         for G alone, with the floor that G resolves (:meth:`Spectrum.rank`).
     singular_tol : relative smallest-singular-value threshold below which a
         linear system is reported singular instead of solved.
-    id_tol : relative defect allowed in the algebraic identities every
-        regularized solve must satisfy.
     decision_tol : relative threshold steering the solvability verdict.
     oracle_tol : relative residual threshold used by the range oracle.
     """
 
-    tol_ortho: float = 1e-10
-    tol_proj: float = 1e-10
-    tol_sym: float = 1e-10
-    tol_psd: float = 1e-10
-    tol_gram: float = 1e-10
     rank_tol: float = 1e-10
     singular_tol: float = 1e-12
-    id_tol: float = 1e-9
     decision_tol: float = 1e-6
     oracle_tol: float = 1e-8
 
@@ -96,6 +83,10 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
+
+# The structural input checks' one fixed threshold: absolute for ||Q^T Q - I||_F
+# of a projector basis, relative to max(1, ||.||_F) for the projector and Gram checks.
+_STRUCTURE_TOL = 1e-10
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -180,16 +171,22 @@ def _numerical_rank(values, rel_tol: float, scale: Optional[float] = None) -> in
     return int(np.sum(values > rel_tol * scale)) if scale > 0 else 0
 
 
+def _exponent(x: np.ndarray) -> int:
+    """The binary exponent e of the largest magnitude in finite ``x``, so 2^-e x peaks
+    in [1/2, 1): the one exact scale into the float range. 0 for a zero or empty ``x``."""
+    return math.frexp(float(np.max(np.abs(x), initial=0.0)))[1]
+
+
 def _norm(x: np.ndarray) -> float:
     """The 2-norm (Frobenius for a matrix) of ``x`` as ``np.linalg.norm`` gives it,
     without its overflow warning. Only when that is inf for finite ``x`` is it
-    recomputed after one exact power-of-two scale of ``x`` into [1/2, 1), as
-    :func:`orthonormal_columns` scales, and scaled back; so every norm numpy
-    gets finite keeps its bits, and the norm is inf only past the float range."""
+    recomputed after the scale of :func:`_exponent` and scaled back; so every
+    norm numpy gets finite keeps its bits, and the norm is inf only past the
+    float range."""
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(x))
         if norm == math.inf and np.all(np.isfinite(x)):
-            exponent = math.frexp(float(np.max(np.abs(x))))[1]
+            exponent = _exponent(x)
             norm = float(np.ldexp(np.linalg.norm(np.ldexp(x, -exponent)), exponent))
     return norm
 
@@ -376,17 +373,16 @@ def orthonormal_columns(columns: np.ndarray, rank_tol: float) -> tuple[np.ndarra
     A column is dropped when its remainder is at or below ``rank_tol`` times
     the largest input column norm. Each column sees only the columns before
     it, so the basis of a column prefix is the prefix of the basis, bit for
-    bit. One power-of-two scale first brings the largest entry into
-    [1/2, 1), so no norm overflows; being exact, it changes no basis that
-    could be computed without it.
+    bit. One power-of-two scale (:func:`_exponent`) first brings the largest
+    entry into [1/2, 1), so no norm overflows; being exact, it changes no
+    basis that could be computed without it.
 
     Returns the orthonormal matrix and the indices of dropped columns.
     """
     dim, count = columns.shape
     if count == 0:
         return np.zeros((dim, 0)), []
-    peak = float(np.max(np.abs(columns)))
-    columns = np.ldexp(columns, -math.frexp(peak)[1])
+    columns = np.ldexp(columns, -_exponent(columns))
     top = float(np.max(np.linalg.norm(columns, axis=0)))
     w = np.array(columns, dtype=float, order="F")  # kept columns are packed to its front
     rank = 0
@@ -417,7 +413,7 @@ def make_projector(
     than the number of vectors supplied. An empty list needs an explicit
     ``dim`` and yields the zero projector.
 
-    Vectors that are already orthonormal within ``tol_ortho`` are kept
+    Vectors whose defect ||Q^T Q - I||_F is within the fixed 1e-10 are kept
     verbatim, which makes the construction idempotent: feeding a projector's
     basis back in reproduces the projector bit for bit.
     """
@@ -446,13 +442,13 @@ def make_projector(
     if columns.shape[1] and columns.shape[1] <= dim:
         with np.errstate(over="ignore", invalid="ignore"):  # overflow: not orthonormal
             defect = float(np.linalg.norm(columns.T @ columns - np.eye(columns.shape[1])))
-    if defect <= tols.tol_ortho:
+    if defect <= _STRUCTURE_TOL:
         basis = columns
     else:
         basis, _dropped = orthonormal_columns(columns, tols.rank_tol)
         defect = float(np.linalg.norm(basis.T @ basis - np.eye(basis.shape[1])))
-    if defect > tols.tol_ortho:
-        raise ValidationError(f"orthonormalization defect {defect:.3e} exceeds tol_ortho")
+    if defect > _STRUCTURE_TOL:
+        raise ValidationError(f"the basis is not orthonormal after orthonormalization (defect {defect:.3e})")
     return Projector(basis=_readonly(basis))
 
 
@@ -469,19 +465,19 @@ class ProjectorReport:
 def projector_defects(matrix, tols: Tolerances = DEFAULT_TOLERANCES) -> ProjectorReport:
     """Measure idempotency and symmetry defects of a candidate projector matrix.
 
-    ``is_orthogonal_projector`` holds when both defects stay within the
-    ``tol_proj`` relative to ``max(1, ||P||_F)``.
+    ``is_orthogonal_projector`` holds when both defects stay within the fixed
+    1e-10 times ``max(1, ||P||_F)``; ``rank`` is read at ``rank_tol``.
     """
     p = as_operator(matrix, name="candidate projector")
     n, m = p.shape
     if n != m:
         raise ValidationError(f"candidate projector must be square, got shape {p.shape}")
-    idem, sym, ok = _projector_checks(p, tols)
+    idem, sym, ok = _projector_checks(p)
     rank = _numerical_rank(np.linalg.svd(p, compute_uv=False), tols.rank_tol)
     return ProjectorReport(idempotency_defect=idem, symmetry_defect=sym, rank=rank, is_orthogonal_projector=ok)
 
 
-def _projector_checks(p: np.ndarray, tols: Tolerances) -> tuple[float, float, bool]:
+def _projector_checks(p: np.ndarray) -> tuple[float, float, bool]:
     """The rank-free part of :func:`projector_defects` for a square float matrix:
     the idempotency and symmetry defects, and ``is_orthogonal_projector``. A
     ``p @ p`` that overflows leaves the idempotency defect inf."""
@@ -490,7 +486,7 @@ def _projector_checks(p: np.ndarray, tols: Tolerances) -> tuple[float, float, bo
     idem = _norm(square - p)
     sym = _norm(p - p.T)
     scale = max(1.0, _norm(p))
-    return idem, sym, idem <= tols.tol_proj * scale and sym <= tols.tol_proj * scale
+    return idem, sym, idem <= _STRUCTURE_TOL * scale and sym <= _STRUCTURE_TOL * scale
 
 
 def gram(operator) -> np.ndarray:
@@ -529,7 +525,7 @@ def gram_representable(
     ``control_dim`` columns.
     """
     g = as_operator(gram_matrix, name="gram matrix")
-    _part, spectrum, sym_defect, fault = _gram_spectrum(g, control_dim, tols)
+    _part, spectrum, sym_defect, fault = _gram_spectrum(g, control_dim)
     lam, rank = spectrum.gram_values, spectrum.rank(tols.rank_tol)
     ok = fault is None and rank <= control_dim
     factor = None
@@ -546,15 +542,14 @@ def gram_representable(
     )
 
 
-def _gram_spectrum(g: np.ndarray, control_dim, tols: Tolerances):
+def _gram_spectrum(g: np.ndarray, control_dim):
     """The Gram-only rule that :func:`gram_representable` and :func:`make_problem` share.
 
     Raises :class:`ValidationError` unless G is square and ``control_dim`` is
     a positive integer. Returns the symmetric part S = (G + G^T) / 2, the
     :class:`Spectrum` of ``eigh(S)``, the symmetry defect ||G - G^T||_F, and
-    the first fault found, or None: a symmetry defect or
-    negative spectrum beyond ``tol_sym`` or ``tol_psd`` times max(1, ||G||_F),
-    or a non-finite spectrum.
+    the first fault found, or None: a symmetry defect or negative spectrum
+    beyond the fixed 1e-10 times max(1, ||G||_F), or a non-finite spectrum.
     """
     if g.shape[0] != g.shape[1]:
         raise ValidationError(f"gram matrix must be square, got shape {g.shape}")
@@ -566,11 +561,11 @@ def _gram_spectrum(g: np.ndarray, control_dim, tols: Tolerances):
         part = (g + g.T) / 2.0
     lam, vectors = _eigh(part)
     fault = None
-    if sym_defect > tols.tol_sym * scale:
-        fault = f"gram matrix symmetry defect {sym_defect:.3e} exceeds tol_sym"
+    if sym_defect > _STRUCTURE_TOL * scale:
+        fault = f"gram matrix is not symmetric (symmetry defect {sym_defect:.3e})"
     elif not (np.all(np.isfinite(part)) and np.all(np.isfinite(lam))):
         fault = "the gram operator overflows: its entries or spectrum are not finite"
-    elif lam.size and lam[0] < -tols.tol_psd * scale:
+    elif lam.size and lam[0] < -_STRUCTURE_TOL * scale:
         fault = f"gram matrix is not positive semidefinite (smallest eigenvalue {lam[0]:.3e})"
     return part, Spectrum(vectors=vectors, gram_values=lam), sym_defect, fault
 
@@ -728,7 +723,7 @@ class ProblemInstance:
         if isinstance(self.constraint, Projector):
             idempotency, symmetry, is_projector = _idempotency_defect(self.constraint.basis), 0.0, True
         else:
-            idempotency, symmetry, is_projector = _projector_checks(self.constraint, self.tols)
+            idempotency, symmetry, is_projector = _projector_checks(self.constraint)
         return ValidationRecord(
             **self._checks,
             gram_min_eigenvalue=float(np.min(lam)) if lam.size else 0.0,
@@ -752,7 +747,7 @@ class ProblemInstance:
         """True for a :class:`Projector`; a raw matrix is measured on read."""
         if isinstance(self.constraint, Projector):
             return True
-        return _projector_checks(self.constraint, self.tols)[2]
+        return _projector_checks(self.constraint)[2]
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Apply the constraint map to ``x``: Q (Q^T x) for a projector, P x for a raw matrix."""
@@ -797,7 +792,7 @@ def make_problem(
     """Validate and bundle a problem instance.
 
     At least one of ``operator`` and ``gram_matrix`` must be given. When both
-    are given they must agree (``||L L^T - G||_F <= tol_gram`` relative).
+    are given they must agree: ``||L L^T - G||_F <= 1e-10 max(1, ||G||_F)``.
     When only the Gram operator is given, ``control_dim`` must be declared.
     A Gram operator that is not representable at that control dimension is
     still admitted: ``validation.representable`` is how downstream consumers
@@ -851,10 +846,9 @@ def make_problem(
                 g_given = as_operator(gram_matrix, shape=(ambient_dim, ambient_dim), name="gram matrix")
                 gram_factor_defect = _norm(np.asarray(g) - g_given)
                 scale = max(1.0, _norm(g_given))
-                if gram_factor_defect > tols.tol_gram * scale:
+                if gram_factor_defect > _STRUCTURE_TOL * scale:
                     raise ValidationError(
-                        f"gram matrix disagrees with the operator's gram product "
-                        f"(defect {gram_factor_defect:.3e} exceeds tol_gram)"
+                        f"gram matrix disagrees with the operator's gram product (defect {gram_factor_defect:.3e})"
                     )
         decomposition = _Decomposition(operator=l)
         gram_sym_defect = 0.0
@@ -864,7 +858,7 @@ def make_problem(
         if control_dim is None:
             raise ValidationError("control_dim must be declared when no operator is given")
         g = as_operator(gram_matrix, name="gram matrix")
-        g, spectrum, gram_sym_defect, fault = _gram_spectrum(g, control_dim, tols)
+        g, spectrum, gram_sym_defect, fault = _gram_spectrum(g, control_dim)
         ambient_dim = g.shape[0]
         if fault:
             raise ValidationError(fault)

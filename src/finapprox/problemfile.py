@@ -9,10 +9,12 @@ A problem file is a JSON object with the keys
     constraint  {"type": "projector_basis", "data": [vec, ...]} or
                 {"type": "raw", "data": dimH x dimH matrix}
     h           right-hand side, length dimH
-    tolerances  optional object overriding tolerance fields by name
+    tolerances  optional object setting some of the four Tolerances fields
+                (rank_tol, singular_tol, decision_tol, oracle_tol) by name
 
-At least one of L and Gamma must be present. Numbers must be finite; floats
-are written with shortest round-trip precision so a saved file reloads to
+At least one of L and Gamma must be present. A ``tolerances`` entry that
+names any other field is refused. Numbers must be finite; floats are
+written with shortest round-trip precision so a saved file reloads to
 bit-identical values.
 
 Files are UTF-8. :func:`load_problem` parses them with orjson, and only a
@@ -25,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -67,9 +69,8 @@ def _positive_int(value, field: str) -> int:
     return value
 
 
-def problem_from_dict(data: dict, tols: Optional[Tolerances] = None) -> ProblemInstance:
-    """Build a validated problem instance from a parsed problem-file object. The
-    file's ``tolerances`` field is always checked; a given ``tols`` then wins."""
+def problem_from_dict(data: dict) -> ProblemInstance:
+    """Build a validated problem instance from a parsed problem-file object."""
     if not isinstance(data, dict):
         raise ProblemFileError(f"problem file must hold a JSON object, got {type(data).__name__}")
     known = {"dimH", "dimU", "L", "Gamma", "constraint", "h", "tolerances"}
@@ -89,12 +90,11 @@ def problem_from_dict(data: dict, tols: Optional[Tolerances] = None) -> ProblemI
             f"field 'tolerances' has unknown entries {bad}; known: {list(_TOLERANCE_FIELDS)}"
         )
     try:  # the raw values meet the real-parameter rule first, so a bool or string is refused
-        file_tols = dataclasses.replace(
+        tols = dataclasses.replace(
             Tolerances(**overrides), **{k: float(v) for k, v in overrides.items()}
         )
     except (ValueError, OverflowError) as exc:
         raise ProblemFileError(f"field 'tolerances' is invalid: {exc}") from exc
-    tols = file_tols if tols is None else tols
 
     try:  # the numeric fields get the library's own checks, named by field
         operator = as_operator(data["L"], (dim_h, dim_u), "field 'L'") if "L" in data else None
@@ -138,8 +138,8 @@ def problem_from_dict(data: dict, tols: Optional[Tolerances] = None) -> ProblemI
         raise ProblemFileError(f"problem file failed validation: {exc}") from exc
 
 
-def load_problem(path, tols: Optional[Tolerances] = None) -> ProblemInstance:
-    """Load and validate a problem file; ``tols`` is as in :func:`problem_from_dict`.
+def load_problem(path) -> ProblemInstance:
+    """Load and validate a problem file.
 
     orjson reads the file's bytes. A document it refuses (``NaN``,
     ``Infinity``, a number beyond the float range, bytes that are not UTF-8,
@@ -158,7 +158,7 @@ def load_problem(path, tols: Optional[Tolerances] = None) -> ProblemInstance:
             data = orjson.loads(raw)
         except orjson.JSONDecodeError:
             data = _stdlib_loads(raw, path)
-        return problem_from_dict(data, tols=tols)
+        return problem_from_dict(data)
     except RecursionError as exc:
         raise ProblemFileError(f"problem file {path} is nested too deeply") from exc
 

@@ -22,7 +22,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .hilbert import (
-    ProblemInstance, Projector, ValidationError, _dense_constraint, _Monomial, _norm, _numerical_rank, _positive_real,
+    ProblemInstance, Projector, ValidationError, _dense_constraint, _exponent, _Monomial, _norm, _numerical_rank,
+    _positive_real,
 )
 
 __all__ = [
@@ -102,7 +103,7 @@ class IdentityReport:
     error_form_defect      : || (image - h) + (I - P) indicator ||
     constraint_defect      : || P (image - h) ||
 
-    For a true projector constraint all three are bounded by id_tol * ||h||.
+    For a true projector constraint all three are at rounding level in ||h||.
     The error form holds for raw constraints as well; the constraint defect
     does not, which is exactly what the raw-constraint counterexample shows.
     """
@@ -246,13 +247,16 @@ class RegularizedFactor:
             return u @ y
 
         problem = self.problem
-        h = problem.rhs[:, None]
+        # Solving for 2^-e h and scaling z back by 2^e is exact clear of subnormals,
+        # and keeps T_alpha z in range for an h at the top of the float range.
+        exponent = _exponent(problem.rhs)
+        h = np.ldexp(problem.rhs, -exponent)[:, None]
         z = apply_inverse(u.T @ h)  # U^T h is the same for every alpha
         # One refinement step against the matrix-free T_alpha tightens the
         # residual of ill-conditioned solves at small alpha.
         applied = problem._gram @ z + alpha * (z - problem.project(z))
         z = z + apply_inverse(u.T @ (h - applied))
-        return _solutions(alpha, z, problem)
+        return _solutions(alpha, np.ldexp(z, exponent), problem)
 
 
 def factor_regularized(problem: ProblemInstance) -> RegularizedFactor:
@@ -354,7 +358,8 @@ def _solve_generic(alpha: np.ndarray, problem: ProblemInstance) -> list[Union[Re
     largest gets a :class:`SingularSystem`.
     """
     t = _assemble(alpha, problem)
-    h = problem.rhs[:, None]
+    exponent = _exponent(problem.rhs)  # solved for 2^-e h as in RegularizedFactor.solve_all
+    h = np.ldexp(problem.rhs, -exponent)[:, None]
     tol = problem.tols.singular_tol
     singular = [_numerical_rank(s, tol) < s.size for s in np.linalg.svd(t, compute_uv=False)]
     regular = [i for i, flag in enumerate(singular) if not flag]
@@ -363,7 +368,7 @@ def _solve_generic(alpha: np.ndarray, problem: ProblemInstance) -> list[Union[Re
         t_regular = t[regular]
         z = np.linalg.solve(t_regular, h)
         z = z + np.linalg.solve(t_regular, h - t_regular @ z)
-        solved = iter(_solutions(alpha[regular], z, problem))
+        solved = iter(_solutions(alpha[regular], np.ldexp(z, exponent), problem))
     return [
         _singular_report(alpha[i, 0, 0], t[i], problem.rhs, problem) if flag else next(solved)
         for i, flag in enumerate(singular)

@@ -1,5 +1,6 @@
 """Sweeps, verdicts, witnesses, the range oracle, and factor invertibility."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -183,7 +184,7 @@ def test_decide_tol_override(capsys, tmp_path):
         "h": [1.0, 1e-8],
     }
     for tols, verdict in ((Tolerances(), Verdict.SOLVABLE), (Tolerances(decision_tol=1e-12), Verdict.NOT_SOLVABLE)):
-        decision = decide(alpha_sweep(problem_from_dict(data, tols=tols)))
+        decision = decide(alpha_sweep(dataclasses.replace(problem_from_dict(data), tols=tols)))
         assert decision.verdict is verdict
         assert_allclose(decision.diagnostics["kernel_rhs_norm"], 1e-8, rtol=1e-12)
     assert_allclose(decision.witness, [0.0, 1e-8], rtol=1e-12)

@@ -438,6 +438,9 @@ def test_bad_param_syntax(capsys):
     code, _, err = run(capsys, "analyze", "--scenario", "truncated_shift", "--param", "N")
     assert code == 2
     assert "K=V" in err
+    code, _, err = run(capsys, "analyze", "--scenario", "truncated_shift", "--param", "=3")
+    assert code == 2
+    assert "nonempty key" in err
 
 
 def test_both_sources_rejected(capsys, tmp_path):
@@ -604,10 +607,14 @@ def test_main_builds_its_parser_once(capsys):
     assert cli._parser.cache_info().misses == 1
 
 
-def test_usage_error_exits_two(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["no-such-command"])
-    assert excinfo.value.code == 2
+def test_usage_error_exits_two(capsys, tmp_path):
+    """argparse refuses what the parser requires, such as export's --scenario."""
+    for argv in (["no-such-command"], ["export", "--output", str(tmp_path / "p.json")]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+    assert "--scenario" in capsys.readouterr().err
+    assert not (tmp_path / "p.json").exists()
 
 
 SINGLE_BLAS_CHILD = """

@@ -33,6 +33,7 @@ from helpers import random_operator, random_orthonormal, reachable_rhs, record_l
 EPS = np.finfo(float).eps
 ALPHAS = [10.0**-k for k in range(8)]
 SCALES = (1e-4, 1.0, 1e2)
+ID_TOL = 1e-9  # the relative bound on the solve identities
 
 
 def constraint_meeting_range(rng, operator, rank):
@@ -68,16 +69,15 @@ def test_factor_matches_dense_reference():
     eps * cond(T_alpha) relative, which on rank-deficient problems scaled by
     1e2 at alpha = 1e-7 (cond near 1e13) is far above 1e-8 whichever solve is
     used, so the agreement bound is max(1e-8, 16 eps cond). The identity
-    defects are backward errors and are bounded by id_tol ||T_alpha|| ||z||.
+    defects are backward errors and are bounded by ID_TOL ||T_alpha|| ||z||.
     At unit scale both bounds must hold in their plain form: 1e-8 relative
-    agreement and id_tol ||h||.
+    agreement and ID_TOL ||h||.
     """
     checked = 0
     for operator, projector, rhs in seeded_projector_problems(20261017):
         for scale in SCALES:
             problem = make_problem(operator=scale * operator, constraint=projector, rhs=rhs)
             factor = factor_regularized(problem)
-            id_tol = problem.tols.id_tol
             h_norm = np.linalg.norm(rhs)
             for alpha in ALPHAS:
                 solution = factor.solve(alpha)
@@ -92,10 +92,10 @@ def test_factor_matches_dense_reference():
                     defects.constraint_defect,
                 )
                 assert agreement <= max(1e-8, 16 * EPS * np.linalg.cond(t))
-                assert worst <= id_tol * np.linalg.norm(t, 2) * np.linalg.norm(solution.costate)
+                assert worst <= ID_TOL * np.linalg.norm(t, 2) * np.linalg.norm(solution.costate)
                 if scale == 1.0:
                     assert agreement <= 1e-8
-                    assert worst <= id_tol * h_norm
+                    assert worst <= ID_TOL * h_norm
                 checked += 1
     assert checked == 24 * len(SCALES) * len(ALPHAS)
 

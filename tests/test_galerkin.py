@@ -41,6 +41,11 @@ def test_sample_midpoint_normalization():
     assert_allclose(linear @ ones, 0.5, atol=1e-12)
 
 
+def test_sample_midpoint_rejects_a_wrong_shape():
+    with pytest.raises(ValidationError, match="returned shape"):
+        sample_midpoint(lambda x: np.ones((x.size, 2)), 8)
+
+
 def sine_samples(m, max_n):
     """Constant plus sine modes 1..max_n on the midpoint grid, sampled one mode at a time."""
     x = midpoint_grid(m)

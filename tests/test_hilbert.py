@@ -1,5 +1,6 @@
 """Projector construction, Gram handling, and problem assembly."""
 
+import dataclasses
 import json
 import math
 
@@ -48,9 +49,10 @@ def test_tolerances_positive():
         Tolerances(rank_tol=0.0)
     with pytest.raises(ValidationError):
         Tolerances(decision_tol=-1e-6)
-    tols = Tolerances(id_tol=1e-8)
-    assert tols.id_tol == 1e-8
+    tols = Tolerances(singular_tol=1e-10)
+    assert tols.singular_tol == 1e-10
     assert DEFAULT_TOLERANCES.rank_tol == 1e-10
+    assert [f.name for f in dataclasses.fields(Tolerances)] == ["rank_tol", "singular_tol", "decision_tol", "oracle_tol"]
 
 
 def test_orthonormal_columns_matches_qr_span():
@@ -467,12 +469,26 @@ def test_make_problem_rejects_bad_dims():
         make_problem(operator=l, constraint=proj, rhs=np.ones(2))
     with pytest.raises(ValidationError):
         make_problem(operator=np.eye(2), constraint=proj, rhs=np.ones(3))
+    with pytest.raises(ValidationError, match="control_dim 2 conflicts"):
+        make_problem(operator=l, constraint=proj, rhs=np.ones(3), control_dim=2)
+
+
+@pytest.mark.parametrize(
+    "missing,message",
+    [("data", "needs an operator, a gram matrix, or both"), ("constraint", "needs a constraint"),
+     ("rhs", "needs a right-hand side")],
+)
+def test_make_problem_needs_each_part(missing, message):
+    parts = {"operator": np.eye(2), "constraint": make_projector([np.eye(2)[:, 0]]), "rhs": np.ones(2)}
+    parts.pop("operator" if missing == "data" else missing)
+    with pytest.raises(ValidationError, match=message):
+        make_problem(**parts)
 
 
 def test_make_problem_rejects_asymmetric_gram():
     proj = make_projector([np.eye(2)[:, 0]])
     bad = np.array([[1.0, 0.5], [0.0, 1.0]])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="gram matrix is not symmetric"):
         make_problem(gram_matrix=bad, constraint=proj, rhs=np.ones(2), control_dim=2)
 
 
@@ -491,7 +507,7 @@ def test_make_problem_gram_only_needs_control_dim():
 def test_make_problem_operator_gram_consistency():
     proj = make_projector([np.eye(2)[:, 0]])
     l = np.eye(2)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="disagrees with the operator's gram product"):
         make_problem(operator=l, gram_matrix=2.0 * np.eye(2), constraint=proj, rhs=np.ones(2))
     # consistent pair passes
     problem = make_problem(operator=l, gram_matrix=np.eye(2), constraint=proj, rhs=np.ones(2))
@@ -602,6 +618,8 @@ def test_constrained_reposes_constraint():
     assert posed.constraint is other
     assert_allclose(posed.gram, problem.gram, atol=0)
     assert posed is not problem
+    with pytest.raises(ValidationError, match="replacement projector acts on dimension 3"):
+        problem.constrained(random_projector(rng, 3, 1))
 
 
 def test_problem_arrays_read_only():

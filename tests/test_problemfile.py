@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -120,24 +121,39 @@ def test_tolerance_overrides():
         problem_from_dict(data)
 
 
+KNOWN_TOLERANCES = re.escape("['rank_tol', 'singular_tol', 'decision_tol', 'oracle_tol']")
+
+
 @pytest.mark.parametrize(
     "tolerances,needle",
-    [({"decision_tol": True}, "decision_tol.*True"), ({"bogus": "x"}, "bogus")],
+    [
+        ({"decision_tol": True}, "decision_tol.*True"),
+        ({"bogus": "x"}, "bogus"),
+        # the structural checks' fixed threshold and the identity bound are not tolerances
+        pytest.param({"tol_sym": 1e-8}, rf"\['tol_sym'\]; known: {KNOWN_TOLERANCES}", id="tol_sym"),
+        pytest.param({"id_tol": 1e-9}, rf"\['id_tol'\]; known: {KNOWN_TOLERANCES}", id="id_tol"),
+    ],
 )
-def test_file_tolerances_checked_when_tols_given(tolerances, needle):
-    """An explicit ``tols`` wins over the file's field, but the field is still checked."""
+def test_bad_file_tolerances_are_refused(capsys, tmp_path, tolerances, needle):
+    """A ``tolerances`` entry that is not a positive real, or names no field of the
+    four-field Tolerances, is refused by the loader and exits 2 from analyze."""
     data = {
         "dimH": 2,
         "dimU": 2,
         "L": [[1.0, 0.0], [0.0, 1.0]],
         "constraint": {"type": "projector_basis", "data": [[1.0, 0.0]]},
         "h": [1.0, 1.0],
-        "tolerances": {"decision_tol": 1e-3},
+        "tolerances": tolerances,
     }
-    assert problem_from_dict(data, tols=Tolerances()).tols == Tolerances()
-    data["tolerances"] = tolerances
     with pytest.raises(ProblemFileError, match=needle):
-        problem_from_dict(data, tols=Tolerances())
+        problem_from_dict(data)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ProblemFileError, match=needle):
+        load_problem(path)
+    assert main(["analyze", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and re.search(needle, captured.err)
 
 
 @pytest.mark.parametrize(

@@ -184,6 +184,8 @@ def test_singular_system_truncated_shift():
     # the kernel vector really annihilates the regularized matrix
     t = regularized_operator(0.1, problem)
     assert np.linalg.norm(t @ sol.kernel_vector) <= 1e-12
+    with pytest.raises(ValidationError, match="needs a nonsingular solution"):
+        identity_residuals(sol, problem)
 
 
 def test_singular_kernel_without_rhs_component():
@@ -335,3 +337,32 @@ def test_stacked_sweep_matches_single_alpha_solves_bit_for_bit(case):
     assert [_bits(r) for r in report.records] == [_bits(_record(s)) for s in alone]
     stacked = factor.solve_all(schedule.values())
     assert [_indicator_bits(s) for s in stacked] == [_indicator_bits(s) for s in alone]
+
+
+def _scaling_cases():
+    rng = np.random.default_rng(20261020)
+    l = rng.standard_normal((4, 4))
+    # h = 2^-600 max: at 2^600 h the refinement residual T_alpha z is past the float range
+    # unless the solve is for 2^-e h
+    top = np.ldexp([float(np.finfo(float).max)], -600)
+    return [
+        pytest.param(np.eye(1), make_projector([], dim=1), top, id="top-zero-projector"),
+        pytest.param(np.eye(1), np.zeros((1, 1)), top, id="top-raw"),
+        pytest.param(l, make_projector(list(rng.standard_normal((2, 4)))), rng.standard_normal(4), id="projector"),
+        pytest.param(l, rng.standard_normal((4, 4)), rng.standard_normal(4), id="raw"),
+    ]
+
+
+@pytest.mark.parametrize("operator,constraint,rhs", _scaling_cases())
+def test_costates_scale_with_h_by_exactly_its_power_of_two(operator, constraint, rhs):
+    """Both routes solve for 2^-e h and scale back by 2^e, so a power of two 2^k on h is
+    2^k on every costate, bit for bit, at each scheduled alpha."""
+    alphas = AlphaSchedule().values()
+
+    def costates(k):
+        problem = make_problem(operator=operator, constraint=constraint, rhs=np.ldexp(rhs, k))
+        return [solution.costate for solution in factor_regularized(problem).solve_all(alphas)]
+
+    base = costates(0)
+    for k in (600, -600):
+        assert [np.ldexp(z, k).tobytes() for z in base] == [z.tobytes() for z in costates(k)]

@@ -134,7 +134,7 @@ ENTRIES = st.one_of(
     monomial_matrices(magnitudes=EXTREME_MAGNITUDES), st.integers(1, 3), st.lists(ENTRIES, min_size=48, max_size=48),
     st.data(),
 )
-def test_signed_permutation_products_match_dense_bit_for_bit(l, width, entries, data):
+def test_monomial_products_match_dense_bit_for_bit(l, width, entries, data):
     """Every product the library takes with a monomial matrix equals the product with its
     dense matrix bit for bit, but for the sign of a zero that a nonzero product underflows
     to, and without a warning: a monomial L, its diagonal Gram matrix
