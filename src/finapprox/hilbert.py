@@ -58,9 +58,10 @@ class Tolerances:
     it guards (right-hand-side norm, largest singular value): a rank or
     singularity decision counts a value as nonzero only when it is strictly
     above tolerance times scale. Each tolerance must be a positive finite
-    real number, not a bool. The structural checks of input (orthonormal
-    basis, projector, Gram symmetry, PSD and factor agreement) are not
-    tolerances: they share one fixed threshold, 1e-10.
+    real number, not a bool. They are read from ``problem.tols`` alone and
+    steer the verdict on the problem as stated: building and checking input
+    (projector bases, dropped vectors, projector and Gram checks) reads none
+    of them; it uses one fixed threshold, 1e-10.
 
     Attributes
     ----------
@@ -84,8 +85,8 @@ class Tolerances:
 
 DEFAULT_TOLERANCES = Tolerances()
 
-# The structural input checks' one fixed threshold: absolute for ||Q^T Q - I||_F
-# of a projector basis, relative to max(1, ||.||_F) for the projector and Gram checks.
+# The one fixed threshold of building and checking input: absolute for ||Q^T Q - I||_F of a
+# basis, else relative to max(1, ||.||_F), the largest column norm or the largest singular value.
 _STRUCTURE_TOL = 1e-10
 
 
@@ -363,19 +364,19 @@ def _idempotency_defect(basis: np.ndarray) -> float:
     return math.sqrt(max(float(np.sum(m * m.T)), 0.0))
 
 
-def orthonormal_columns(columns: np.ndarray, rank_tol: float) -> tuple[np.ndarray, list[int]]:
+def orthonormal_columns(columns: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Orthonormalize the columns of a matrix by classical Gram-Schmidt with
     reorthogonalization (CGS2).
 
     Columns are taken one at a time. Each is projected twice against the
     basis kept so far, with one gemv pair per pass; two passes leave it
     orthogonal to the basis to rounding ("twice is enough", Kahan-Parlett).
-    A column is dropped when its remainder is at or below ``rank_tol`` times
-    the largest input column norm. Each column sees only the columns before
-    it, so the basis of a column prefix is the prefix of the basis, bit for
-    bit. One power-of-two scale (:func:`_exponent`) first brings the largest
-    entry into [1/2, 1), so no norm overflows; being exact, it changes no
-    basis that could be computed without it.
+    A column is dropped when its remainder is at or below the fixed 1e-10
+    times the largest input column norm. Each column sees only the columns
+    before it, so the basis of a column prefix is the prefix of the basis,
+    bit for bit. One power-of-two scale (:func:`_exponent`) first brings the
+    largest entry into [1/2, 1), so no norm overflows; being exact, it
+    changes no basis that could be computed without it.
 
     Returns the orthonormal matrix and the indices of dropped columns.
     """
@@ -394,7 +395,7 @@ def orthonormal_columns(columns: np.ndarray, rank_tol: float) -> tuple[np.ndarra
             for _ in range(2):
                 v -= q @ (q.T @ v)
         norm = float(np.linalg.norm(v))
-        if _numerical_rank(norm, rank_tol, top):
+        if _numerical_rank(norm, _STRUCTURE_TOL, top):
             w[:, rank] = v / norm
             rank += 1
         else:
@@ -402,16 +403,13 @@ def orthonormal_columns(columns: np.ndarray, rank_tol: float) -> tuple[np.ndarra
     return np.ascontiguousarray(w[:, :rank]), dropped
 
 
-def make_projector(
-    vectors: Sequence,
-    dim: Optional[int] = None,
-    tols: Tolerances = DEFAULT_TOLERANCES,
-) -> Projector:
+def make_projector(vectors: Sequence, dim: Optional[int] = None) -> Projector:
     """Build the orthogonal projector onto the span of ``vectors``.
 
-    Linearly dependent inputs are dropped, so the result's rank can be lower
-    than the number of vectors supplied. An empty list needs an explicit
-    ``dim`` and yields the zero projector.
+    Linearly dependent inputs are dropped by :func:`orthonormal_columns`,
+    which reads no tolerance, so the rank can be lower than the number of
+    vectors supplied. An empty list needs an explicit ``dim`` and yields the
+    zero projector.
 
     Vectors whose defect ||Q^T Q - I||_F is within the fixed 1e-10 are kept
     verbatim, which makes the construction idempotent: feeding a projector's
@@ -445,7 +443,7 @@ def make_projector(
     if defect <= _STRUCTURE_TOL:
         basis = columns
     else:
-        basis, _dropped = orthonormal_columns(columns, tols.rank_tol)
+        basis, _dropped = orthonormal_columns(columns)
         defect = float(np.linalg.norm(basis.T @ basis - np.eye(basis.shape[1])))
     if defect > _STRUCTURE_TOL:
         raise ValidationError(f"the basis is not orthonormal after orthonormalization (defect {defect:.3e})")
@@ -462,18 +460,19 @@ class ProjectorReport:
     is_orthogonal_projector: bool
 
 
-def projector_defects(matrix, tols: Tolerances = DEFAULT_TOLERANCES) -> ProjectorReport:
+def projector_defects(matrix) -> ProjectorReport:
     """Measure idempotency and symmetry defects of a candidate projector matrix.
 
     ``is_orthogonal_projector`` holds when both defects stay within the fixed
-    1e-10 times ``max(1, ||P||_F)``; ``rank`` is read at ``rank_tol``.
+    1e-10 times ``max(1, ||P||_F)``; ``rank`` counts the singular values above
+    the same 1e-10 times the largest.
     """
     p = as_operator(matrix, name="candidate projector")
     n, m = p.shape
     if n != m:
         raise ValidationError(f"candidate projector must be square, got shape {p.shape}")
     idem, sym, ok = _projector_checks(p)
-    rank = _numerical_rank(np.linalg.svd(p, compute_uv=False), tols.rank_tol)
+    rank = _numerical_rank(np.linalg.svd(p, compute_uv=False), _STRUCTURE_TOL)
     return ProjectorReport(idempotency_defect=idem, symmetry_defect=sym, rank=rank, is_orthogonal_projector=ok)
 
 
@@ -510,23 +509,20 @@ class RepresentabilityReport:
     factor: Optional[np.ndarray]
 
 
-def gram_representable(
-    gram_matrix,
-    control_dim: int,
-    tols: Tolerances = DEFAULT_TOLERANCES,
-) -> RepresentabilityReport:
+def gram_representable(gram_matrix, control_dim: int) -> RepresentabilityReport:
     """Decide whether ``gram_matrix`` is the Gram operator of some map from a
     ``control_dim``-dimensional space.
 
-    The matrix must be symmetric and positive semidefinite within tolerance,
-    and its numerical rank must not exceed ``control_dim``. On success the
-    report carries a factor built from the spectral decomposition: columns
-    sqrt(lambda_i) v_i for the leading eigenpairs, zero-padded to
-    ``control_dim`` columns.
+    The matrix must be symmetric and positive semidefinite within the fixed
+    1e-10 times ``max(1, ||G||_F)``, and its numerical rank, by
+    :meth:`Spectrum.rank` at the default ``rank_tol``, must not exceed
+    ``control_dim``. On success the report carries a factor built from the
+    spectral decomposition: columns sqrt(lambda_i) v_i for the leading
+    eigenpairs, zero-padded to ``control_dim`` columns.
     """
     g = as_operator(gram_matrix, name="gram matrix")
     _part, spectrum, sym_defect, fault = _gram_spectrum(g, control_dim)
-    lam, rank = spectrum.gram_values, spectrum.rank(tols.rank_tol)
+    lam, rank = spectrum.gram_values, spectrum.rank(DEFAULT_TOLERANCES.rank_tol)
     ok = fault is None and rank <= control_dim
     factor = None
     if ok:

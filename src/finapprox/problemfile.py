@@ -13,9 +13,12 @@ A problem file is a JSON object with the keys
                 (rank_tol, singular_tol, decision_tol, oracle_tol) by name
 
 At least one of L and Gamma must be present. A ``tolerances`` entry that
-names any other field is refused. Numbers must be finite; floats are
-written with shortest round-trip precision so a saved file reloads to
-bit-identical values.
+names any other field is refused. The ``tolerances`` set ``problem.tols``
+and nothing else: they steer the verdict, while the constraint is the span
+of the vectors the file states, built with the fixed threshold of
+:func:`~finapprox.hilbert.make_projector` whatever ``rank_tol`` says.
+Numbers must be finite; floats are written with shortest round-trip
+precision so a saved file reloads to bit-identical values.
 
 Files are UTF-8. :func:`load_problem` parses them with orjson, and only a
 file orjson refuses goes to the stdlib ``json`` decoder, which then reports
@@ -111,7 +114,7 @@ def problem_from_dict(data: dict) -> ProblemInstance:
             if not isinstance(cdata, list):
                 raise ProblemFileError("field 'constraint.data' must be a list of vectors")
             try:
-                constraint: Union[Projector, np.ndarray] = make_projector(cdata, dim=dim_h, tols=tols)
+                constraint: Union[Projector, np.ndarray] = make_projector(cdata, dim=dim_h)
             except ValidationError as exc:
                 raise ProblemFileError(f"field 'constraint.data' is invalid: {exc}") from exc
         elif ctype == "raw":

@@ -15,10 +15,7 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .galerkin import SubspaceFamily, family_projector, sample_midpoint, sine_family, midpoint_grid
-from .hilbert import (
-    DEFAULT_TOLERANCES, ProblemInstance, Tolerances, ValidationError, _int_at_least, make_problem,
-    make_projector,
-)
+from .hilbert import ProblemInstance, ValidationError, _int_at_least, make_problem, make_projector
 
 __all__ = [
     "Scenario",
@@ -38,58 +35,54 @@ class Scenario:
     description: str
 
 
-def _diagonal_solvable(tols):
+def _diagonal_solvable():
     return make_problem(
         operator=np.eye(2),
-        constraint=make_projector([np.array([1.0, 0.0])], tols=tols),
+        constraint=make_projector([np.array([1.0, 0.0])]),
         rhs=np.array([1.0, 1.0]),
-        tols=tols,
     ), None
 
 
-def _diagonal_unsolvable(tols):
+def _diagonal_unsolvable():
     return make_problem(
         operator=np.array([[1.0], [0.0]]),
-        constraint=make_projector([np.array([1.0, 0.0])], tols=tols),
+        constraint=make_projector([np.array([1.0, 0.0])]),
         rhs=np.array([0.0, 1.0]),
-        tols=tols,
     ), None
 
 
-def _truncated_shift(tols, *, N):
+def _truncated_shift(*, N):
     if not _int_at_least(N, 3):
         raise ValidationError(f"truncated_shift needs integer N >= 3, got {N!r}")
     n = int(N)
     operator = np.zeros((n, 1))
     operator[0, 0] = 1.0
     eye = np.eye(n)
-    constraint = make_projector([eye[:, j] for j in range(1, n)], tols=tols)
+    constraint = make_projector([eye[:, j] for j in range(1, n)])
     rhs = eye[:, 1].copy()
-    return make_problem(operator=operator, constraint=constraint, rhs=rhs, tols=tols), None
+    return make_problem(operator=operator, constraint=constraint, rhs=rhs), None
 
 
-def _rank_deficient_gamma(tols, *, dimU):
+def _rank_deficient_gamma(*, dimU):
     if not _int_at_least(dimU, 1):
         raise ValidationError(f"rank_deficient_gamma needs integer dimU >= 1, got {dimU!r}")
     return make_problem(
         gram_matrix=np.diag([1.0, 1.0, 0.0]),
-        constraint=make_projector([np.array([1.0, 0.0, 0.0])], tols=tols),
+        constraint=make_projector([np.array([1.0, 0.0, 0.0])]),
         rhs=np.array([1.0, 1.0, 1.0]),
         control_dim=int(dimU),
-        tols=tols,
     ), None
 
 
-def _nilpotent_pi(tols):
+def _nilpotent_pi():
     return make_problem(
         operator=np.eye(2),
         constraint=np.array([[0.0, 1.0], [0.0, 0.0]]),
         rhs=np.array([0.0, 1.0]),
-        tols=tols,
     ), None
 
 
-def _function_space_galerkin(tols, *, M, operator):
+def _function_space_galerkin(*, M, operator):
     if not _int_at_least(M, 4):
         raise ValidationError(f"function_space_galerkin needs integer M >= 4, got {M!r}")
     m = int(M)
@@ -102,12 +95,13 @@ def _function_space_galerkin(tols, *, M, operator):
     target = family_projector(family, family.max_n)
     rhs = sample_midpoint(lambda x: x, m)
     matrix = np.eye(m) if operator == "identity" else np.diag(1.0 / (1.0 + midpoint_grid(m)))
-    return make_problem(operator=matrix, constraint=target, rhs=rhs, tols=tols), family
+    return make_problem(operator=matrix, constraint=target, rhs=rhs), family
 
 
 @dataclass(frozen=True)
 class _Entry:
-    """A catalog scenario: ``build(tols, **params)`` plus what the catalog says of it."""
+    """A catalog scenario: ``build(**params)``, posed with the default tolerances,
+    plus what the catalog says of it."""
 
     build: Callable[..., tuple[ProblemInstance, Optional[SubspaceFamily]]]
     verdict: str
@@ -178,12 +172,14 @@ def scenario_names() -> tuple[str, ...]:
     return tuple(sorted(_CATALOG))
 
 
-def build_scenario(name: str, tols: Tolerances = DEFAULT_TOLERANCES, **params) -> Scenario:
+def build_scenario(name: str, **params) -> Scenario:
     """Build a bundled scenario.
 
     ``name`` is a scenario name; keyword parameters override the catalog's
     defaults. Unknown names list the available catalog, unknown parameters
     list the accepted ones, and ill-typed values name the offending value.
+    The problem has the default tolerances; :func:`dataclasses.replace` on
+    the problem poses it with others.
     """
     name = str(name)
     entry = _CATALOG.get(name)
@@ -197,5 +193,5 @@ def build_scenario(name: str, tols: Tolerances = DEFAULT_TOLERANCES, **params) -
             f"scenario {name} got unknown parameters {unknown}; "
             f"it accepts {sorted(entry.defaults) or 'none'}"
         )
-    problem, family = entry.build(tols, **{**entry.defaults, **params})
+    problem, family = entry.build(**{**entry.defaults, **params})
     return Scenario(name, problem, family, entry.description)

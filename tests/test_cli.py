@@ -396,6 +396,13 @@ def test_export_and_reanalyze(capsys, tmp_path):
     assert "# verdict=SINGULAR" in out
 
 
+def test_export_needs_a_file_path(capsys):
+    """export writes a problem file, so ``--output -`` is refused, exit 2."""
+    code, out, err = run(capsys, "export", "--scenario", "diagonal_solvable", "--output", "-")
+    assert (code, out) == (2, "")
+    assert err == "error: export needs --output PATH for the problem file\n"
+
+
 def test_output_file_and_determinism(capsys, tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"

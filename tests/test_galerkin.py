@@ -7,7 +7,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from finapprox import (
-    DEFAULT_TOLERANCES,
     AlphaSchedule,
     ValidationError,
     coordinate_family,
@@ -176,13 +175,13 @@ def test_family_levels_are_basis_prefixes():
     """
     family = sine_family(256)
     samples = sine_samples(256, family.max_n)
-    full, dropped = orthonormal_columns(samples, DEFAULT_TOLERANCES.rank_tol)
+    full, dropped = orthonormal_columns(samples)
     assert dropped == []
     assert_allclose(full, family.basis, rtol=0, atol=1e-13)
     for k in (1, 2, 63, 64, 65, 100):
-        basis, _ = orthonormal_columns(samples[:, :k], DEFAULT_TOLERANCES.rank_tol)
+        basis, _ = orthonormal_columns(samples[:, :k])
         assert np.array_equal(basis, full[:, :k])
-    assert np.array_equal(orthonormal_columns(np.eye(150), DEFAULT_TOLERANCES.rank_tol)[0], np.eye(150))
+    assert np.array_equal(orthonormal_columns(np.eye(150))[0], np.eye(150))
 
 
 def test_strong_convergence_probe_matches_per_level_reference():

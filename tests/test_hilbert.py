@@ -30,7 +30,7 @@ from finapprox import (
     solve_regularized,
 )
 from finapprox.cli import main
-from finapprox.hilbert import _dense_constraint, _eigh
+from finapprox.hilbert import _STRUCTURE_TOL, _dense_constraint, _eigh
 from finapprox.problemfile import problem_from_dict
 from helpers import random_orthonormal, record_linalg_calls
 
@@ -62,7 +62,7 @@ def test_orthonormal_columns_matches_qr_span():
         dim = rng.integers(2, 9)
         k = rng.integers(1, dim + 1)
         a = rng.standard_normal((dim, k))
-        q_ours, dropped = orthonormal_columns(a, DEFAULT_TOLERANCES.rank_tol)
+        q_ours, dropped = orthonormal_columns(a)
         assert dropped == []
         q_ref, _ = np.linalg.qr(a)
         # Same span iff the two orthogonal projectors coincide.
@@ -73,14 +73,14 @@ def test_orthonormal_columns_matches_qr_span():
 def test_orthonormal_columns_drops_dependent():
     a = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0]]).T  # wrong orientation on purpose
     a = a.T  # columns: (1,0), (2,0), (0,1); middle column is dependent
-    q, dropped = orthonormal_columns(a.T if a.shape[0] != 2 else a, 1e-10)
+    q, dropped = orthonormal_columns(a.T if a.shape[0] != 2 else a)
     assert dropped == [1]
     assert q.shape == (2, 2)
 
 
 def test_orthonormal_columns_zero_column():
     a = np.zeros((3, 1))
-    q, dropped = orthonormal_columns(a, 1e-10)
+    q, dropped = orthonormal_columns(a)
     assert dropped == [0]
     assert q.shape == (3, 0)
 
@@ -94,15 +94,15 @@ def test_orthonormal_columns_at_overflowing_norms(size):
     """
     e1, e2 = np.eye(3)[:, :2].T
     pair = np.column_stack([size * e1, e2])
-    assert orthonormal_columns(pair, DEFAULT_TOLERANCES.rank_tol)[1] == [1]
+    assert orthonormal_columns(pair)[1] == [1]
     assert make_projector(list(pair.T)).rank == make_projector([1e150 * e1, e2]).rank == 1
     rng = np.random.default_rng(41)
     dense = size * rng.uniform(-1.0, 1.0, (6, 4))
     for columns in (pair, dense, np.column_stack([dense, (dense[:, 0] + dense[:, 1]) / 2])):
         in_range = np.ldexp(columns, -np.frexp(size)[1])
         assert np.max(np.linalg.norm(in_range, axis=0)) < 10.0
-        got, got_dropped = orthonormal_columns(columns, DEFAULT_TOLERANCES.rank_tol)
-        want, want_dropped = orthonormal_columns(in_range, DEFAULT_TOLERANCES.rank_tol)
+        got, got_dropped = orthonormal_columns(columns)
+        want, want_dropped = orthonormal_columns(in_range)
         np.testing.assert_array_equal(got, want)
         assert got_dropped == want_dropped
         np.testing.assert_array_equal(make_projector(list(columns.T)).basis, got)
@@ -161,8 +161,8 @@ def test_orthonormal_columns_across_block_boundaries():
     for near_pairs, projector_tol in ((False, 1e-12), (True, np.finfo(float).eps * kappa)):
         for count in (150, 200):
             a = _block_boundary_input(rng, 256, count, near_pairs)
-            q, dropped = orthonormal_columns(a, DEFAULT_TOLERANCES.rank_tol)
-            q_ref, dropped_ref = _reference_mgs(a, DEFAULT_TOLERANCES.rank_tol)
+            q, dropped = orthonormal_columns(a)
+            q_ref, dropped_ref = _reference_mgs(a, _STRUCTURE_TOL)
             assert dropped == dropped_ref == [63, 64, 65, 90, 130]
             assert np.linalg.norm(q.T @ q - np.eye(q.shape[1])) <= 1e-13
             assert_allclose(q @ q.T, q_ref @ q_ref.T, rtol=0, atol=projector_tol)
@@ -490,6 +490,23 @@ def test_make_problem_rejects_asymmetric_gram():
     bad = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(ValidationError, match="gram matrix is not symmetric"):
         make_problem(gram_matrix=bad, constraint=proj, rhs=np.ones(2), control_dim=2)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: make_projector([[]]), "basis vectors have length 0"),
+        (lambda: projector_defects(np.ones((2, 3))), r"candidate projector must be square, got shape \(2, 3\)"),
+        (
+            lambda: make_problem(gram_matrix=np.ones((2, 3)), constraint=np.eye(2), rhs=np.ones(2), control_dim=1),
+            r"gram matrix must be square, got shape \(2, 3\)",
+        ),
+    ],
+    ids=["empty-basis-vector", "nonsquare-projector", "nonsquare-gram"],
+)
+def test_shape_refusals(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
 
 
 def test_make_problem_rejects_indefinite_gram():

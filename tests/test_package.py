@@ -1,5 +1,7 @@
 """The package's public surface: the names ``finapprox`` exports."""
 
+import inspect
+
 import finapprox
 
 PUBLIC_NAMES = [
@@ -68,3 +70,16 @@ def test_public_names_are_pinned():
     assert len(set(finapprox.__all__)) == len(finapprox.__all__)
     for name in finapprox.__all__:
         getattr(finapprox, name)
+
+
+def test_only_make_problem_takes_tolerances():
+    """A problem's tolerances are set where it is posed, so no other public callable
+    takes them: building a projector or a scenario reads no tolerance."""
+    takers = []
+    for name in finapprox.__all__:
+        value = getattr(finapprox, name)
+        if not callable(value) or isinstance(value, type):
+            continue
+        if {"tols", "rank_tol"} & set(inspect.signature(value).parameters):
+            takers.append(name)
+    assert takers == ["make_problem"]

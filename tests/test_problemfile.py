@@ -219,6 +219,29 @@ def test_refused_problem_file_exits_two(capsys, tmp_path, mutate, needle):
     assert needle in err
 
 
+@pytest.mark.parametrize("tolerances", [{"rank_tol": 1e-3}, None])
+def test_file_tolerances_do_not_change_the_constraint(capsys, tmp_path, tolerances):
+    """A file's ``tolerances`` set ``problem.tols`` only: the second basis vector's
+    remainder 1e-6 is below ``rank_tol`` = 1e-3, yet it is kept, so the constraint
+    is all of R^2 as the file states, Gamma_QQ = diag(1, 0) is singular, and the
+    answer is the one of the file without ``tolerances``."""
+    data = {
+        "dimH": 2,
+        "dimU": 1,
+        "L": [[1.0], [0.0]],
+        "constraint": {"type": "projector_basis", "data": [[1.0, 0.0], [1.0, 1e-6]]},
+        "h": [1.0, 0.0],
+    }
+    if tolerances is not None:
+        data["tolerances"] = tolerances
+    problem = problem_from_dict(data)
+    assert problem.constraint.rank == 2
+    assert problem.tols == Tolerances(**(tolerances or {}))
+    code, out, err = _analyze(capsys, data, tmp_path)
+    assert (code, err) == (3, "")
+    assert "# verdict=SINGULAR" in out.splitlines()
+
+
 def test_round_trip_keeps_only_the_changed_tolerances(capsys, tmp_path):
     """save_problem writes just the fields that differ from the defaults, load_problem
     restores them, and analyze decides by them: ||N^T h|| / ||h|| is 1e-8 here."""

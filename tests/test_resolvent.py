@@ -1,5 +1,7 @@
 """Regularized solves: closed forms, identities, and singular systems."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -366,3 +368,24 @@ def test_costates_scale_with_h_by_exactly_its_power_of_two(operator, constraint,
     base = costates(0)
     for k in (600, -600):
         assert [np.ldexp(z, k).tobytes() for z in base] == [z.tobytes() for z in costates(k)]
+
+
+def test_capacitance_that_rounds_to_zero_is_refused(tmp_path, capsys):
+    """L = 1e-50 I_5 with one constraint vector (1, ..., 1) at alpha = 4e111: every weight
+    lam / (alpha (lam + alpha)) is one subnormal ulp, above 0, so the largest-weight rule
+    passes; but each coordinate of B = U^T Q is 1/sqrt(5) < 1/2, so each product b w rounds
+    to 0 and C_alpha is the zero matrix. That alpha exits 2; the default schedule solves."""
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({
+        "dimH": 5,
+        "dimU": 5,
+        "L": (1e-50 * np.eye(5)).tolist(),
+        "constraint": {"type": "projector_basis", "data": [[1.0] * 5]},
+        "h": [1.0] * 5,
+    }))
+    for command in ("sweep", "analyze"):
+        assert main([command, "--alpha0", "4e111", "--count", "1", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: alpha 4e+111 is out of range for this problem: C_alpha is singular\n"
+    assert main(["sweep", "--input", str(path)]) == 0

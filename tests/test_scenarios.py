@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from finapprox import (
+    DEFAULT_TOLERANCES,
     EXPECTED_VERDICTS,
     ValidationError,
     Verdict,
@@ -158,3 +159,11 @@ def test_building_a_monomial_problem_holds_one_transient_array():
     assert scenario.problem.gram.shape == (m, m)
     assert peak - retained <= 1.25 * 8 * m * m
     assert retained < 8 * m * m
+
+
+def test_scenarios_take_no_tolerances():
+    """A scenario is posed with the default tolerances; ``tols`` is no parameter of it."""
+    with pytest.raises(ValidationError) as excinfo:
+        build_scenario("diagonal_solvable", tols=None)
+    assert str(excinfo.value) == "scenario diagonal_solvable got unknown parameters ['tols']; it accepts none"
+    assert build_scenario("truncated_shift").problem.tols == DEFAULT_TOLERANCES

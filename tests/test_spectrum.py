@@ -175,6 +175,14 @@ def test_monomial_products_match_dense_bit_for_bit(l, width, entries, data):
                 factor @ np.ones(columns + 1)
 
 
+@pytest.mark.parametrize("key", [0, [0, 1], (slice(0, 1), slice(0, 1))], ids=["int", "list", "both-axes"])
+def test_monomial_takes_only_a_row_or_column_slice(key):
+    """A monomial matrix supports the slices its readers take, ``A[:, s]`` and ``A[s]``;
+    an integer, a list or a slice of both axes raises IndexError."""
+    with pytest.raises(IndexError, match="only a slice of its rows or of its columns"):
+        _Monomial.of(np.eye(3))[key]
+
+
 def test_reports_run_without_densifying(monkeypatch, capsys):
     """analyze, sweep, oracle and galerkin on the function-space scenario with the damping
     diagonal never materialize a monomial matrix, neither L, G = L L^T nor a closed-form
