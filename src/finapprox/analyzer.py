@@ -173,7 +173,8 @@ def decide(report: SweepReport) -> Decision:
     empty or ||N^T h|| <= decision_tol ||h||, unless N^T (I - P) N is
     singular at ``singular_tol``: then y(alpha) need not converge, and the
     verdict is INCONCLUSIVE. Otherwise NOT_SOLVABLE with witness
-    (I - P) y0 when that is above decision_tol ||h||, INCONCLUSIVE if not.
+    (I - P) y0, whose norm is at least ||N^T h||, since N^T (I - P) y0 = N^T h
+    and N is orthonormal.
     """
     problem, tols = report.problem, report.problem.tols
     diagnostics: dict[str, float] = {"nonsingular_count": float(len(report.nonsingular_records()))}
@@ -192,15 +193,12 @@ def decide(report: SweepReport) -> Decision:
     pinched = np.eye(n - r) - kernel.T @ problem.project(kernel)
     if _numerical_rank(np.linalg.svd(pinched, compute_uv=False), tols.singular_tol) < n - r:
         return Decision(Verdict.INCONCLUSIVE, None, None, diagnostics)
-    threshold = tols.decision_tol * _norm(problem.rhs)
-    if diagnostics["kernel_rhs_norm"] <= threshold:
+    if diagnostics["kernel_rhs_norm"] <= tols.decision_tol * _norm(problem.rhs):
         return Decision(Verdict.SOLVABLE, None, None, diagnostics)
     limit = kernel @ np.linalg.solve(pinched, coords)
     witness = limit - problem.project(limit)
     diagnostics["witness_norm"] = _norm(witness)
-    if diagnostics["witness_norm"] > threshold:
-        return Decision(Verdict.NOT_SOLVABLE, witness, limit, diagnostics)
-    return Decision(Verdict.INCONCLUSIVE, None, None, diagnostics)
+    return Decision(Verdict.NOT_SOLVABLE, witness, limit, diagnostics)
 
 
 def extract_witness(report: SweepReport) -> np.ndarray:
@@ -271,8 +269,8 @@ def range_oracle(problem: ProblemInstance) -> OracleDecision:
     u reaches L u = U_r c with c = S_r V_r^T u, the free part is tested by
     ||(I - U_r U_r^T)(I - P) h||, and the constrained route minimizes
     ||c - U_r^T h|| under the constraint rows; the control is V_r (c / S_r).
-    Every residual is held to ``oracle_tol * ||h||``, with ``oracle_tol``
-    read from the problem's :class:`Tolerances`.
+    Every residual is held to ``decision_tol * ||h||``, the threshold the
+    verdict of :func:`decide` reads, from the problem's :class:`Tolerances`.
 
     Needs the operator; raises on Gram-only instances (a Gram operator alone
     does not determine what the equation can reach jointly with the
@@ -284,7 +282,7 @@ def range_oracle(problem: ProblemInstance) -> OracleDecision:
             "range oracle needs the operator; this instance only carries a gram matrix"
         )
     l, h = problem._operator, problem.rhs
-    threshold = problem.tols.oracle_tol * _norm(h)
+    threshold = problem.tols.decision_tol * _norm(h)
     spectrum = problem.spectrum
     r = spectrum.rank(problem.tols.rank_tol)
     u_r, s_r = spectrum.leading(r)

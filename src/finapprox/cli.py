@@ -295,9 +295,9 @@ def _cmd_scenarios_list(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    problem, _family, _source = _load(args)
-    if args.output in (None, "-"):
+    if args.output == "-":
         raise ValidationError("export needs --output PATH for the problem file")
+    problem, _family, _source = _load(args)
     save_problem(problem, args.output)
     if args.verbose:
         print(f"INFO finapprox: wrote {args.output}", file=sys.stderr)

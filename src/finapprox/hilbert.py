@@ -52,7 +52,7 @@ def _positive_real(value, name: str, below: float = math.inf) -> None:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """The four thresholds that steer a verdict.
+    """The three thresholds that steer a verdict.
 
     Every tolerance is applied relative to the natural scale of the quantity
     it guards (right-hand-side norm, largest singular value): a rank or
@@ -69,14 +69,14 @@ class Tolerances:
         for G alone, with the floor that G resolves (:meth:`Spectrum.rank`).
     singular_tol : relative smallest-singular-value threshold below which a
         linear system is reported singular instead of solved.
-    decision_tol : relative threshold steering the solvability verdict.
-    oracle_tol : relative residual threshold used by the range oracle.
+    decision_tol : the one reachability threshold: how much of h, relative
+        to ||h||, may lie out of reach. The verdict, the range oracle's
+        residuals and a singular system's kernel component of h all read it.
     """
 
     rank_tol: float = 1e-10
     singular_tol: float = 1e-12
     decision_tol: float = 1e-6
-    oracle_tol: float = 1e-8
 
     def __post_init__(self) -> None:
         for name in self.__dataclass_fields__:

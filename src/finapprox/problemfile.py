@@ -9,8 +9,8 @@ A problem file is a JSON object with the keys
     constraint  {"type": "projector_basis", "data": [vec, ...]} or
                 {"type": "raw", "data": dimH x dimH matrix}
     h           right-hand side, length dimH
-    tolerances  optional object setting some of the four Tolerances fields
-                (rank_tol, singular_tol, decision_tol, oracle_tol) by name
+    tolerances  optional object setting some of the three Tolerances fields
+                (rank_tol, singular_tol, decision_tol) by name
 
 At least one of L and Gamma must be present. A ``tolerances`` entry that
 names any other field is refused. The ``tolerances`` set ``problem.tols``

@@ -74,7 +74,8 @@ class SingularSystem:
     """Report for a regularized system that is singular at this alpha.
 
     ``kernel_vector`` is a unit vector annihilated by the system matrix. When
-    the right-hand side has a component in the numerical kernel, that
+    the right-hand side has a component in the numerical kernel above
+    ``decision_tol`` times its norm, the threshold of the verdict, that
     component (normalized) is reported, since it certifies the right-hand
     side unreachable; otherwise the kernel direction of smallest eigenvalue
     (or singular value) is used.
@@ -292,7 +293,7 @@ def factor_regularized(problem: ProblemInstance) -> RegularizedFactor:
             mu, v = np.linalg.eigh(pinched)
             nullity = mu.size - _numerical_rank(mu, problem.tols.singular_tol, lam_max)
             if nullity:  # mu ascends, so the kernel is its leading columns
-                kernel = _kernel_vector(q @ v[:, :nullity], q @ v[:, 0], problem.rhs)
+                kernel = _kernel_vector(q @ v[:, :nullity], q @ v[:, 0], problem)
         smallest = float(mu[0])
     return RegularizedFactor(
         problem=problem,
@@ -304,15 +305,16 @@ def factor_regularized(problem: ProblemInstance) -> RegularizedFactor:
     )
 
 
-def _kernel_vector(null_basis: np.ndarray, fallback: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _kernel_vector(null_basis: np.ndarray, fallback: np.ndarray, problem: ProblemInstance) -> np.ndarray:
     """The normalized kernel component of ``h`` when it has one, else ``fallback``.
 
-    The component counts when it exceeds 1e-12 of ||h||, so scaling ``h``
-    does not change the answer.
+    The component counts when it exceeds ``decision_tol`` of ||h||, the
+    threshold of the verdict, so scaling ``h`` does not change the answer.
     """
+    h = problem.rhs
     kernel_component = null_basis @ (null_basis.T @ h)
     component_norm = _norm(kernel_component)
-    if _numerical_rank(component_norm, 1e-12, _norm(h)):
+    if _numerical_rank(component_norm, problem.tols.decision_tol, _norm(h)):
         return kernel_component / component_norm
     return fallback
 
@@ -370,17 +372,15 @@ def _solve_generic(alpha: np.ndarray, problem: ProblemInstance) -> list[Union[Re
         z = z + np.linalg.solve(t_regular, h - t_regular @ z)
         solved = iter(_solutions(alpha[regular], np.ldexp(z, exponent), problem))
     return [
-        _singular_report(alpha[i, 0, 0], t[i], problem.rhs, problem) if flag else next(solved)
+        _singular_report(alpha[i, 0, 0], t[i], problem) if flag else next(solved)
         for i, flag in enumerate(singular)
     ]
 
 
-def _singular_report(
-    alpha: float, t: np.ndarray, h: np.ndarray, problem: ProblemInstance
-) -> SingularSystem:
+def _singular_report(alpha: float, t: np.ndarray, problem: ProblemInstance) -> SingularSystem:
     _u, s, vt = np.linalg.svd(t)
     null_basis = vt[_numerical_rank(s, problem.tols.singular_tol):].T
-    kernel = _kernel_vector(null_basis, vt[-1], h)
+    kernel = _kernel_vector(null_basis, vt[-1], problem)
     return SingularSystem(alpha=float(alpha), kernel_vector=kernel, smallest_eigenvalue=float(s[-1]))
 
 

@@ -227,7 +227,7 @@ def dense_range_oracle(problem):
     constrained_solvable, distance)``.
     """
     l, h = problem.operator, problem.rhs
-    threshold = problem.tols.oracle_tol * float(np.linalg.norm(h))
+    threshold = problem.tols.decision_tol * float(np.linalg.norm(h))
     scale = float(np.linalg.svd(l, compute_uv=False)[0]) if min(l.shape) else 0.0
     rows = problem.constraint_rows
     a, b = rows @ l, rows @ h

@@ -532,7 +532,7 @@ def test_oracle_exact_part_matches_dense_lstsq():
         oracle = range_oracle(problem)
         h_norm = np.linalg.norm(h)
         assert abs(oracle.exact_part_residual - dense) <= 1e-12 * h_norm
-        threshold = problem.tols.oracle_tol * h_norm
+        threshold = problem.tols.decision_tol * h_norm
         assert oracle.feasible == (dense <= threshold)
         assert oracle.decomposed_solvable == (
             dense <= threshold and oracle.complement_residual <= threshold

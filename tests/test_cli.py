@@ -83,34 +83,61 @@ def test_singular_exit_code(capsys):
 def test_tol_decision_overrides_only_the_decision_threshold(capsys, tmp_path):
     """--tol-decision replaces the problem's decision_tol and keeps the file's other overrides.
 
-    h = (1, 1e-5) is 1e-5 away from Range L, so the verdict turns on decision_tol
-    and the oracle on the file's oracle_tol = 1e-3; at the default 1e-8 it says false.
+    The file's rank_tol = 1e-3 counts L = diag(1, 1e-6) as rank 1, so h = (1, 1e-5)
+    is 1e-5 of ||h|| out of reach, and the verdict and the oracle turn on
+    decision_tol together; at the default rank_tol, L has rank 2 and both say
+    solvable whatever the flag.
     """
     data = {
         "dimH": 2,
-        "dimU": 1,
-        "L": [[1.0], [0.0]],
+        "dimU": 2,
+        "L": [[1.0, 0.0], [0.0, 1e-6]],
         "constraint": {"type": "projector_basis", "data": [[1.0, 0.0]]},
         "h": [1.0, 1e-5],
-        "tolerances": {"oracle_tol": 1e-3},
+        "tolerances": {"rank_tol": 1e-3},
     }
     path = tmp_path / "problem.json"
-    path.write_text(json.dumps(data))
-    for tol, verdict, agreement in (("1e-6", "NOT_SOLVABLE", "false"), ("1e-4", "SOLVABLE", "true")):
+
+    def analyze(tol):
         code, out, _ = run(capsys, "analyze", "--input", str(path), "--tol-decision", tol)
         assert code == 0
-        lines = out.splitlines()
+        return out.splitlines()
+
+    path.write_text(json.dumps(data))
+    for tol, verdict, solvable in (("1e-6", "NOT_SOLVABLE", "false"), ("1e-4", "SOLVABLE", "true")):
+        lines = analyze(tol)
         assert f"# verdict={verdict}" in lines
-        assert "# oracle_constrained_solvable=true" in lines
-        assert f"# agreement={agreement}" in lines
+        assert f"# oracle_constrained_solvable={solvable}" in lines
+        assert "# agreement=true" in lines
     code, out, err = run(capsys, "analyze", "--input", str(path), "--tol-decision", "0")
     assert (code, out) == (2, "")
     assert "decision_tol" in err
     del data["tolerances"]
     path.write_text(json.dumps(data))
-    code, out, _ = run(capsys, "analyze", "--input", str(path), "--tol-decision", "1e-6")
-    assert code == 0
-    assert "# oracle_constrained_solvable=false" in out.splitlines()
+    for tol in ("1e-6", "1e-4"):
+        lines = analyze(tol)
+        assert "# verdict=SOLVABLE" in lines
+        assert "# oracle_constrained_solvable=true" in lines
+
+
+def test_verdict_and_oracle_read_one_reachability_threshold(capsys, tmp_path):
+    """h = (1, 1e-7) lies 1e-7 of ||h|| from Range L: inside the default decision_tol,
+    so the verdict and the oracle both call it reachable, and at 1e-8 both do not."""
+    path = tmp_path / "band.json"
+    path.write_text(json.dumps({
+        "dimH": 2,
+        "dimU": 1,
+        "L": [[1.0], [0.0]],
+        "constraint": {"type": "projector_basis", "data": [[1.0, 0.0]]},
+        "h": [1.0, 1e-7],
+    }))
+    for flags, verdict, solvable in (((), "SOLVABLE", "true"), (("--tol-decision", "1e-8"), "NOT_SOLVABLE", "false")):
+        code, out, _ = run(capsys, "analyze", "--input", str(path), *flags)
+        assert code == 0
+        lines = out.splitlines()
+        assert f"# verdict={verdict}" in lines
+        assert f"# oracle_constrained_solvable={solvable}" in lines
+        assert "# agreement=true" in lines
 
 
 def test_oracle_command(capsys):
@@ -396,9 +423,17 @@ def test_export_and_reanalyze(capsys, tmp_path):
     assert "# verdict=SINGULAR" in out
 
 
-def test_export_needs_a_file_path(capsys):
-    """export writes a problem file, so ``--output -`` is refused, exit 2."""
-    code, out, err = run(capsys, "export", "--scenario", "diagonal_solvable", "--output", "-")
+def test_export_needs_a_file_path(capsys, monkeypatch):
+    """export writes a problem file, so ``--output -`` is refused, exit 2, before
+    any problem is built."""
+
+    def build_scenario(*_args, **_kwargs):
+        pytest.fail("export built the problem before refusing --output -")
+
+    monkeypatch.setattr(cli, "build_scenario", build_scenario)
+    code, out, err = run(
+        capsys, "export", "--scenario", "function_space_galerkin", "--param", "M=4096", "--output", "-"
+    )
     assert (code, out) == (2, "")
     assert err == "error: export needs --output PATH for the problem file\n"
 

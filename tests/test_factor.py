@@ -161,7 +161,7 @@ def _eigh_rule(factor):
     """SINGULAR decision, smallest eigenvalue and kernel vector as eigh(G_QQ) alone
     gives them: nullity is the count of eigenvalues at or below singular_tol
     lam_max, and the kernel vector is the normalized component of h in
-    Q ker G_QQ when it exceeds 1e-12 ||h||, else Q times the first eigenvector."""
+    Q ker G_QQ when it exceeds decision_tol ||h||, else Q times the first eigenvector."""
     problem, b, lam = factor.problem, factor.basis_coords, factor.eigenvalues
     mu, v = np.linalg.eigh((b.T * lam) @ b)
     nullity = int(np.sum(mu <= problem.tols.singular_tol * np.max(lam)))
@@ -171,7 +171,7 @@ def _eigh_rule(factor):
         null_basis = q @ v[:, :nullity]
         component = null_basis @ (null_basis.T @ h)
         norm = np.linalg.norm(component)
-        kernel = component / norm if norm > 1e-12 * np.linalg.norm(h) else q @ v[:, 0]
+        kernel = component / norm if norm > problem.tols.decision_tol * np.linalg.norm(h) else q @ v[:, 0]
     return float(mu[0]), kernel
 
 

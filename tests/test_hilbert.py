@@ -52,7 +52,7 @@ def test_tolerances_positive():
     tols = Tolerances(singular_tol=1e-10)
     assert tols.singular_tol == 1e-10
     assert DEFAULT_TOLERANCES.rank_tol == 1e-10
-    assert [f.name for f in dataclasses.fields(Tolerances)] == ["rank_tol", "singular_tol", "decision_tol", "oracle_tol"]
+    assert [f.name for f in dataclasses.fields(Tolerances)] == ["rank_tol", "singular_tol", "decision_tol"]
 
 
 def test_orthonormal_columns_matches_qr_span():
@@ -253,6 +253,27 @@ def test_gram_is_symmetrized_product():
         g = gram(l)
         assert_allclose(g, g.T, atol=0)
         assert_allclose(g, l @ l.T, atol=1e-13)
+
+
+def test_gram_of_a_strided_operator_is_its_contiguous_copy_product(monkeypatch):
+    """A column-strided L, neither C- nor F-contiguous, is copied before the product,
+    so its Gram is exactly symmetric and the contiguous copy's product bit for bit."""
+    copies = []
+    contiguous = np.ascontiguousarray
+
+    def recorded_copy(x):
+        copies.append(x.shape)
+        return contiguous(x)
+
+    monkeypatch.setattr(np, "ascontiguousarray", recorded_copy)
+    a = np.random.default_rng(12).standard_normal((9, 14))
+    l = a[:, ::2]
+    assert not (l.flags.c_contiguous or l.flags.f_contiguous)
+    g = gram(l)
+    assert copies == [(9, 7)]
+    copy = contiguous(l)
+    assert np.array_equal(g, g.T)
+    assert np.array_equal(g, copy @ copy.T)
 
 
 def test_gram_representable_rank_threshold():
@@ -589,12 +610,12 @@ def test_make_problem_rejects_nonfinite():
         lambda: make_projector([], dim=2.5),
         lambda: AlphaSchedule(alpha0="x"),
         lambda: AlphaSchedule(ratio="x"),
-        lambda: Tolerances(oracle_tol="x"),
+        lambda: Tolerances(singular_tol="x"),
         lambda: solve_regularized("x", small_problem()),
         lambda: diagonal_steps(alpha0="x"),
     ],
     ids=["string-rhs", "ragged-rhs", "string-basis", "int-basis", "float-dim", "string-alpha0",
-         "string-ratio", "string-oracle_tol", "string-alpha", "string-diagonal-alpha0"],
+         "string-ratio", "string-singular_tol", "string-alpha", "string-diagonal-alpha0"],
 )
 def test_non_numeric_input_raises_validation_error(call):
     with pytest.raises(ValidationError):

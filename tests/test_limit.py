@@ -14,8 +14,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from finapprox import AlphaSchedule, Verdict, alpha_sweep, build_scenario, decide, factor_regularized, make_problem
-from helpers import POPULATION_KINDS, population_problem, random_orthonormal, rotate_problem
+from finapprox import (
+    AlphaSchedule,
+    Verdict,
+    alpha_sweep,
+    build_scenario,
+    decide,
+    factor_regularized,
+    make_problem,
+    make_projector,
+)
+from helpers import (
+    POPULATION_KINDS,
+    conditioned_operator,
+    population_problem,
+    random_orthonormal,
+    reachable_rhs,
+    rotate_problem,
+    unreachable_rhs,
+)
 
 
 def _decision(problem):
@@ -104,3 +121,53 @@ def test_limit_is_the_indicator_at_the_smallest_alpha():
         indicator = factor_regularized(problem).solve(smallest).indicator
         assert np.linalg.norm(indicator - decision.indicator_limit) <= 1e-5 * np.linalg.norm(problem.rhs)
         assert_allclose(decision.witness, decision.indicator_limit - problem.project(decision.indicator_limit))
+
+
+def _deficient_problem(rng, index):
+    """A rank-deficient problem with L and h each scaled by 1e-4 to 1e2, and
+    its kernel basis N. The constraint is, in turn, a random projector, a
+    random raw matrix, or a raw P = I - R with R n = w for a kernel vector n
+    and a w in the range of L, so that N^T (I - P) N is singular while T_alpha
+    need not be."""
+    dim = int(rng.integers(2, 13))
+    dim_u = int(rng.integers(1, 13))
+    rank = int(rng.integers(1, min(dim - 1, dim_u) + 1))
+    operator = conditioned_operator(rng, dim, dim_u, rank, ill=bool(rng.integers(0, 2)))
+    rhs = (unreachable_rhs if rng.integers(0, 2) else reachable_rhs)(rng, operator)
+    u, s, _vt = np.linalg.svd(operator)
+    kernel = u[:, int(np.sum(s > 1e-10 * s[0])):]
+    kind = index % 3
+    if kind == 0:
+        constraint = make_projector([rng.standard_normal(dim) for _ in range(int(rng.integers(1, dim + 1)))])
+    elif kind == 1:
+        constraint = rng.standard_normal((dim, dim)) / dim
+    else:
+        n, w = kernel @ _unit(rng.standard_normal(kernel.shape[1])), operator @ rng.standard_normal(dim_u)
+        r = rng.standard_normal((dim, dim)) / dim
+        constraint = np.eye(dim) - (r + np.outer(w - r @ n, n))
+    problem = make_problem(
+        operator=10.0 ** rng.uniform(-4.0, 2.0) * operator,
+        constraint=constraint,
+        rhs=10.0 ** rng.uniform(-4.0, 2.0) * rhs,
+    )
+    return problem, kernel
+
+
+def test_witness_is_never_shorter_than_the_kernel_part_of_h():
+    """N^T (I - P) y0 = N^T h with N orthonormal, so ||(I - P) y0|| >= ||N^T h|| for any
+    P, projector or raw: a NOT_SOLVABLE verdict needs no second test on the witness,
+    and INCONCLUSIVE comes only from a singular N^T (I - P) N."""
+    rng = np.random.default_rng(20261022)
+    verdicts = []
+    for index in range(240):
+        problem, kernel = _deficient_problem(rng, index)
+        decision = _decision(problem)
+        verdicts.append(decision.verdict)
+        if decision.verdict is Verdict.NOT_SOLVABLE:
+            diagnostics = decision.diagnostics
+            assert diagnostics["witness_norm"] >= (1 - 1e-9) * diagnostics["kernel_rhs_norm"]
+        elif decision.verdict is Verdict.INCONCLUSIVE:
+            pinched = kernel.T @ (kernel - problem.project(kernel))
+            s = np.linalg.svd(pinched, compute_uv=False)
+            assert s[-1] <= 1e-9 * max(1.0, s[0])
+    assert {Verdict.NOT_SOLVABLE, Verdict.INCONCLUSIVE} <= set(verdicts)

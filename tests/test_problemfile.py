@@ -121,7 +121,7 @@ def test_tolerance_overrides():
         problem_from_dict(data)
 
 
-KNOWN_TOLERANCES = re.escape("['rank_tol', 'singular_tol', 'decision_tol', 'oracle_tol']")
+KNOWN_TOLERANCES = re.escape("['rank_tol', 'singular_tol', 'decision_tol']")
 
 
 @pytest.mark.parametrize(
@@ -132,11 +132,13 @@ KNOWN_TOLERANCES = re.escape("['rank_tol', 'singular_tol', 'decision_tol', 'orac
         # the structural checks' fixed threshold and the identity bound are not tolerances
         pytest.param({"tol_sym": 1e-8}, rf"\['tol_sym'\]; known: {KNOWN_TOLERANCES}", id="tol_sym"),
         pytest.param({"id_tol": 1e-9}, rf"\['id_tol'\]; known: {KNOWN_TOLERANCES}", id="id_tol"),
+        # the oracle reads decision_tol, the verdict's own threshold
+        pytest.param({"oracle_tol": 1e-3}, rf"\['oracle_tol'\]; known: {KNOWN_TOLERANCES}", id="oracle_tol"),
     ],
 )
 def test_bad_file_tolerances_are_refused(capsys, tmp_path, tolerances, needle):
     """A ``tolerances`` entry that is not a positive real, or names no field of the
-    four-field Tolerances, is refused by the loader and exits 2 from analyze."""
+    three-field Tolerances, is refused by the loader and exits 2 from analyze."""
     data = {
         "dimH": 2,
         "dimU": 2,
@@ -251,12 +253,12 @@ def test_round_trip_keeps_only_the_changed_tolerances(capsys, tmp_path):
         "L": [[1.0], [0.0]],
         "constraint": {"type": "projector_basis", "data": [[1.0, 0.0]]},
         "h": [1.0, 1e-8],
-        "tolerances": {"decision_tol": 1e-12, "oracle_tol": 1e-3},
+        "tolerances": {"decision_tol": 1e-12, "singular_tol": 1e-10},
     }
     path = tmp_path / "saved.json"
     save_problem(problem_from_dict(data), path)
     assert json.loads(path.read_text())["tolerances"] == data["tolerances"]
-    assert load_problem(path).tols == Tolerances(decision_tol=1e-12, oracle_tol=1e-3)
+    assert load_problem(path).tols == Tolerances(decision_tol=1e-12, singular_tol=1e-10)
     code, out, _err = _analyze(capsys, json.loads(path.read_text()), tmp_path)
     assert code == 0
     assert "# verdict=NOT_SOLVABLE" in out.splitlines()

@@ -1,5 +1,6 @@
 """Regularized solves: closed forms, identities, and singular systems."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ from finapprox import (
     AlphaSchedule,
     RegularizedSolution,
     SingularSystem,
+    Tolerances,
     ValidationError,
     alpha_sweep,
     build_scenario,
@@ -223,6 +225,22 @@ def test_singular_kernel_vector_is_scale_invariant():
         sol = solve_regularized(0.5, problem)
         assert isinstance(sol, SingularSystem)
         assert_allclose(sol.kernel_vector, expected, rtol=0, atol=1e-12)
+
+
+def test_singular_kernel_vector_reads_decision_tol():
+    """h's kernel component counts above decision_tol ||h||, the verdict's threshold.
+
+    L = e1 in R^3 and the projector onto span{e2, e3}: G_QQ = 0, so the whole range
+    of Q is the kernel, and h = e1 + 1e-9 e3 has a kernel component 1e-9 ||h||.
+    It is below the default decision_tol, so the first eigenvector Q e1 = e2 is
+    reported; at decision_tol = 1e-12 the component e3 is.
+    """
+    problem = make_problem(
+        operator=np.eye(3)[:, :1], constraint=make_projector(list(np.eye(3)[1:])), rhs=np.array([1.0, 0.0, 1e-9])
+    )
+    for tols, expected in ((problem.tols, np.eye(3)[1]), (Tolerances(decision_tol=1e-12), np.eye(3)[2])):
+        factor = factor_regularized(dataclasses.replace(problem, tols=tols))
+        assert np.array_equal(factor.kernel_vector, expected)
 
 
 @pytest.mark.parametrize(
